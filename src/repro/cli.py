@@ -29,9 +29,9 @@ synthetic paper workload (see docs/trace-formats.md).
 
 The heavy subcommands accept the same scale knobs as the benchmarks,
 plus ``--engine {reference,fast,fused}`` to pick the simulation engine
-(both alternatives are result-identical to the reference; ``fused``
-additionally shares one trace decode across a campaign's whole
-technique grid -- see docs/architecture.md), and the
+(``fused`` is result-identical to the reference and shares one trace
+decode across a campaign's whole technique grid; ``fast`` is its alias
+-- see docs/architecture.md), and the
 observability flags (see docs/observability.md):
 
     --trace-events FILE    stream telemetry events as JSON lines
@@ -270,11 +270,12 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="reference",
-        help="simulation engine: 'fast' and 'fused' are result-identical "
-             "to 'reference' (pinned by the differential tests); 'fast' "
-             "is several times faster per run, 'fused' additionally "
-             "evaluates a whole technique/seed/pbase grid in one trace "
-             "pass (campaigns, sweeps, adversary searches)",
+        help="simulation engine: 'fused' is result-identical to "
+             "'reference' (pinned by the differential tests), several "
+             "times faster per run, and evaluates a whole "
+             "technique/seed/pbase grid in one trace pass (campaigns, "
+             "sweeps, adversary searches); 'fast' is an alias of 'fused' "
+             "that keeps one run per campaign shard",
     )
 
 

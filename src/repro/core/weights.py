@@ -63,7 +63,7 @@ def trigger_probability(
     ``weighting`` selects the variant: ``"linear"`` uses the raw Eq. 1
     weight, ``"log"`` always quantises it with Eq. 2, and ``"loli"``
     quantises only rows *not* held in the history table (the LoLiPRoMi
-    hybrid).  The fast engine uses this to materialise per-interval
+    hybrid).  The optimized engine uses this to materialise per-interval
     probability vectors from the same math the reference mitigation
     evaluates row-by-row.
     """

@@ -23,7 +23,7 @@ mitigation rather than a snapshot:
 Every class implements the same :class:`~repro.mitigations.base.Mitigation`
 protocol as the 2021 techniques and passes the reference = fast = fused
 differential harness.  The deterministic counters additionally expose
-``observe_run`` (the run-batching contract of the fast engine's
+``observe_run`` (the run-batching contract of the optimized engine's
 ``decide_run``) so fused campaign grids stay fast.
 """
 

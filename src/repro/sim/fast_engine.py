@@ -1,919 +1,8 @@
-"""Batched fast-path simulation engine.
+"""``run_simulation_fast``: the former name of the optimized engine.
 
-A drop-in replacement for :func:`repro.sim.engine.run_simulation` that
-produces a **field-for-field identical** :class:`SimResult` (everything
-except ``wall_seconds``) while running several times faster.  The
-differential harness in ``tests/sim/test_differential.py`` pins that
-equivalence as a tier-1 invariant.
-
-Where the speed comes from
---------------------------
-
-The reference engine routes every trace record through the full
-controller / device / bank / disturbance object stack.  None of that
-layering is observable in the result, only its arithmetic is, so this
-engine replays the same arithmetic directly:
-
-* **Chunked replay** -- records are grouped into per-interval chunks:
-  the loop keeps the next interval boundary in nanoseconds, so chunk
-  membership is one integer comparison per record and the refresh /
-  weight state is resolved once per chunk instead of once per record.
-* **Bulk RNG draws** -- the probabilistic deciders pre-draw their
-  ``random()`` values in blocks, following the rewind protocol of
-  :class:`repro.rng.BufferedRandom`.  Mersenne-Twister output is a
-  fixed sequence, so the *k*-th draw is identical whether taken eagerly
-  or from a block; interleaved calls (PARA's ``randrange`` on trigger)
-  rewind the generator first, keeping the stream bit-exact with the
-  reference mitigation objects.
-* **Per-interval probability vectors** -- the TiVaPRoMi deciders cache
-  ``refresh-slot -> probability`` per interval, computed from the same
-  :func:`repro.core.weights.trigger_probability` math the reference
-  evaluates row by row.
-* **Run batching** -- consecutive identical records (the shape of a
-  flooding trace: one row hammered for a whole interval) are decided in
-  bulk.  A row's trigger probability is constant between triggers
-  within an interval and the draws are a fixed pre-buffered sequence,
-  so the no-trigger prefix of a run reduces to one scan over buffered
-  draws plus a single ``+= n`` per victim counter; threshold crossings
-  inside the run are recovered arithmetically with the exact per-record
-  timestamp.
-* **Empty-interval short-circuit** -- spans of intervals containing no
-  trace records (the idle stretches of flooding traces, and every
-  trailing interval after ``stop_after_first_trigger``) are skipped in
-  one step for techniques whose ``on_refresh`` is decision-free
-  (the TiVaPRoMi variants, PARA, MRLoc, and unmitigated runs): the
-  periodic refresh of a whole span reduces to popping the disturbance
-  counters whose refresh slot the span covers.  Counter-based
-  techniques (TWiCe, CRA, CaPRoMi, ProHit) mutate state on every
-  ``ref`` and therefore tick through refreshes one by one, exactly like
-  the reference.
-
-Mitigations with bespoke state machines run as real ``Mitigation``
-objects behind a thin adapter -- identical decisions by construction --
-while still enjoying the flattened record loop.
+``fast`` is an alias of the fused engine (:mod:`repro.sim.fused_engine`);
+this name stays importable because the benchmark harness
+(``perfledger/workloads.py``) imports it.
 """
 
-from __future__ import annotations
-
-import time
-from typing import Dict, List, Optional, Tuple
-
-from repro.config import SimConfig
-from repro.controller.controller import MitigationFactory
-from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi, TiVaPRoMiBase
-from repro.core.weights import linear_weight, log_weight, trigger_probability
-from repro.dram.disturbance import FlipEvent
-from repro.dram.refresh import RefreshPolicy, SequentialRefresh
-from repro.mitigations.base import (
-    ActivateNeighbors,
-    Mitigation,
-    RecoveryRefresh,
-    RefreshRow,
-)
-from repro.mitigations.para import PARA
-from repro.rng import derive_seed
-from repro.sim.metrics import SimResult
-from repro.telemetry.hooks import EngineTelemetry
-from repro.telemetry.profiler import section_of
-from repro.traces.record import Trace
-
-#: minimum number of empty intervals before the span short-circuit is
-#: cheaper than ticking through them
-_SKIP_THRESHOLD = 4
-
-
-class _GenericDecider:
-    """Adapter driving a real :class:`Mitigation` object.
-
-    Used for techniques without a specialised fast path (ProHit, MRLoc,
-    CaPRoMi, TWiCe, CRA, and any user-supplied factory): decisions are
-    made by the reference implementation itself, so equivalence is by
-    construction.
-    """
-
-    __slots__ = ("mitigation", "trivial_refresh")
-
-    def __init__(self, mitigation: Mitigation):
-        self.mitigation = mitigation
-        # a mitigation that inherits the base no-op on_refresh has no
-        # refresh-time state at all, so empty intervals can be skipped
-        self.trivial_refresh = (
-            type(mitigation).on_refresh is Mitigation.on_refresh
-        )
-
-    def attach_telemetry(self, telemetry) -> None:
-        # the wrapped reference mitigation owns the technique hooks
-        self.mitigation.telemetry = telemetry
-
-    @property
-    def name(self) -> str:
-        return self.mitigation.name
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return getattr(self.mitigation, "table_occupancy", None)
-
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
-    def on_refresh(self, interval: int):
-        return self.mitigation.on_refresh(interval)
-
-    def clear_window(self) -> None:
-        # only reachable when trivial_refresh, i.e. on_refresh is the
-        # stateless base no-op: nothing to clear
-        pass
-
-
-class _RunMethodDecider(_GenericDecider):
-    """Run-batching adapter for techniques exposing ``observe_run``.
-
-    A technique that can consume a run of identical activations in one
-    step (the modern counter families) implements
-    ``observe_run(row, interval, count) -> (clean, actions)`` with the
-    same contract as :meth:`decide_run`; this adapter simply forwards,
-    keeping the batching arithmetic inside the technique module while
-    decisions remain the reference object's own.
-    """
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        return self.mitigation.observe_run(row, interval, count)
-
-
-class _TiVaPRoMiDecider:
-    """Fast path for LiPRoMi / LoPRoMi / LoLiPRoMi.
-
-    Mirrors :class:`TiVaPRoMiBase` exactly: one ``random()`` per
-    activation (bulk-drawn), the FIFO history table as an
-    insertion-ordered dict, and per-interval ``slot -> probability``
-    vectors computed with :func:`trigger_probability`.
-    """
-
-    __slots__ = (
-        "name", "mitigation", "weighting", "pbase", "capacity", "refint",
-        "slot_fn", "_rand", "_buf", "_pos", "table", "_slots", "_slot_p",
-        "_p_interval", "telemetry",
-    )
-
-    trivial_refresh = True
-
-    def __init__(self, mitigation: TiVaPRoMiBase):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-        self.weighting = type(mitigation).weighting
-        self.pbase = mitigation.pbase
-        self.capacity = mitigation.history.capacity
-        self.refint = mitigation.refint
-        self.slot_fn = mitigation.refresh_slot_fn
-        # block-buffered random(): the k-th Mersenne-Twister draw is the
-        # same value whether taken eagerly or pre-drawn, and this
-        # mitigation never interleaves other generator calls
-        self._rand = mitigation._rng.random
-        self._buf: List[float] = []
-        self._pos = 0
-        #: FIFO history-table mirror: dict preserves insertion order,
-        #: in-place update keeps position, eviction removes the oldest
-        self.table: Dict[int, int] = {}
-        self._slots: Dict[int, int] = {}
-        self._slot_p: Dict[int, float] = {}
-        self._p_interval: Optional[int] = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self) -> int:
-        return len(self.table)
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            rand = self._rand
-            buf = self._buf = [rand() for _ in range(4096)]
-            pos = 0
-            if self.telemetry is not None:
-                self.telemetry.on_rng_block(self.mitigation.bank, 4096)
-        draw = buf[pos]
-        self._pos = pos + 1
-        p = self._probability(row, interval)
-        if draw >= p:
-            return ()
-        return self._record_trigger(row, interval)
-
-    def _probability(self, row: int, interval: int) -> float:
-        """Current trigger probability of *row* (no draw consumed).
-
-        The weight of a row not in the history table depends only on
-        its refresh slot, so those probabilities are cached as a
-        per-interval ``slot -> p`` vector built lazily from
-        :func:`trigger_probability`.  Table hits inline the same Eq. 1 /
-        Eq. 2 arithmetic (both the stored and the current interval are
-        window-relative by construction, so the reference's range
-        validation cannot fire).
-        """
-        window_now = interval % self.refint
-        stored = self.table.get(row)
-        if stored is None:
-            if interval != self._p_interval:
-                self._p_interval = interval
-                self._slot_p = {}
-            slot = self._slots.get(row)
-            if slot is None:
-                slot = self._slots[row] = self.slot_fn(row)
-            p = self._slot_p.get(slot)
-            if p is None:
-                p = self._slot_p[slot] = trigger_probability(
-                    window_now, slot, self.refint, self.pbase,
-                    self.weighting, in_table=False,
-                )
-            return p
-        weight = window_now - stored
-        if weight < 0:
-            weight += self.refint
-        if self.weighting == "log":
-            weight = 1 << weight.bit_length()
-        p = weight * self.pbase
-        return p if p < 1.0 else 1.0
-
-    def _weight_of(self, row: int, interval: int, hit: bool) -> int:
-        """Effective (uncapped) weight, telemetry only -- never on the
-        decision path, which uses the cached :meth:`_probability`."""
-        window_now = interval % self.refint
-        if hit:
-            weight = window_now - self.table[row]
-            if weight < 0:
-                weight += self.refint
-            # a history hit is weighted linearly except under pure 'log'
-            return log_weight(weight) if self.weighting == "log" else weight
-        slot = self._slots.get(row)
-        if slot is None:
-            slot = self._slots[row] = self.slot_fn(row)
-        weight = linear_weight(window_now, slot, self.refint)
-        # both 'log' and 'loli' quantise rows missing from the table
-        return weight if self.weighting == "linear" else log_weight(weight)
-
-    def _record_trigger(self, row: int, interval: int):
-        table = self.table
-        telemetry = self.telemetry
-        if telemetry is not None:
-            hit = row in table
-            telemetry.on_trigger_weight(
-                self.mitigation.bank, row, interval,
-                self._weight_of(row, interval, hit), hit,
-            )
-        if row in table:
-            table[row] = interval % self.refint
-        else:
-            if len(table) >= self.capacity:
-                oldest = next(iter(table))
-                del table[oldest]
-                if telemetry is not None:
-                    telemetry.on_history_evict(
-                        self.mitigation.bank, oldest, interval
-                    )
-            table[row] = interval % self.refint
-        return (ActivateNeighbors(row=row),)
-
-    def decide_run(self, row: int, interval: int, count: int):
-        """Decide *count* consecutive activations of *row* in one go.
-
-        Returns ``(clean, actions)``: ``clean`` is the number of
-        non-trigger decisions before the first trigger.  ``clean ==
-        count`` means no trigger (exactly *count* draws consumed);
-        otherwise ``clean + 1`` draws were consumed and *actions* is the
-        trigger's action tuple.  Exact because the probability of a row
-        is constant between triggers within one interval and the draws
-        are a fixed pre-buffered sequence.
-        """
-        p = self._probability(row, interval)
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        while clean < count:
-            if pos >= len(buf):
-                rand = self._rand
-                buf = self._buf = [rand() for _ in range(4096)]
-                pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, 4096)
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            if p > 0.0:
-                base = pos
-                while pos < end:
-                    if buf[pos] < p:
-                        clean += pos - base
-                        self._pos = pos + 1
-                        return clean, self._record_trigger(row, interval)
-                    pos += 1
-                clean += end - base
-            else:
-                clean += end - pos
-                pos = end
-        self._pos = pos
-        return count, ()
-
-    def on_refresh(self, interval: int):
-        if interval % self.refint == 0:
-            self.table.clear()
-        return ()
-
-    def clear_window(self) -> None:
-        self.table.clear()
-
-
-class _PARADecider:
-    """Fast path for PARA: buffered draws, cached assumed adjacency.
-
-    Implements the same rewind-on-interleave protocol as
-    :class:`repro.rng.BufferedRandom` with the buffer inlined as plain
-    fields: a trigger's ``randrange`` must consume the generator right
-    after the draws handed out so far, so the generator is restored to
-    the block's start state and the consumed draws are replayed.  A
-    modest block size keeps that replay cheap.
-    """
-
-    __slots__ = (
-        "name", "mitigation", "probability", "_rng", "_buf", "_pos",
-        "_state", "geometry", "_neighbors", "telemetry",
-    )
-
-    trivial_refresh = True
-
-    def __init__(self, mitigation: PARA):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-        self.probability = mitigation.probability
-        self._rng = mitigation._rng
-        self._buf: List[float] = []
-        self._pos = 0
-        self._state: object = None
-        self.geometry = mitigation.config.geometry
-        self._neighbors: Dict[int, Tuple[int, ...]] = {}
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return None  # PARA is stateless
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            rng = self._rng
-            self._state = rng.getstate()
-            rand = rng.random
-            buf = self._buf = [rand() for _ in range(256)]
-            pos = 0
-            if self.telemetry is not None:
-                self.telemetry.on_rng_block(self.mitigation.bank, 256)
-        draw = buf[pos]
-        pos += 1
-        self._pos = pos
-        if draw >= self.probability:
-            return ()
-        rng = self._rng
-        rng.setstate(self._state)
-        for _ in range(pos):
-            rng.random()
-        self._buf = []
-        self._pos = 0
-        neighbors = self._neighbors.get(row)
-        if neighbors is None:
-            neighbors = self._neighbors[row] = self.geometry.assumed_neighbors(row)
-        victim = neighbors[rng.randrange(len(neighbors))]
-        return (RefreshRow(row=victim, trigger_row=row),)
-
-    def decide_run(self, row: int, interval: int, count: int):
-        """Bulk-decide *count* consecutive activations (see
-        :meth:`_TiVaPRoMiDecider.decide_run` for the contract)."""
-        p = self.probability
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        rng = self._rng
-        while clean < count:
-            if pos >= len(buf):
-                self._state = rng.getstate()
-                rand = rng.random
-                buf = self._buf = [rand() for _ in range(256)]
-                pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, 256)
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            base = pos
-            while pos < end:
-                if buf[pos] < p:
-                    clean += pos - base
-                    consumed = pos + 1
-                    rng.setstate(self._state)
-                    for _ in range(consumed):
-                        rng.random()
-                    self._buf = []
-                    self._pos = 0
-                    neighbors = self._neighbors.get(row)
-                    if neighbors is None:
-                        neighbors = self._neighbors[row] = (
-                            self.geometry.assumed_neighbors(row)
-                        )
-                    victim = neighbors[rng.randrange(len(neighbors))]
-                    return clean, (RefreshRow(row=victim, trigger_row=row),)
-                pos += 1
-            clean += end - base
-        self._pos = pos
-        return count, ()
-
-    def on_refresh(self, interval: int):
-        return ()
-
-    def clear_window(self) -> None:
-        pass
-
-
-def _make_decider(mitigation: Mitigation):
-    kind = type(mitigation)
-    if kind in (LiPRoMi, LoPRoMi, LoLiPRoMi):
-        return _TiVaPRoMiDecider(mitigation)
-    if kind is PARA:
-        return _PARADecider(mitigation)
-    if hasattr(mitigation, "observe_run"):
-        return _RunMethodDecider(mitigation)
-    return _GenericDecider(mitigation)
-
-
-def run_simulation_fast(
-    config: SimConfig,
-    trace: Trace,
-    mitigation_factory: Optional[MitigationFactory],
-    seed: int = 0,
-    refresh_policy: Optional[RefreshPolicy] = None,
-    stop_after_first_trigger: bool = False,
-    max_activations: Optional[int] = None,
-    tracer=None,
-    metrics=None,
-    profiler=None,
-) -> SimResult:
-    """Drop-in fast replacement for :func:`repro.sim.engine.run_simulation`.
-
-    Same signature, same semantics, same ``SimResult`` fields (only
-    ``wall_seconds`` differs).  See the module docstring for the
-    batching strategy and ``tests/sim/test_differential.py`` for the
-    equivalence guarantee.  The telemetry event stream legitimately
-    differs from the reference engine's (batched rollovers, rng-block
-    events); only the ``SimResult`` is pinned identical.
-    """
-    geometry = config.geometry
-    policy = refresh_policy if refresh_policy is not None else SequentialRefresh(geometry)
-    if policy.geometry is not geometry:
-        raise ValueError("refresh policy geometry differs from device geometry")
-    num_banks = geometry.num_banks
-    refint = geometry.refint
-    started = time.perf_counter()
-    tele = EngineTelemetry.create(tracer, metrics)
-
-    with section_of(profiler, "engine:setup"):
-        if mitigation_factory is None:
-            deciders: List = []
-        else:
-            deciders = [
-                _make_decider(
-                    mitigation_factory(
-                        config, bank, derive_seed(seed, "mitigation", bank)
-                    )
-                )
-                for bank in range(num_banks)
-            ]
-        if tele is not None:
-            for decider in deciders:
-                decider.attach_telemetry(tele)
-    technique = deciders[0].name if deciders else "none"
-    result = SimResult(
-        technique=technique, seed=seed, flip_threshold=config.flip_threshold
-    )
-
-    interval_ns = trace.meta.interval_ns
-    total_intervals = trace.meta.total_intervals
-    flip_threshold = config.flip_threshold
-    distance2 = config.distance2_rate
-    sequential = type(policy) is SequentialRefresh
-    rows_per_interval = geometry.rows_per_interval
-    all_trivial = all(decider.trivial_refresh for decider in deciders)
-
-    # ground-truth device state, kept flat (per-bank dicts and lists)
-    counters: List[Dict[int, float]] = [{} for _ in range(num_banks)]
-    bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
-    aggressors: List[set] = [set() for _ in range(num_banks)]
-    neighbors_of: Dict[int, Tuple[int, ...]] = {}
-    second_of: Dict[int, List[int]] = {}
-    max_disturbance = 0
-    extra_activations = 0
-    fp_extra_activations = 0
-    mitigation_triggers = 0
-    max_occupancy = 0
-    pending: List[Tuple[int, object, bool]] = []
-    time_now = 0
-    current_interval = -1
-    activation_index = 0
-    attack_activations = 0
-    first_trigger: Optional[int] = None
-
-    def do_activation(bank: int, row: int) -> None:
-        """Mirror of Bank.activate: restore *row*, disturb its neighbours."""
-        nonlocal max_disturbance
-        c = counters[bank]
-        flips = bank_flips[bank]
-        neighbors = neighbors_of.get(row)
-        if neighbors is None:
-            neighbors = neighbors_of[row] = geometry.neighbors(row)
-        c.pop(row, None)
-        for victim in neighbors:
-            before = c.get(victim, 0.0)
-            count = before + 1.0
-            c[victim] = count
-            whole = int(count)
-            if whole > max_disturbance:
-                max_disturbance = whole
-            if before < flip_threshold <= count:
-                flips.append(
-                    FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
-                )
-        if distance2 > 0.0:
-            seconds = second_of.get(row)
-            if seconds is None:
-                seconds = second_of[row] = [
-                    second
-                    for neighbor in neighbors
-                    for second in geometry.neighbors(neighbor)
-                    if second != row
-                ]
-            for victim in seconds:
-                before = c.get(victim, 0.0)
-                count = before + distance2
-                c[victim] = count
-                whole = int(count)
-                if whole > max_disturbance:
-                    max_disturbance = whole
-                if before < flip_threshold <= count:
-                    flips.append(
-                        FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
-                    )
-
-    def apply_pending() -> None:
-        """Mirror of MemoryController._drain_buffer / _apply."""
-        nonlocal extra_activations, fp_extra_activations, mitigation_triggers
-        for bank, action, was_attack in pending:
-            mitigation_triggers += 1
-            if isinstance(action, ActivateNeighbors):
-                row = action.row
-                neighbors = neighbors_of.get(row)
-                if neighbors is None:
-                    neighbors = neighbors_of[row] = geometry.neighbors(row)
-                for victim in neighbors:
-                    do_activation(bank, victim)
-                cost = len(neighbors)
-            elif isinstance(action, RefreshRow):
-                do_activation(bank, action.row)
-                cost = 1
-            elif isinstance(action, RecoveryRefresh):
-                cost = 0
-                for aggressor in action.rows:
-                    neighbors = neighbors_of.get(aggressor)
-                    if neighbors is None:
-                        neighbors = neighbors_of[aggressor] = geometry.neighbors(
-                            aggressor
-                        )
-                    for victim in neighbors:
-                        do_activation(bank, victim)
-                    cost += len(neighbors)
-            else:  # pragma: no cover - future action kinds
-                raise TypeError(f"unknown mitigation action {action!r}")
-            extra_activations += cost
-            if not was_attack:
-                fp_extra_activations += cost
-            if tele is not None:
-                tele.on_apply(
-                    bank, action.row, current_interval, cost, not was_attack
-                )
-        pending.clear()
-
-    def enqueue(bank: int, actions) -> None:
-        nonlocal max_occupancy
-        bank_aggressors = aggressors[bank]
-        for action in actions:
-            pending.append((bank, action, action.trigger_row in bank_aggressors))
-            if tele is not None:
-                tele.on_trigger(
-                    bank, action.row, current_interval, type(action).__name__
-                )
-        if len(pending) > max_occupancy:
-            max_occupancy = len(pending)
-
-    def refresh_tick() -> None:
-        """Mirror of MemoryController.refresh_tick (one ``ref`` command)."""
-        nonlocal current_interval
-        if pending:
-            apply_pending()
-        current_interval += 1
-        rows = policy.rows_for_interval(current_interval % refint)
-        for c in counters:
-            for row in rows:
-                c.pop(row, None)
-        for bank, decider in enumerate(deciders):
-            actions = decider.on_refresh(current_interval)
-            if actions:
-                enqueue(bank, actions)
-        if pending:
-            apply_pending()
-        if tele is not None:
-            tele.on_interval(
-                current_interval,
-                current_interval * interval_ns,
-                activation_index,
-                attack_activations,
-                [decider.table_occupancy for decider in deciders],
-            )
-
-    def skip_to(target: int) -> None:
-        """Fast-forward over refresh ticks of record-free intervals.
-
-        Only legal when every decider's ``on_refresh`` is decision-free:
-        the span's ticks then reduce to popping the disturbance counters
-        whose refresh slot falls inside the span, plus a history clear
-        if a window boundary was crossed.
-        """
-        nonlocal current_interval
-        if pending:
-            apply_pending()
-        first_skipped = current_interval + 1
-        span = target - current_interval
-        if span >= refint:
-            # at least one full window: every row refreshed at least once
-            for c in counters:
-                c.clear()
-            boundary = True
-        else:
-            lo = (current_interval + 1) % refint
-            hi = target % refint
-            wrapped = lo > hi
-            boundary = wrapped or lo == 0
-            for c in counters:
-                if not c:
-                    continue
-                doomed = []
-                for row in c:
-                    slot = (
-                        row // rows_per_interval
-                        if sequential
-                        else policy.refresh_slot_of(row)
-                    )
-                    covered = (
-                        (slot >= lo or slot <= hi)
-                        if wrapped
-                        else lo <= slot <= hi
-                    )
-                    if covered:
-                        doomed.append(row)
-                for row in doomed:
-                    del c[row]
-        if boundary:
-            for decider in deciders:
-                decider.clear_window()
-        current_interval = target
-        if tele is not None:
-            tele.on_interval_skip(
-                first_skipped, target, target * interval_ns
-            )
-
-    # Hot loop.  A record starts a new chunk exactly when its timestamp
-    # reaches the next interval boundary (equivalent to the reference's
-    # ``time_ns // interval_ns > current_interval`` for non-negative
-    # times), so the common case is one integer comparison per record.
-    # The distance-1 disturbance update is inlined; ``do_activation``
-    # is kept for the rare mitigation-action path.
-    stop = False
-    replay_started = time.perf_counter()
-    boundary = 0  # (current_interval + 1) * interval_ns
-    neighbors_get = neighbors_of.get
-    has_deciders = bool(deciders)
-    plain_disturbance = distance2 == 0.0
-    # Run batching is legal when every decider can bulk-decide (the
-    # specialised probabilistic deciders, or none at all for the
-    # unmitigated baseline) and disturbance moves in whole +1 steps.
-    can_batch = plain_disturbance and all(
-        hasattr(decider, "decide_run") for decider in deciders
-    )
-    it = iter(trace)
-    replay: List = []  # pushed-back records, popped in LIFO order
-    while True:
-        if replay:
-            record = replay.pop()
-        else:
-            record = next(it, None)
-            if record is None:
-                break
-        time_ns = record[0]
-        if time_ns >= boundary:
-            record_interval = time_ns // interval_ns
-            if all_trivial and record_interval - current_interval > _SKIP_THRESHOLD:
-                skip_to(record_interval)
-            else:
-                while current_interval < record_interval:
-                    refresh_tick()
-            boundary = (current_interval + 1) * interval_ns
-        time_now = time_ns
-        if tele is not None:
-            tele.now = time_ns
-        if pending:
-            apply_pending()
-        bank = record[1]
-        row = record[2]
-        is_attack = record[3]
-
-        # Batch a run of identical records (flooding traces hammer one
-        # row, so runs span whole intervals).  A row's probability is
-        # constant between triggers within one interval and the draws
-        # are pre-buffered, so the whole no-trigger prefix collapses
-        # into one draw scan plus one counter update per victim.  The
-        # per-act first-trigger check is skipped because it cannot fire
-        # mid-batch: no action is *applied* during the run (only
-        # enqueued at its very end), so ``mitigation_triggers`` cannot
-        # rise from zero -- runs starting in any other state are
-        # excluded below.
-        if can_batch and (first_trigger is not None or mitigation_triggers == 0):
-            run = None
-            room = -1 if max_activations is None else max_activations - activation_index
-            if room != 1:
-                while True:
-                    nxt = replay.pop() if replay else next(it, None)
-                    if nxt is None:
-                        break
-                    if (
-                        nxt[0] >= boundary
-                        or nxt[1] != bank
-                        or nxt[2] != row
-                        or nxt[3] != is_attack
-                    ):
-                        replay.append(nxt)
-                        break
-                    if run is None:
-                        run = [record, nxt]
-                    else:
-                        run.append(nxt)
-                    if len(run) == room:
-                        break
-            if run is not None:
-                length = len(run)
-                if has_deciders:
-                    clean, actions = deciders[bank].decide_run(
-                        row, current_interval, length
-                    )
-                    done = length if clean == length else clean + 1
-                else:
-                    actions = ()
-                    done = length
-                if is_attack:
-                    aggressors[bank].add(row)
-                    attack_activations += done
-                c = counters[bank]
-                neighbors = neighbors_get(row)
-                if neighbors is None:
-                    neighbors = neighbors_of[row] = geometry.neighbors(row)
-                c.pop(row, None)
-                bump = float(done)
-                flips = bank_flips[bank]
-                flips_before = len(flips)
-                for victim in neighbors:
-                    before = c.get(victim, 0.0)
-                    count = before + bump
-                    c[victim] = count
-                    whole = int(count)
-                    if whole > max_disturbance:
-                        max_disturbance = whole
-                    if before < flip_threshold <= count:
-                        # counts move in whole +1 steps, so the act at
-                        # which the threshold is crossed is computable
-                        crossing = flip_threshold - int(before)
-                        flips.append(
-                            FlipEvent(
-                                bank=bank,
-                                row=victim,
-                                count=flip_threshold,
-                                time_ns=run[crossing - 1][0],
-                            )
-                        )
-                if len(flips) - flips_before > 1:
-                    # several victims crossed inside one run: the
-                    # reference emits flips in act order, not in victim
-                    # order (timestamps break the tie)
-                    flips[flips_before:] = sorted(
-                        flips[flips_before:], key=lambda f: f.time_ns
-                    )
-                activation_index += done
-                time_now = run[done - 1][0]
-                if tele is not None:
-                    tele.now = time_now
-                if actions:
-                    enqueue(bank, actions)
-                if done < length:
-                    # acts after the trigger act are re-queued raw; the
-                    # enqueued action applies at the next one, exactly
-                    # like the reference's next-command drain
-                    replay.extend(reversed(run[done:]))
-                if max_activations is not None and activation_index >= max_activations:
-                    stop = True
-                    break
-                continue
-
-        if is_attack:
-            aggressors[bank].add(row)
-            attack_activations += 1
-        if plain_disturbance:
-            c = counters[bank]
-            neighbors = neighbors_get(row)
-            if neighbors is None:
-                neighbors = neighbors_of[row] = geometry.neighbors(row)
-            c.pop(row, None)
-            for victim in neighbors:
-                before = c.get(victim, 0.0)
-                count = before + 1.0
-                c[victim] = count
-                whole = int(count)
-                if whole > max_disturbance:
-                    max_disturbance = whole
-                if before < flip_threshold <= count:
-                    bank_flips[bank].append(
-                        FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_ns)
-                    )
-        else:
-            do_activation(bank, row)
-        if has_deciders:
-            actions = deciders[bank].on_activation(row, current_interval)
-            if actions:
-                enqueue(bank, actions)
-        activation_index += 1
-        if first_trigger is None and mitigation_triggers > 0:
-            first_trigger = activation_index
-            if stop_after_first_trigger:
-                stop = True
-                break
-        if max_activations is not None and activation_index >= max_activations:
-            stop = True
-            break
-
-    if profiler is not None:
-        profiler.add("engine:replay", time.perf_counter() - replay_started)
-
-    with section_of(profiler, "engine:drain"):
-        if not (stop_after_first_trigger and first_trigger):
-            if (
-                all_trivial
-                and total_intervals - 1 - current_interval > _SKIP_THRESHOLD
-            ):
-                skip_to(total_intervals - 1)
-            else:
-                while current_interval < total_intervals - 1:
-                    refresh_tick()
-        if pending:
-            apply_pending()
-    if tele is not None:
-        tele.finish(activation_index, attack_activations)
-
-    flips: List[FlipEvent] = []
-    for events in bank_flips:
-        flips.extend(events)
-    result.normal_activations = activation_index
-    result.attack_activations = attack_activations
-    result.extra_activations = extra_activations
-    result.fp_extra_activations = fp_extra_activations
-    result.mitigation_triggers = mitigation_triggers
-    result.flips = flips
-    result.max_disturbance = max_disturbance
-    result.intervals_simulated = current_interval + 1
-    result.first_trigger_activation = first_trigger
-    result.max_rh_buffer_occupancy = max_occupancy
-    if deciders:
-        result.table_bytes = deciders[0].table_bytes
-    result.wall_seconds = time.perf_counter() - started
-    return result
+from repro.sim.fused_engine import run_simulation_fused as run_simulation_fast  # noqa: F401

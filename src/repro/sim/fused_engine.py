@@ -1,54 +1,72 @@
-"""Structure-of-arrays fused engine: one trace pass, a whole cell grid.
+"""The optimized simulation engine: one trace pass for a whole cell grid.
+
+The reference engine (:func:`repro.sim.engine.run_simulation`) is the
+specification; this module is its one optimized implementation.  It
+produces a **field-for-field identical** :class:`SimResult` (everything
+except ``wall_seconds``) for every cell, pinned by
+``tests/sim/test_differential.py`` (single cells) and
+``tests/sim/test_fused_differential.py`` (grids) via
+:mod:`tests.harness`.  ``get_engine("fast")`` and ``get_engine("fused")``
+both resolve to :func:`run_simulation_fused`.
 
 The paper's headline numbers are *campaigns*: the same activation trace
-replayed under nine techniques, several seeds, and a pbase grid.  The
-fast engine (:mod:`repro.sim.fast_engine`) evaluates one
-``(technique, seed)`` pair per call, so a campaign decodes and replays
-the identical trace once per cell.  This engine decodes the trace
-**once** into structure-of-arrays form and replays it for the entire
-``(technique, seed, pbase)`` cell grid simultaneously.
+replayed under nine techniques, several seeds, and a pbase grid.
+:func:`run_simulation_grid` decodes the trace once and replays it for
+the entire ``(technique, seed, pbase)`` cell grid.
 
-Layout and strategy
--------------------
+Where the speed comes from
+--------------------------
 
-* **SoA trace tape** -- the record stream is decoded once into parallel
-  ``times / banks / rows / attacks`` arrays plus a precomputed run-length
-  *segment schedule* (maximal runs of identical records, split at
-  refresh-interval boundaries).  Segmentation is cell-independent: the
-  refresh clock is driven purely by record timestamps, so every cell
-  shares one tape.
-* **Cell lanes** -- each *computed* cell owns a lane holding its mutable
-  state (disturbance counters, pending actions, flip events, decider
-  tables).  A lane is a faithful port of the fast-engine replay loop,
-  driven by the shared segment schedule; per-cell RNG streams derive
-  from the existing ``derive_seed(seed, "mitigation", bank)`` scheme, so
-  every lane is bit-identical to a solo reference-engine run.
+* **Segments** -- :func:`_segments` turns the record stream, in one
+  pass, into maximal runs of identical records that never cross a
+  refresh-interval boundary.  Segmentation is cell-independent (the
+  refresh clock is driven purely by record timestamps), so a grid builds
+  the segment list once and every cell replays it; a single cell reads
+  straight from the generator, so ``stop_after_first_trigger`` and
+  ``max_activations`` stop decoding early.
+* **Lane-major replay** -- :func:`_replay` runs one computed cell (a
+  *lane*) over the whole segment sequence with its state in locals:
+  the arithmetic of the reference controller / bank / disturbance
+  stack without the object layering, whose only observable effect is
+  that arithmetic.  Refresh state is resolved once per interval, not
+  once per record.
+* **Run batching** -- a row's trigger probability is constant between
+  triggers within an interval and the draws are a fixed pre-buffered
+  sequence, so a segment's no-trigger prefix reduces to one scan over
+  buffered draws plus a single ``+= n`` per victim counter; threshold
+  crossings inside the run are recovered arithmetically with the exact
+  per-record timestamp.  The table-based techniques (TWiCe, CRA,
+  CaPRoMi) collapse a run into one arithmetic update, ProHit and MRLoc
+  detect their steady table state and scan the remaining draws in bulk,
+  and the modern families batch through their own ``observe_run``.
+* **Bulk RNG draws** -- the probabilistic deciders pre-draw their
+  Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
+  same value eagerly or batched) and scan long runs as numpy arrays;
+  PARA's interleaved ``randrange`` rewinds the generator first, keeping
+  the stream bit-exact with the reference mitigation objects.
+* **Empty-interval short-circuit** -- spans of record-free intervals
+  are skipped in one step for techniques whose ``on_refresh`` is
+  decision-free: the periodic refresh of a whole span reduces to
+  popping the disturbance counters whose refresh slot the span covers.
 * **Cell dedup** -- mitigation classes declare ``consumes_rng`` /
   ``consumes_pbase`` traits.  TWiCe and CRA consume neither, so their
   seed x pbase plane collapses to one computed cell; PARA, ProHit and
   MRLoc ignore ``pbase``, collapsing that axis.  Results are replicated
   to the requested cells with the ``seed`` field fixed up.
-* **Vectorised deciders** -- the probabilistic techniques pre-draw their
-  Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
-  same value eagerly or batched) and scan them as numpy arrays; the
-  table-based techniques (TWiCe, CRA, CaPRoMi) collapse a run of ``n``
-  identical activations into one arithmetic update; ProHit and MRLoc
-  detect their steady table state and scan the remaining draws in bulk.
 
-Exact equivalence to the reference engine on every cell is the
-non-negotiable invariant, enforced by ``tests/sim/test_fused_differential.py``
-via :func:`tests.harness.assert_grid_equivalent`.  numpy is optional:
-without it every scan falls back to the scalar loop (identical results,
-reduced throughput).
+Per-cell RNG streams derive from ``derive_seed(seed, "mitigation",
+bank)`` exactly like the reference.  numpy is optional: without it every
+scan falls back to the scalar loop (identical results, reduced
+throughput).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the draw scans; the scalar fallback is exact
+try:  # numpy accelerates the long draw scans; the scalar fallback is exact
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
@@ -56,7 +74,8 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 from repro.config import SimConfig
 from repro.controller.controller import MitigationFactory
 from repro.core.capromi import CaPRoMi
-from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi
+from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi, TiVaPRoMiBase
+from repro.core.weights import linear_weight, log_weight, trigger_probability
 from repro.dram.disturbance import FlipEvent
 from repro.dram.refresh import RefreshPolicy, SequentialRefresh
 from repro.mitigations.base import (
@@ -76,26 +95,31 @@ from repro.mitigations.registry import (
 )
 from repro.mitigations.twice import TWiCe, _Entry
 from repro.rng import derive_seed
-from repro.sim.fast_engine import (
-    _SKIP_THRESHOLD,
-    _GenericDecider,
-    _PARADecider,
-    _RunMethodDecider,
-    _TiVaPRoMiDecider,
-)
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.profiler import section_of
-from repro.traces.record import Trace
+from repro.traces.record import Trace, TraceMeta
 
-#: block size for the pre-drawn ``random()`` buffers of the fused
-#: deciders (matches the fast engine's TiVaPRoMi block)
+#: block size of the pre-drawn ``random()`` buffers
 _BLOCK = 4096
+#: PARA's block: a trigger rewinds and replays the block's consumed
+#: draws, so a modest block keeps that replay cheap
+_PARA_BLOCK = 256
+#: draw scans shorter than this stay scalar (numpy's per-call overhead
+#: outweighs the vectorised compare on short runs)
+_SCAN_MIN = 64
+#: minimum number of empty intervals before the span short-circuit is
+#: cheaper than ticking through them
+_SKIP_THRESHOLD = 4
 
 #: sentinel pbase used to canonicalise configs of techniques that do not
 #: consume ``pbase`` when building dedup keys (any valid value works --
 #: it only has to be the *same* value for every such cell)
 _PBASE_DONT_CARE = 0.5
+
+#: ``(start, end, bank, row, is_attack, interval)``: records
+#: ``[start, end)`` of the trace, all identical, all in ``interval``
+Segment = Tuple[int, int, int, int, bool, int]
 
 
 # ---------------------------------------------------------------------------
@@ -185,86 +209,111 @@ def _plan_cell(cell: GridCell, base_config: SimConfig) -> _Plan:
 
 
 # ---------------------------------------------------------------------------
-# SoA trace tape
+# the segmenter
 # ---------------------------------------------------------------------------
 
 
-class _Tape:
-    """The decoded trace: SoA record columns plus the segment schedule.
+def _segments(trace: Trace, times: List[int]) -> Iterator[Segment]:
+    """Yield the trace's maximal runs of identical records in one pass.
 
-    ``segments`` is a list of ``(start, end, bank, row, is_attack,
-    interval)`` tuples -- maximal runs of identical records that never
-    cross a refresh-interval boundary, exactly the runs the fast engine
-    discovers by peeking ahead.
+    A run ends where the bank, row or attack flag changes or a record
+    reaches the next refresh-interval boundary.  Every record's
+    timestamp is appended to *times* (the caller's list), so a yielded
+    segment's records are ``times[start:end]``.  A run is yielded once
+    the first record of the next one has been read.
+    """
+    interval_ns = trace.meta.interval_ns
+    append = times.append
+    index = start = 0
+    boundary = 0  # first timestamp past the current interval
+    bank = row = attack = interval = None
+    for time_ns, b, r, a in trace:
+        if time_ns >= boundary or r != row or b != bank or a != attack:
+            if index:
+                yield (start, index, bank, row, attack, interval)
+            start = index
+            bank, row, attack = b, r, a
+            if time_ns >= boundary:
+                interval = time_ns // interval_ns
+                boundary = (interval + 1) * interval_ns
+        append(time_ns)
+        index += 1
+    if index:
+        yield (start, index, bank, row, attack, interval)
+
+
+# ---------------------------------------------------------------------------
+# deciders: the per-bank mitigation state a lane drives
+# ---------------------------------------------------------------------------
+
+
+class _GenericDecider:
+    """Adapter driving a real :class:`Mitigation` object.
+
+    Used for techniques without a specialised decider (any user-supplied
+    factory): decisions are made by the reference implementation itself,
+    so equivalence is by construction; records replay one at a time.
     """
 
-    __slots__ = ("times", "segments", "interval_ns", "total_intervals")
+    __slots__ = ("mitigation", "trivial_refresh")
 
-    def __init__(self, trace: Trace):
-        meta = trace.meta
-        self.interval_ns = meta.interval_ns
-        self.total_intervals = meta.total_intervals
-        times: List[int] = []
-        banks: List[int] = []
-        rows: List[int] = []
-        attacks: List[bool] = []
-        for record in trace:
-            times.append(record[0])
-            banks.append(record[1])
-            rows.append(record[2])
-            attacks.append(record[3])
-        self.times = times
-        self.segments = self._segment(times, banks, rows, attacks)
+    def __init__(self, mitigation: Mitigation):
+        self.mitigation = mitigation
+        # a mitigation that inherits the base no-op on_refresh has no
+        # refresh-time state at all, so empty intervals can be skipped
+        self.trivial_refresh = (
+            type(mitigation).on_refresh is Mitigation.on_refresh
+        )
 
-    def _segment(self, times, banks, rows, attacks):
-        n = len(times)
-        if n == 0:
-            return []
-        interval_ns = self.interval_ns
-        if _np is not None:
-            ta = _np.asarray(times, dtype=_np.int64)
-            ba = _np.asarray(banks, dtype=_np.int64)
-            ra = _np.asarray(rows, dtype=_np.int64)
-            aa = _np.asarray(attacks, dtype=bool)
-            iv = ta // interval_ns
-            if n > 1:
-                breaks = (
-                    _np.flatnonzero(
-                        (ba[1:] != ba[:-1])
-                        | (ra[1:] != ra[:-1])
-                        | (aa[1:] != aa[:-1])
-                        | (iv[1:] != iv[:-1])
-                    )
-                    + 1
-                ).tolist()
-            else:
-                breaks = []
-            starts = [0] + breaks
-            ends = breaks + [n]
-            return [
-                (s, e, banks[s], rows[s], attacks[s], times[s] // interval_ns)
-                for s, e in zip(starts, ends)
-            ]
-        segments = []
-        start = 0
-        key = (banks[0], rows[0], attacks[0], times[0] // interval_ns)
-        for i in range(1, n):
-            nxt = (banks[i], rows[i], attacks[i], times[i] // interval_ns)
-            if nxt != key:
-                segments.append((start, i) + key)
-                start = i
-                key = nxt
-        segments.append((start, n) + key)
-        return segments
+    def attach_telemetry(self, telemetry) -> None:
+        # the wrapped reference mitigation owns the technique hooks
+        self.mitigation.telemetry = telemetry
+
+    @property
+    def name(self) -> str:
+        return self.mitigation.name
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self):
+        return getattr(self.mitigation, "table_occupancy", None)
+
+    def on_activation(self, row: int, interval: int):
+        return self.mitigation.on_activation(row, interval)
+
+    def on_refresh(self, interval: int):
+        return self.mitigation.on_refresh(interval)
+
+    def clear_window(self) -> None:
+        # only reachable when trivial_refresh, i.e. on_refresh is the
+        # stateless base no-op: nothing to clear
+        pass
 
 
-# ---------------------------------------------------------------------------
-# fused deciders (all bit-exact ports -- see tests/sim/test_fused_differential)
-# ---------------------------------------------------------------------------
+class _RunMethodDecider(_GenericDecider):
+    """Run-batching adapter for techniques exposing ``observe_run``.
+
+    A technique that can consume a run of identical activations in one
+    step (the modern counter families) implements
+    ``observe_run(row, interval, count) -> (clean, actions)`` with the
+    same contract as ``decide_run``; this adapter simply forwards,
+    keeping the batching arithmetic inside the technique module while
+    decisions remain the reference object's own.
+    """
+
+    __slots__ = ()
+
+    def decide_run(self, row: int, interval: int, count: int):
+        return self.mitigation.observe_run(row, interval, count)
 
 
 class _NumpyScanMixin:
     """Lazy numpy mirror of a pre-drawn ``random()`` block."""
+
+    __slots__ = ()
 
     def _mirror(self):
         buf = self._buf
@@ -274,48 +323,308 @@ class _NumpyScanMixin:
         return self._arr
 
 
-class _FusedTiVaDecider(_TiVaPRoMiDecider, _NumpyScanMixin):
-    """TiVaPRoMi fast decider with the draw scan vectorised."""
+class _TiVaPRoMiDecider(_NumpyScanMixin):
+    """LiPRoMi / LoPRoMi / LoLiPRoMi.
 
-    __slots__ = ("_arr", "_arr_src")
+    Mirrors :class:`TiVaPRoMiBase` exactly: one ``random()`` per
+    activation (bulk-drawn), the FIFO history table as an
+    insertion-ordered dict, and per-interval ``slot -> probability``
+    vectors computed with :func:`trigger_probability`.
+    """
 
-    def __init__(self, mitigation):
-        super().__init__(mitigation)
+    __slots__ = (
+        "name", "mitigation", "weighting", "pbase", "capacity", "refint",
+        "slot_fn", "_rand", "_buf", "_pos", "_arr", "_arr_src", "table",
+        "_slots", "_slot_p", "_p_interval", "telemetry",
+    )
+
+    trivial_refresh = True
+
+    def __init__(self, mitigation: TiVaPRoMiBase):
+        self.mitigation = mitigation
+        self.telemetry = None
+        self.name = mitigation.name
+        self.weighting = type(mitigation).weighting
+        self.pbase = mitigation.pbase
+        self.capacity = mitigation.history.capacity
+        self.refint = mitigation.refint
+        self.slot_fn = mitigation.refresh_slot_fn
+        # block-buffered random(): the k-th Mersenne-Twister draw is the
+        # same value whether taken eagerly or pre-drawn, and this
+        # mitigation never interleaves other generator calls
+        self._rand = mitigation._rng.random
+        self._buf: List[float] = []
+        self._pos = 0
         self._arr = None
         self._arr_src = None
+        #: FIFO history-table mirror: dict preserves insertion order,
+        #: in-place update keeps position, eviction removes the oldest
+        self.table: Dict[int, int] = {}
+        self._slots: Dict[int, int] = {}
+        self._slot_p: Dict[int, float] = {}
+        self._p_interval: Optional[int] = None
+
+    def attach_telemetry(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self) -> int:
+        return len(self.table)
+
+    def _refill(self) -> List[float]:
+        rand = self._rand
+        buf = self._buf = [rand() for _ in range(_BLOCK)]
+        if self.telemetry is not None:
+            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
+        return buf
+
+    def on_activation(self, row: int, interval: int):
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._refill()
+            pos = 0
+        draw = buf[pos]
+        self._pos = pos + 1
+        p = self._probability(row, interval)
+        if draw >= p:
+            return ()
+        return self._record_trigger(row, interval)
+
+    def _probability(self, row: int, interval: int) -> float:
+        """Current trigger probability of *row* (no draw consumed).
+
+        The weight of a row not in the history table depends only on
+        its refresh slot, so those probabilities are cached as a
+        per-interval ``slot -> p`` vector built lazily from
+        :func:`trigger_probability`.  Table hits inline the same Eq. 1 /
+        Eq. 2 arithmetic (both the stored and the current interval are
+        window-relative by construction, so the reference's range
+        validation cannot fire).
+        """
+        window_now = interval % self.refint
+        stored = self.table.get(row)
+        if stored is None:
+            if interval != self._p_interval:
+                self._p_interval = interval
+                self._slot_p = {}
+            slot = self._slots.get(row)
+            if slot is None:
+                slot = self._slots[row] = self.slot_fn(row)
+            p = self._slot_p.get(slot)
+            if p is None:
+                p = self._slot_p[slot] = trigger_probability(
+                    window_now, slot, self.refint, self.pbase,
+                    self.weighting, in_table=False,
+                )
+            return p
+        weight = window_now - stored
+        if weight < 0:
+            weight += self.refint
+        if self.weighting == "log":
+            weight = 1 << weight.bit_length()
+        p = weight * self.pbase
+        return p if p < 1.0 else 1.0
+
+    def _weight_of(self, row: int, interval: int, hit: bool) -> int:
+        """Effective (uncapped) weight, telemetry only -- never on the
+        decision path, which uses the cached :meth:`_probability`."""
+        window_now = interval % self.refint
+        if hit:
+            weight = window_now - self.table[row]
+            if weight < 0:
+                weight += self.refint
+            # a history hit is weighted linearly except under pure 'log'
+            return log_weight(weight) if self.weighting == "log" else weight
+        slot = self._slots.get(row)
+        if slot is None:
+            slot = self._slots[row] = self.slot_fn(row)
+        weight = linear_weight(window_now, slot, self.refint)
+        # both 'log' and 'loli' quantise rows missing from the table
+        return weight if self.weighting == "linear" else log_weight(weight)
+
+    def _record_trigger(self, row: int, interval: int):
+        table = self.table
+        telemetry = self.telemetry
+        if telemetry is not None:
+            hit = row in table
+            telemetry.on_trigger_weight(
+                self.mitigation.bank, row, interval,
+                self._weight_of(row, interval, hit), hit,
+            )
+        if row in table:
+            table[row] = interval % self.refint
+        else:
+            if len(table) >= self.capacity:
+                oldest = next(iter(table))
+                del table[oldest]
+                if telemetry is not None:
+                    telemetry.on_history_evict(
+                        self.mitigation.bank, oldest, interval
+                    )
+            table[row] = interval % self.refint
+        return (ActivateNeighbors(row=row),)
 
     def decide_run(self, row: int, interval: int, count: int):
-        if _np is None:
-            return super().decide_run(row, interval, count)
+        """Decide *count* consecutive activations of *row* in one go.
+
+        Returns ``(clean, actions)``: ``clean`` is the number of
+        non-trigger decisions before the first trigger.  ``clean ==
+        count`` means no trigger (exactly *count* draws consumed);
+        otherwise ``clean + 1`` draws were consumed and *actions* is the
+        trigger's action tuple.  Exact because the probability of a row
+        is constant between triggers within one interval and the draws
+        are a fixed pre-buffered sequence.
+        """
         p = self._probability(row, interval)
         clean = 0
         pos = self._pos
         buf = self._buf
         while clean < count:
             if pos >= len(buf):
-                rand = self._rand
-                buf = self._buf = [rand() for _ in range(_BLOCK)]
+                buf = self._refill()
                 pos = 0
-                if self.telemetry is not None:
-                    self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
             end = pos + (count - clean)
             if end > len(buf):
                 end = len(buf)
             if p > 0.0:
-                hits = _np.flatnonzero(self._mirror()[pos:end] < p)
-                if hits.size:
-                    hit = pos + int(hits[0])
-                    clean += hit - pos
+                if _np is not None and end - pos >= _SCAN_MIN:
+                    hits = _np.flatnonzero(self._mirror()[pos:end] < p)
+                    hit = pos + int(hits[0]) if hits.size else end
+                else:
+                    hit = pos
+                    while hit < end and buf[hit] >= p:
+                        hit += 1
+                if hit < end:
                     self._pos = hit + 1
-                    return clean, self._record_trigger(row, interval)
+                    return clean + hit - pos, self._record_trigger(row, interval)
             clean += end - pos
             pos = end
         self._pos = pos
         return count, ()
 
+    def on_refresh(self, interval: int):
+        if interval % self.refint == 0:
+            self.table.clear()
+        return ()
+
+    def clear_window(self) -> None:
+        self.table.clear()
+
+
+class _PARADecider:
+    """PARA: buffered draws, cached assumed adjacency.
+
+    Implements the same rewind-on-interleave protocol as
+    :class:`repro.rng.BufferedRandom` with the buffer inlined as plain
+    fields: a trigger's ``randrange`` must consume the generator right
+    after the draws handed out so far, so the generator is restored to
+    the block's start state and the consumed draws are replayed.
+    """
+
+    __slots__ = (
+        "name", "mitigation", "probability", "_rng", "_buf", "_pos",
+        "_state", "geometry", "_neighbors", "telemetry",
+    )
+
+    trivial_refresh = True
+
+    def __init__(self, mitigation: PARA):
+        self.mitigation = mitigation
+        self.telemetry = None
+        self.name = mitigation.name
+        self.probability = mitigation.probability
+        self._rng = mitigation._rng
+        self._buf: List[float] = []
+        self._pos = 0
+        self._state: object = None
+        self.geometry = mitigation.config.geometry
+        self._neighbors: Dict[int, Tuple[int, ...]] = {}
+
+    def attach_telemetry(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    @property
+    def table_bytes(self) -> int:
+        return self.mitigation.table_bytes
+
+    @property
+    def table_occupancy(self):
+        return None  # PARA is stateless
+
+    def _refill(self) -> List[float]:
+        rng = self._rng
+        self._state = rng.getstate()
+        rand = rng.random
+        buf = self._buf = [rand() for _ in range(_PARA_BLOCK)]
+        if self.telemetry is not None:
+            self.telemetry.on_rng_block(self.mitigation.bank, _PARA_BLOCK)
+        return buf
+
+    def _trigger(self, row: int, consumed: int):
+        """Rewind to the block start, replay *consumed* draws, then take
+        the trigger's ``randrange`` exactly where the reference does."""
+        rng = self._rng
+        rng.setstate(self._state)
+        for _ in range(consumed):
+            rng.random()
+        self._buf = []
+        self._pos = 0
+        neighbors = self._neighbors.get(row)
+        if neighbors is None:
+            neighbors = self._neighbors[row] = self.geometry.assumed_neighbors(row)
+        victim = neighbors[rng.randrange(len(neighbors))]
+        return (RefreshRow(row=victim, trigger_row=row),)
+
+    def on_activation(self, row: int, interval: int):
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._refill()
+            pos = 0
+        draw = buf[pos]
+        pos += 1
+        self._pos = pos
+        if draw >= self.probability:
+            return ()
+        return self._trigger(row, pos)
+
+    def decide_run(self, row: int, interval: int, count: int):
+        """Bulk-decide *count* consecutive activations (see
+        :meth:`_TiVaPRoMiDecider.decide_run` for the contract)."""
+        p = self.probability
+        clean = 0
+        pos = self._pos
+        buf = self._buf
+        while clean < count:
+            if pos >= len(buf):
+                buf = self._refill()
+                pos = 0
+            end = pos + (count - clean)
+            if end > len(buf):
+                end = len(buf)
+            base = pos
+            while pos < end:
+                if buf[pos] < p:
+                    return clean + pos - base, self._trigger(row, pos + 1)
+                pos += 1
+            clean += end - base
+        self._pos = pos
+        return count, ()
+
+    def on_refresh(self, interval: int):
+        return ()
+
+    def clear_window(self) -> None:
+        pass
+
 
 class _BufferedVictimDecider(_NumpyScanMixin):
-    """Shared plumbing for the ProHit / MRLoc fused deciders.
+    """Shared plumbing for the ProHit / MRLoc deciders.
 
     Owns *every* draw of the wrapped mitigation's RNG stream through a
     pre-filled block buffer (the mitigations only ever call ``random()``,
@@ -380,7 +689,7 @@ class _BufferedVictimDecider(_NumpyScanMixin):
         pass
 
 
-class _FusedProHitDecider(_BufferedVictimDecider):
+class _ProHitDecider(_BufferedVictimDecider):
     """ProHit with run batching.
 
     ``on_activation`` never issues actions (all ProHit refreshes come
@@ -479,7 +788,7 @@ class _FusedProHitDecider(_BufferedVictimDecider):
         return count, ()
 
 
-class _FusedMRLocDecider(_BufferedVictimDecider):
+class _MRLocDecider(_BufferedVictimDecider):
     """MRLoc with run batching.
 
     Every victim lookup draws exactly once, so a run consumes a fixed
@@ -493,13 +802,13 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
 
     trivial_refresh = True  # MRLoc inherits the no-op on_refresh
 
-    def _act(self, row: int, victims: Tuple[int, ...]):
-        # exact port of MRLoc.on_activation with buffered draws
+    def _probabilities(self, victims: Tuple[int, ...], queue) -> List[float]:
+        """Per-victim probabilities of one act, advancing *queue* as the
+        reference's recency update does."""
         m = self.mitigation
-        queue = m._queue
         base = m.base_probability
         boost = m.max_boost
-        actions = None
+        pattern = []
         for victim in victims:
             length = len(queue)
             probability = base
@@ -513,13 +822,24 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
                     probability = base * (1.0 + (boost - 1.0) * recency)
                     if probability > 1.0:
                         probability = 1.0
+            pattern.append(probability)
+            if victim in queue:
+                queue.remove(victim)
+            queue.append(victim)
+        return pattern
+
+    def _act(self, row: int, victims: Tuple[int, ...]):
+        # exact port of MRLoc.on_activation with buffered draws: no
+        # probability depends on a draw, so fixing the act's
+        # probabilities (and queue) first leaves every decision unchanged
+        actions = None
+        for victim, probability in zip(
+            victims, self._probabilities(victims, self.mitigation._queue)
+        ):
             if self._draw() < probability:
                 if actions is None:
                     actions = []
                 actions.append(RefreshRow(row=victim, trigger_row=row))
-            if victim in queue:
-                queue.remove(victim)
-            queue.append(victim)
         return tuple(actions) if actions else ()
 
     def on_activation(self, row: int, interval: int):
@@ -527,32 +847,6 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
 
     def on_refresh(self, interval: int):
         return ()
-
-    def _steady_pattern(self, victims: Tuple[int, ...]) -> List[float]:
-        """Per-victim probabilities of one act in the steady state."""
-        m = self.mitigation
-        queue = list(m._queue)
-        base = m.base_probability
-        boost = m.max_boost
-        pattern = []
-        for victim in victims:
-            length = len(queue)
-            probability = base
-            if length:
-                try:
-                    position = queue.index(victim)
-                except ValueError:
-                    position = -1
-                if position >= 0:
-                    recency = (position + 1) / length
-                    probability = base * (1.0 + (boost - 1.0) * recency)
-                    if probability > 1.0:
-                        probability = 1.0
-            pattern.append(probability)
-            if victim in queue:
-                queue.remove(victim)
-            queue.append(victim)
-        return pattern
 
     def decide_run(self, row: int, interval: int, count: int):
         victims = self._neighbors(row)
@@ -571,7 +865,8 @@ class _FusedMRLocDecider(_BufferedVictimDecider):
                 continue
             if _np is None:
                 continue
-            pattern = _np.asarray(self._steady_pattern(victims))
+            # steady state: one act leaves the queue as it was
+            pattern = _np.asarray(self._probabilities(victims, list(queue)))
             # consume whole clean acts; the act containing the first
             # trigger draw (or straddling a block) replays scalar above
             while i < count:
@@ -631,7 +926,7 @@ class _TableDecider:
         pass
 
 
-class _FusedTWiCeDecider(_TableDecider):
+class _TWiCeDecider(_TableDecider):
     """TWiCe run batching: a counter either stays below the trigger
     threshold for the whole run (one ``+= n``) or crosses it at an
     arithmetically recoverable act."""
@@ -655,7 +950,7 @@ class _FusedTWiCeDecider(_TableDecider):
         return need - 1, (ActivateNeighbors(row=row),)
 
 
-class _FusedCRADecider(_TableDecider):
+class _CRADecider(_TableDecider):
     """CRA run batching (same arithmetic as TWiCe, sparse counters)."""
 
     __slots__ = ()
@@ -672,7 +967,7 @@ class _FusedCRADecider(_TableDecider):
         return need - 1, (ActivateNeighbors(row=row),)
 
 
-class _FusedCaPRoMiDecider(_TableDecider):
+class _CaPRoMiDecider(_TableDecider):
     """CaPRoMi run batching.
 
     Activations only observe (no draws, no actions): the first
@@ -700,24 +995,24 @@ class _FusedCaPRoMiDecider(_TableDecider):
         return count, ()
 
 
-def _make_fused_decider(mitigation: Mitigation):
-    kind = type(mitigation)
-    if kind in (LiPRoMi, LoPRoMi, LoLiPRoMi):
-        if _np is None:
-            return _TiVaPRoMiDecider(mitigation)
-        return _FusedTiVaDecider(mitigation)
-    if kind is PARA:
-        return _PARADecider(mitigation)
-    if kind is ProHit:
-        return _FusedProHitDecider(mitigation)
-    if kind is MRLoc:
-        return _FusedMRLocDecider(mitigation)
-    if kind is TWiCe:
-        return _FusedTWiCeDecider(mitigation)
-    if kind is CRA:
-        return _FusedCRADecider(mitigation)
-    if kind is CaPRoMi:
-        return _FusedCaPRoMiDecider(mitigation)
+#: the specialised decider of each paper technique (exact type match)
+_DECIDERS = {
+    LiPRoMi: _TiVaPRoMiDecider,
+    LoPRoMi: _TiVaPRoMiDecider,
+    LoLiPRoMi: _TiVaPRoMiDecider,
+    PARA: _PARADecider,
+    ProHit: _ProHitDecider,
+    MRLoc: _MRLocDecider,
+    TWiCe: _TWiCeDecider,
+    CRA: _CRADecider,
+    CaPRoMi: _CaPRoMiDecider,
+}
+
+
+def _make_decider(mitigation: Mitigation):
+    decider = _DECIDERS.get(type(mitigation))
+    if decider is not None:
+        return decider(mitigation)
     if hasattr(mitigation, "observe_run"):
         # modern counter families batch runs through their own
         # observe_run arithmetic (same contract as decide_run)
@@ -728,245 +1023,224 @@ def _make_fused_decider(mitigation: Mitigation):
 
 
 # ---------------------------------------------------------------------------
-# the shared tape context and per-cell lanes
+# the lane: one computed cell replayed over the segments
 # ---------------------------------------------------------------------------
 
 
-class _Shared:
-    """Read-only state shared by every lane of one grid call."""
+def _replay(
+    plan: _Plan,
+    policy: RefreshPolicy,
+    segments: Iterable[Segment],
+    times: List[int],
+    meta: TraceMeta,
+    caches: Tuple[Dict, Dict, Dict],
+    stop_after_first_trigger: bool,
+    max_activations: Optional[int],
+    tele,
+    profiler,
+) -> Tuple[SimResult, int]:
+    """Replay one lane over *segments*, drain it, return its result.
 
-    __slots__ = (
-        "geometry", "policy", "sequential", "refint", "rows_per_interval",
-        "interval_ns", "total_intervals", "times", "neighbors_of",
-        "second_of", "stop_after_first_trigger", "max_activations",
-        "_refresh_rows",
-    )
-
-    def __init__(self, geometry, policy, tape, stop_after_first_trigger,
-                 max_activations):
-        self.geometry = geometry
-        self.policy = policy
-        self.sequential = type(policy) is SequentialRefresh
-        self.refint = geometry.refint
-        self.rows_per_interval = geometry.rows_per_interval
-        self.interval_ns = tape.interval_ns
-        self.total_intervals = tape.total_intervals
-        self.times = tape.times
-        self.neighbors_of: Dict[int, Tuple[int, ...]] = {}
-        self.second_of: Dict[int, List[int]] = {}
-        self.stop_after_first_trigger = stop_after_first_trigger
-        self.max_activations = max_activations
-        self._refresh_rows: Dict[int, List[int]] = {}
-
-    def refresh_rows(self, slot: int) -> List[int]:
-        rows = self._refresh_rows.get(slot)
-        if rows is None:
-            rows = self._refresh_rows[slot] = list(
-                self.policy.rows_for_interval(slot)
-            )
-        return rows
-
-
-class _Lane:
-    """One computed cell: a faithful port of the fast-engine replay loop
-    driven by the shared segment schedule."""
-
-    __slots__ = (
-        "sh", "config", "seed", "deciders", "tele", "technique",
-        "flip_threshold", "distance2", "plain_disturbance", "all_trivial",
-        "can_batch", "counters", "bank_flips", "aggressors",
-        "max_disturbance", "extra_activations", "fp_extra_activations",
-        "mitigation_triggers", "max_occupancy", "pending", "time_now",
-        "current_interval", "activation_index", "attack_activations",
-        "first_trigger", "stopped",
-    )
-
-    def __init__(self, shared: _Shared, factory, seed: int,
-                 config: SimConfig, tele):
-        self.sh = shared
-        self.config = config
-        self.seed = seed
-        num_banks = shared.geometry.num_banks
-        if factory is None:
-            self.deciders: List = []
-        else:
-            self.deciders = [
-                _make_fused_decider(
-                    factory(config, bank, derive_seed(seed, "mitigation", bank))
-                )
+    Mirrors the reference controller / device arithmetic record by
+    record (see the module docstring for the shortcuts).  *caches* are
+    the geometry lookups ``(neighbours, second neighbours, refresh rows
+    per slot)`` shared by every lane of a grid.  Returns the result,
+    whose ``wall_seconds`` is this lane's own time, and the number of
+    segments the lane read.
+    """
+    started = time.perf_counter()
+    config = plan.config
+    geometry = policy.geometry
+    num_banks = geometry.num_banks
+    with section_of(profiler, "engine:setup"):
+        deciders: List = []
+        if plan.factory is not None:
+            deciders = [
+                _make_decider(plan.factory(
+                    config, bank, derive_seed(plan.seed, "mitigation", bank)
+                ))
                 for bank in range(num_banks)
             ]
-        self.tele = tele
         if tele is not None:
-            for decider in self.deciders:
+            for decider in deciders:
                 decider.attach_telemetry(tele)
-        self.technique = self.deciders[0].name if self.deciders else "none"
-        self.flip_threshold = config.flip_threshold
-        self.distance2 = config.distance2_rate
-        self.plain_disturbance = self.distance2 == 0.0
-        self.all_trivial = all(d.trivial_refresh for d in self.deciders)
-        self.can_batch = self.plain_disturbance and all(
-            hasattr(d, "decide_run") for d in self.deciders
-        )
-        self.counters: List[Dict[int, float]] = [
-            {} for _ in range(num_banks)
-        ]
-        self.bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
-        self.aggressors: List[Set[int]] = [set() for _ in range(num_banks)]
-        self.max_disturbance = 0
-        self.extra_activations = 0
-        self.fp_extra_activations = 0
-        self.mitigation_triggers = 0
-        self.max_occupancy = 0
-        self.pending: List[Tuple[int, object, bool]] = []
-        self.time_now = 0
-        self.current_interval = -1
-        self.activation_index = 0
-        self.attack_activations = 0
-        self.first_trigger: Optional[int] = None
-        self.stopped = False
 
-    # -- device mirror (ports of the fast-engine closures) -------------
+    neighbors_of, second_of, refresh_rows_of = caches
+    refint = geometry.refint
+    rows_per_interval = geometry.rows_per_interval
+    sequential = type(policy) is SequentialRefresh
+    interval_ns = meta.interval_ns
+    flip_threshold = config.flip_threshold
+    distance2 = config.distance2_rate
+    plain_disturbance = distance2 == 0.0
+    all_trivial = all(decider.trivial_refresh for decider in deciders)
+    has_deciders = bool(deciders)
+    # Run batching is legal when every decider can bulk-decide (or there
+    # are none, for the unmitigated baseline) and disturbance moves in
+    # whole +1 steps.
+    can_batch = plain_disturbance and all(
+        hasattr(decider, "decide_run") for decider in deciders
+    )
 
-    def do_activation(self, bank: int, row: int) -> None:
-        sh = self.sh
-        c = self.counters[bank]
-        flips = self.bank_flips[bank]
-        flip_threshold = self.flip_threshold
-        neighbors = sh.neighbors_of.get(row)
-        if neighbors is None:
-            neighbors = sh.neighbors_of[row] = sh.geometry.neighbors(row)
+    # ground-truth device state, kept flat (per-bank dicts and lists)
+    counters: List[Dict[int, float]] = [{} for _ in range(num_banks)]
+    bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
+    aggressors: List[set] = [set() for _ in range(num_banks)]
+    max_disturbance = 0
+    extra_activations = 0
+    fp_extra_activations = 0
+    mitigation_triggers = 0
+    max_occupancy = 0
+    pending: List[Tuple[int, object, bool]] = []
+    time_now = 0
+    current_interval = -1
+    activation_index = 0
+    attack_activations = 0
+    first_trigger: Optional[int] = None
+
+    def neighbors(row: int) -> Tuple[int, ...]:
+        found = neighbors_of.get(row)
+        if found is None:
+            found = neighbors_of[row] = geometry.neighbors(row)
+        return found
+
+    def do_activation(bank: int, row: int) -> None:
+        """Mirror of Bank.activate: restore *row*, disturb its neighbours."""
+        nonlocal max_disturbance
+        c = counters[bank]
+        flips = bank_flips[bank]
         c.pop(row, None)
-        for victim in neighbors:
+        for victim in neighbors(row):
             before = c.get(victim, 0.0)
             count = before + 1.0
             c[victim] = count
             whole = int(count)
-            if whole > self.max_disturbance:
-                self.max_disturbance = whole
+            if whole > max_disturbance:
+                max_disturbance = whole
             if before < flip_threshold <= count:
                 flips.append(
-                    FlipEvent(bank=bank, row=victim, count=whole,
-                              time_ns=self.time_now)
+                    FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
                 )
-        if self.distance2 > 0.0:
-            seconds = sh.second_of.get(row)
+        if distance2 > 0.0:
+            seconds = second_of.get(row)
             if seconds is None:
-                seconds = sh.second_of[row] = [
+                seconds = second_of[row] = [
                     second
-                    for neighbor in neighbors
-                    for second in sh.geometry.neighbors(neighbor)
+                    for neighbor in neighbors(row)
+                    for second in geometry.neighbors(neighbor)
                     if second != row
                 ]
             for victim in seconds:
                 before = c.get(victim, 0.0)
-                count = before + self.distance2
+                count = before + distance2
                 c[victim] = count
                 whole = int(count)
-                if whole > self.max_disturbance:
-                    self.max_disturbance = whole
+                if whole > max_disturbance:
+                    max_disturbance = whole
                 if before < flip_threshold <= count:
                     flips.append(
-                        FlipEvent(bank=bank, row=victim, count=whole,
-                                  time_ns=self.time_now)
+                        FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
                     )
 
-    def apply_pending(self) -> None:
-        sh = self.sh
-        tele = self.tele
-        for bank, action, was_attack in self.pending:
-            self.mitigation_triggers += 1
-            if isinstance(action, RefreshRow):
-                self.do_activation(bank, action.row)
+    def apply_pending() -> None:
+        """Mirror of MemoryController._drain_buffer / _apply."""
+        nonlocal extra_activations, fp_extra_activations, mitigation_triggers
+        for bank, action, was_attack in pending:
+            mitigation_triggers += 1
+            if isinstance(action, ActivateNeighbors):
+                victims = neighbors(action.row)
+                for victim in victims:
+                    do_activation(bank, victim)
+                cost = len(victims)
+            elif isinstance(action, RefreshRow):
+                do_activation(bank, action.row)
                 cost = 1
             elif isinstance(action, RecoveryRefresh):
                 cost = 0
                 for aggressor in action.rows:
-                    neighbors = sh.neighbors_of.get(aggressor)
-                    if neighbors is None:
-                        neighbors = sh.neighbors_of[aggressor] = (
-                            sh.geometry.neighbors(aggressor)
-                        )
-                    for victim in neighbors:
-                        self.do_activation(bank, victim)
-                    cost += len(neighbors)
-            elif isinstance(action, ActivateNeighbors):
-                row = action.row
-                neighbors = sh.neighbors_of.get(row)
-                if neighbors is None:
-                    neighbors = sh.neighbors_of[row] = sh.geometry.neighbors(row)
-                for victim in neighbors:
-                    self.do_activation(bank, victim)
-                cost = len(neighbors)
+                    victims = neighbors(aggressor)
+                    for victim in victims:
+                        do_activation(bank, victim)
+                    cost += len(victims)
             else:  # pragma: no cover - future action kinds
                 raise TypeError(f"unknown mitigation action {action!r}")
-            self.extra_activations += cost
+            extra_activations += cost
             if not was_attack:
-                self.fp_extra_activations += cost
+                fp_extra_activations += cost
             if tele is not None:
                 tele.on_apply(
-                    bank, action.row, self.current_interval, cost, not was_attack
+                    bank, action.row, current_interval, cost, not was_attack
                 )
-        self.pending.clear()
+        pending.clear()
 
-    def enqueue(self, bank: int, actions) -> None:
-        tele = self.tele
-        bank_aggressors = self.aggressors[bank]
-        pending = self.pending
+    def enqueue(bank: int, actions) -> None:
+        nonlocal max_occupancy
+        bank_aggressors = aggressors[bank]
         for action in actions:
             pending.append((bank, action, action.trigger_row in bank_aggressors))
             if tele is not None:
                 tele.on_trigger(
-                    bank, action.row, self.current_interval,
-                    type(action).__name__,
+                    bank, action.row, current_interval, type(action).__name__
                 )
-        if len(pending) > self.max_occupancy:
-            self.max_occupancy = len(pending)
+        if len(pending) > max_occupancy:
+            max_occupancy = len(pending)
 
-    def refresh_tick(self) -> None:
-        sh = self.sh
-        if self.pending:
-            self.apply_pending()
-        self.current_interval += 1
-        rows = sh.refresh_rows(self.current_interval % sh.refint)
-        for c in self.counters:
+    def refresh_tick() -> None:
+        """Mirror of MemoryController.refresh_tick (one ``ref`` command)."""
+        nonlocal current_interval
+        if pending:
+            apply_pending()
+        current_interval += 1
+        slot = current_interval % refint
+        rows = refresh_rows_of.get(slot)
+        if rows is None:
+            rows = refresh_rows_of[slot] = list(policy.rows_for_interval(slot))
+        for c in counters:
             for row in rows:
                 c.pop(row, None)
-        for bank, decider in enumerate(self.deciders):
-            actions = decider.on_refresh(self.current_interval)
+        for bank, decider in enumerate(deciders):
+            actions = decider.on_refresh(current_interval)
             if actions:
-                self.enqueue(bank, actions)
-        if self.pending:
-            self.apply_pending()
-        if self.tele is not None:
-            self.tele.on_interval(
-                self.current_interval,
-                self.current_interval * sh.interval_ns,
-                self.activation_index,
-                self.attack_activations,
-                [decider.table_occupancy for decider in self.deciders],
+                enqueue(bank, actions)
+        if pending:
+            apply_pending()
+        if tele is not None:
+            tele.on_interval(
+                current_interval,
+                current_interval * interval_ns,
+                activation_index,
+                attack_activations,
+                [decider.table_occupancy for decider in deciders],
             )
 
-    def skip_to(self, target: int) -> None:
-        sh = self.sh
-        if self.pending:
-            self.apply_pending()
-        first_skipped = self.current_interval + 1
-        span = target - self.current_interval
-        refint = sh.refint
-        if span >= refint:
-            for c in self.counters:
+    def advance_to(target: int) -> None:
+        """Run the refresh ticks up to interval *target*.
+
+        Spans of record-free intervals are fast-forwarded when every
+        decider's ``on_refresh`` is decision-free: the span's ticks then
+        reduce to popping the disturbance counters whose refresh slot
+        falls inside the span, plus a history clear if a window boundary
+        was crossed.
+        """
+        nonlocal current_interval
+        if not all_trivial or target - current_interval <= _SKIP_THRESHOLD:
+            while current_interval < target:
+                refresh_tick()
+            return
+        if pending:
+            apply_pending()
+        first_skipped = current_interval + 1
+        if target - current_interval >= refint:
+            # at least one full window: every row refreshed at least once
+            for c in counters:
                 c.clear()
             boundary = True
         else:
-            lo = (self.current_interval + 1) % refint
+            lo = (current_interval + 1) % refint
             hi = target % refint
             wrapped = lo > hi
             boundary = wrapped or lo == 0
-            rows_per_interval = sh.rows_per_interval
-            sequential = sh.sequential
-            policy = sh.policy
-            for c in self.counters:
+            for c in counters:
                 if not c:
                     continue
                 doomed = []
@@ -986,208 +1260,190 @@ class _Lane:
                 for row in doomed:
                     del c[row]
         if boundary:
-            for decider in self.deciders:
+            for decider in deciders:
                 decider.clear_window()
-        self.current_interval = target
-        if self.tele is not None:
-            self.tele.on_interval_skip(
-                first_skipped, target, target * sh.interval_ns
-            )
+        current_interval = target
+        if tele is not None:
+            tele.on_interval_skip(first_skipped, target, target * interval_ns)
 
-    def advance_to(self, interval: int) -> None:
-        if interval <= self.current_interval:
-            return
-        if self.all_trivial and interval - self.current_interval > _SKIP_THRESHOLD:
-            self.skip_to(interval)
-        else:
-            while self.current_interval < interval:
-                self.refresh_tick()
-
-    # -- the replay loop ------------------------------------------------
-
-    def process_segment(self, start: int, end: int, bank: int, row: int,
-                        is_attack: bool, interval: int) -> None:
-        sh = self.sh
-        self.advance_to(interval)
-        times = sh.times
-        tele = self.tele
-        max_acts = sh.max_activations
-        neighbors_of = sh.neighbors_of
+    # Hot loop.  Each segment first ticks the refresh clock up to its
+    # interval; its records then replay as batched runs or one at a
+    # time.  The distance-1 disturbance update is inlined;
+    # ``do_activation`` is kept for the rare mitigation-action path.
+    replay_started = time.perf_counter()
+    neighbors_get = neighbors_of.get
+    segment_count = 0
+    for segment_count, (start, end, bank, row, is_attack, interval) in enumerate(
+        segments, 1
+    ):
+        if interval > current_interval:
+            advance_to(interval)
         i = start
         while i < end:
             t = times[i]
-            self.time_now = t
+            time_now = t
             if tele is not None:
                 tele.now = t
-            if self.pending:
-                self.apply_pending()
-            remaining = end - i
+            if pending:
+                apply_pending()
+
+            # Batch the rest of the segment.  The per-act first-trigger
+            # check is skipped because it cannot fire mid-batch: no
+            # action is *applied* during the run (only enqueued at its
+            # very end), so ``mitigation_triggers`` cannot rise from
+            # zero -- runs starting in any other state are excluded.
+            length = end - i
             if (
-                remaining >= 2
-                and self.can_batch
-                and (self.first_trigger is not None
-                     or self.mitigation_triggers == 0)
+                length > 1
+                and can_batch
+                and (first_trigger is not None or mitigation_triggers == 0)
             ):
-                room = -1 if max_acts is None else max_acts - self.activation_index
-                if room != 1:
-                    length = (
-                        remaining if room < 0 or remaining <= room else room
+                if max_activations is not None:
+                    room = max_activations - activation_index
+                    if length > room:
+                        length = room
+            else:
+                length = 1
+            if length > 1:
+                if has_deciders:
+                    clean, actions = deciders[bank].decide_run(
+                        row, current_interval, length
                     )
-                    if self.deciders:
-                        clean, actions = self.deciders[bank].decide_run(
-                            row, self.current_interval, length
-                        )
-                        done = length if clean == length else clean + 1
-                    else:
-                        actions = ()
-                        done = length
-                    if is_attack:
-                        self.aggressors[bank].add(row)
-                        self.attack_activations += done
-                    c = self.counters[bank]
-                    neighbors = neighbors_of.get(row)
-                    if neighbors is None:
-                        neighbors = neighbors_of[row] = sh.geometry.neighbors(row)
-                    c.pop(row, None)
-                    bump = float(done)
-                    flip_threshold = self.flip_threshold
-                    flips = self.bank_flips[bank]
-                    flips_before = len(flips)
-                    for victim in neighbors:
-                        before = c.get(victim, 0.0)
-                        count = before + bump
-                        c[victim] = count
-                        whole = int(count)
-                        if whole > self.max_disturbance:
-                            self.max_disturbance = whole
-                        if before < flip_threshold <= count:
-                            crossing = flip_threshold - int(before)
-                            flips.append(
-                                FlipEvent(
-                                    bank=bank,
-                                    row=victim,
-                                    count=flip_threshold,
-                                    time_ns=times[i + crossing - 1],
-                                )
-                            )
-                    if len(flips) - flips_before > 1:
-                        # several victims crossed inside one run: the
-                        # reference emits flips in act order, not in
-                        # victim order (timestamps break the tie)
-                        flips[flips_before:] = sorted(
-                            flips[flips_before:], key=lambda f: f.time_ns
-                        )
-                    self.activation_index += done
-                    self.time_now = times[i + done - 1]
-                    if tele is not None:
-                        tele.now = self.time_now
-                    if actions:
-                        self.enqueue(bank, actions)
-                    i += done
-                    if max_acts is not None and self.activation_index >= max_acts:
-                        self.stopped = True
-                        return
-                    continue
-            # per-record path (mirror of the fast engine's tail)
-            if is_attack:
-                self.aggressors[bank].add(row)
-                self.attack_activations += 1
-            if self.plain_disturbance:
-                c = self.counters[bank]
-                neighbors = neighbors_of.get(row)
-                if neighbors is None:
-                    neighbors = neighbors_of[row] = sh.geometry.neighbors(row)
+                    done = length if clean == length else clean + 1
+                else:
+                    actions = ()
+                    done = length
+                if is_attack:
+                    aggressors[bank].add(row)
+                    attack_activations += done
+                c = counters[bank]
+                victims = neighbors_get(row)
+                if victims is None:
+                    victims = neighbors(row)
                 c.pop(row, None)
-                flip_threshold = self.flip_threshold
-                for victim in neighbors:
+                bump = float(done)
+                flips = bank_flips[bank]
+                flips_before = len(flips)
+                for victim in victims:
+                    before = c.get(victim, 0.0)
+                    count = before + bump
+                    c[victim] = count
+                    whole = int(count)
+                    if whole > max_disturbance:
+                        max_disturbance = whole
+                    if before < flip_threshold <= count:
+                        # counts move in whole +1 steps, so the act at
+                        # which the threshold is crossed is computable
+                        crossing = flip_threshold - int(before)
+                        flips.append(FlipEvent(
+                            bank=bank, row=victim, count=flip_threshold,
+                            time_ns=times[i + crossing - 1],
+                        ))
+                if len(flips) - flips_before > 1:
+                    # several victims crossed inside one run: the
+                    # reference emits flips in act order, not in victim
+                    # order (timestamps break the tie)
+                    flips[flips_before:] = sorted(
+                        flips[flips_before:], key=lambda f: f.time_ns
+                    )
+                activation_index += done
+                i += done
+                time_now = times[i - 1]
+                if tele is not None:
+                    tele.now = time_now
+                if actions:
+                    # the acts after the trigger act replay next; the
+                    # action applies at the first of them, exactly like
+                    # the reference's next-command drain
+                    enqueue(bank, actions)
+                if max_activations is not None and activation_index >= max_activations:
+                    break
+                continue
+
+            if is_attack:
+                aggressors[bank].add(row)
+                attack_activations += 1
+            if plain_disturbance:
+                c = counters[bank]
+                victims = neighbors_get(row)
+                if victims is None:
+                    victims = neighbors(row)
+                c.pop(row, None)
+                for victim in victims:
                     before = c.get(victim, 0.0)
                     count = before + 1.0
                     c[victim] = count
                     whole = int(count)
-                    if whole > self.max_disturbance:
-                        self.max_disturbance = whole
+                    if whole > max_disturbance:
+                        max_disturbance = whole
                     if before < flip_threshold <= count:
-                        self.bank_flips[bank].append(
-                            FlipEvent(bank=bank, row=victim, count=whole,
-                                      time_ns=t)
+                        bank_flips[bank].append(
+                            FlipEvent(bank=bank, row=victim, count=whole, time_ns=t)
                         )
             else:
-                self.do_activation(bank, row)
-            if self.deciders:
-                actions = self.deciders[bank].on_activation(
-                    row, self.current_interval
-                )
+                do_activation(bank, row)
+            if has_deciders:
+                actions = deciders[bank].on_activation(row, current_interval)
                 if actions:
-                    self.enqueue(bank, actions)
-            self.activation_index += 1
-            if self.first_trigger is None and self.mitigation_triggers > 0:
-                self.first_trigger = self.activation_index
-                if sh.stop_after_first_trigger:
-                    self.stopped = True
-                    return
-            if max_acts is not None and self.activation_index >= max_acts:
-                self.stopped = True
-                return
+                    enqueue(bank, actions)
+            activation_index += 1
             i += 1
+            if first_trigger is None and mitigation_triggers > 0:
+                first_trigger = activation_index
+                if stop_after_first_trigger:
+                    break
+            if max_activations is not None and activation_index >= max_activations:
+                break
+        else:
+            continue
+        break  # the lane stopped early
+    if profiler is not None:
+        profiler.add("engine:replay", time.perf_counter() - replay_started)
 
-    def drain(self) -> None:
-        sh = self.sh
-        if not (sh.stop_after_first_trigger and self.first_trigger):
-            if (
-                self.all_trivial
-                and sh.total_intervals - 1 - self.current_interval
-                > _SKIP_THRESHOLD
-            ):
-                self.skip_to(sh.total_intervals - 1)
-            else:
-                while self.current_interval < sh.total_intervals - 1:
-                    self.refresh_tick()
-        if self.pending:
-            self.apply_pending()
-        if self.tele is not None:
-            self.tele.finish(self.activation_index, self.attack_activations)
+    with section_of(profiler, "engine:drain"):
+        if not (stop_after_first_trigger and first_trigger):
+            advance_to(meta.total_intervals - 1)
+        if pending:
+            apply_pending()
+    if tele is not None:
+        tele.finish(activation_index, attack_activations)
 
-    def result(self) -> SimResult:
-        flips: List[FlipEvent] = []
-        for events in self.bank_flips:
-            flips.extend(events)
-        out = SimResult(
-            technique=self.technique,
-            seed=self.seed,
-            flip_threshold=self.flip_threshold,
-        )
-        out.normal_activations = self.activation_index
-        out.attack_activations = self.attack_activations
-        out.extra_activations = self.extra_activations
-        out.fp_extra_activations = self.fp_extra_activations
-        out.mitigation_triggers = self.mitigation_triggers
-        out.flips = flips
-        out.max_disturbance = self.max_disturbance
-        out.intervals_simulated = self.current_interval + 1
-        out.first_trigger_activation = self.first_trigger
-        out.max_rh_buffer_occupancy = self.max_occupancy
-        if self.deciders:
-            out.table_bytes = self.deciders[0].table_bytes
-        return out
+    flips: List[FlipEvent] = []
+    for events in bank_flips:
+        flips.extend(events)
+    result = SimResult(
+        technique=deciders[0].name if deciders else "none",
+        seed=plan.seed,
+        flip_threshold=flip_threshold,
+    )
+    result.normal_activations = activation_index
+    result.attack_activations = attack_activations
+    result.extra_activations = extra_activations
+    result.fp_extra_activations = fp_extra_activations
+    result.mitigation_triggers = mitigation_triggers
+    result.flips = flips
+    result.max_disturbance = max_disturbance
+    result.intervals_simulated = current_interval + 1
+    result.first_trigger_activation = first_trigger
+    result.max_rh_buffer_occupancy = max_occupancy
+    if deciders:
+        result.table_bytes = deciders[0].table_bytes
+    result.wall_seconds = time.perf_counter() - started
+    return result, segment_count
 
 
 # ---------------------------------------------------------------------------
-# grid runner
+# entry points
 # ---------------------------------------------------------------------------
 
 
-def _run_plans(
+def _refresh_policy(
     config: SimConfig,
-    trace: Trace,
     plans: List[_Plan],
     refresh_policy: Optional[RefreshPolicy],
-    stop_after_first_trigger: bool,
-    max_activations: Optional[int],
     tracer,
-    metrics,
-    profiler,
-) -> List[SimResult]:
-    started = time.perf_counter()
+) -> RefreshPolicy:
+    """Validate a call's plans; return the refresh policy every lane follows."""
     geometry = config.geometry
     policy = (
         refresh_policy if refresh_policy is not None
@@ -1208,74 +1464,18 @@ def _run_plans(
             )
         if plan.config.timing != config.timing:
             raise ValueError("fused cells must share the base timing")
+    return policy
 
-    with section_of(profiler, "engine:decode"):
-        tape = _Tape(trace)
-    shared = _Shared(
-        geometry, policy, tape, stop_after_first_trigger, max_activations
-    )
 
-    with section_of(profiler, "engine:setup"):
-        lanes: List[_Lane] = []
-        assign: List[int] = []
-        owners: Dict[Tuple, int] = {}
-        for plan in plans:
-            if plan.key is not None and plan.key in owners:
-                assign.append(owners[plan.key])
-                continue
-            tele = EngineTelemetry.create(
-                tracer if len(plans) == 1 else None, metrics
-            )
-            lane = _Lane(shared, plan.factory, plan.seed, plan.config, tele)
-            index = len(lanes)
-            lanes.append(lane)
-            if plan.key is not None:
-                owners[plan.key] = index
-            assign.append(index)
-
+def _count_work(
+    metrics, requested: int, computed: int, segments: int, records: int
+) -> None:
     if metrics is not None:
-        metrics.counter("fused.cells_requested").add(len(plans))
-        metrics.counter("fused.cells_computed").add(len(lanes))
-        metrics.counter("fused.cells_deduped").add(len(plans) - len(lanes))
-        metrics.counter("fused.segments").add(len(tape.segments))
-        metrics.counter("fused.records").add(len(tape.times))
-
-    replay_started = time.perf_counter()
-    active = list(lanes)
-    for segment in tape.segments:
-        start, end, bank, row, is_attack, interval = segment
-        stopped_any = False
-        for lane in active:
-            lane.process_segment(start, end, bank, row, is_attack, interval)
-            if lane.stopped:
-                stopped_any = True
-        if stopped_any:
-            active = [lane for lane in active if not lane.stopped]
-            if not active:
-                break
-    if profiler is not None:
-        profiler.add("engine:replay", time.perf_counter() - replay_started)
-
-    with section_of(profiler, "engine:drain"):
-        for lane in lanes:
-            lane.drain()
-
-    wall = time.perf_counter() - started
-    computed = [lane.result() for lane in lanes]
-    results: List[SimResult] = []
-    for plan, index in zip(plans, assign):
-        base = computed[index]
-        if base.seed == plan.seed and all(
-            j == index or computed[j] is not base for j in range(len(computed))
-        ) and assign.count(index) == 1:
-            result = base
-        else:
-            # deduplicated replica: same simulation outcome, the cell's
-            # own seed, and a private flips list
-            result = replace(base, seed=plan.seed, flips=list(base.flips))
-        result.wall_seconds = wall
-        results.append(result)
-    return results
+        metrics.counter("fused.cells_requested").add(requested)
+        metrics.counter("fused.cells_computed").add(computed)
+        metrics.counter("fused.cells_deduped").add(requested - computed)
+        metrics.counter("fused.segments").add(segments)
+        metrics.counter("fused.records").add(records)
 
 
 def run_simulation_grid(
@@ -1289,20 +1489,54 @@ def run_simulation_grid(
     metrics=None,
     profiler=None,
 ) -> List[SimResult]:
-    """Evaluate every grid *cell* in a single decode+replay of *trace*.
+    """Evaluate every grid *cell* in a single decode of *trace*.
 
     Returns one :class:`SimResult` per cell, in cell order, each
-    bit-identical (except ``wall_seconds``, which carries the wall time
-    of the whole grid call) to a solo :func:`repro.sim.engine.run_simulation`
-    of that cell.  The trace is consumed exactly once, so lazy traces
-    are safe; the *seed* axis only re-seeds the mitigations -- callers
-    whose traces vary per seed must issue one grid call per trace.
+    bit-identical (except ``wall_seconds``) to a solo
+    :func:`repro.sim.engine.run_simulation` of that cell.  A computed
+    cell's ``wall_seconds`` is its own lane's time and a deduplicated
+    replica's is 0.0, so the cells never sum to more than the call.
+    The whole trace is decoded exactly once, even for an empty grid, so
+    lazy traces are safe; the *seed* axis only re-seeds the mitigations
+    -- callers whose traces vary per seed must issue one grid call per
+    trace.
     """
     plans = [_plan_cell(cell, config) for cell in cells]
-    return _run_plans(
-        config, trace, plans, refresh_policy, stop_after_first_trigger,
-        max_activations, tracer, metrics, profiler,
+    policy = _refresh_policy(config, plans, refresh_policy, tracer)
+    times: List[int] = []
+    with section_of(profiler, "engine:decode"):
+        segments = list(_segments(trace, times))
+    owners: Dict[Tuple, int] = {}
+    for index, plan in enumerate(plans):
+        if plan.key is not None:
+            owners.setdefault(plan.key, index)
+    _count_work(
+        metrics, len(plans),
+        sum(1 for plan in plans if plan.key is None) + len(owners),
+        len(segments), len(times),
     )
+
+    caches: Tuple[Dict, Dict, Dict] = ({}, {}, {})
+    results: List[SimResult] = []
+    for index, plan in enumerate(plans):
+        owner = owners[plan.key] if plan.key is not None else index
+        if owner != index:
+            # deduplicated replica: same simulation outcome, the cell's
+            # own seed, a private flips list, and no time of its own
+            base = results[owner]
+            results.append(replace(
+                base, seed=plan.seed, flips=list(base.flips), wall_seconds=0.0
+            ))
+            continue
+        tele = EngineTelemetry.create(
+            tracer if len(plans) == 1 else None, metrics
+        )
+        result, _ = _replay(
+            plan, policy, segments, times, trace.meta, caches,
+            stop_after_first_trigger, max_activations, tele, profiler,
+        )
+        results.append(result)
+    return results
 
 
 def run_simulation_fused(
@@ -1317,15 +1551,25 @@ def run_simulation_fused(
     metrics=None,
     profiler=None,
 ) -> SimResult:
-    """Single-cell fused run -- the ``--engine fused`` entry point.
+    """Single-cell run -- the ``--engine fused`` (and ``fast``) entry point.
 
-    Drop-in compatible with :func:`repro.sim.engine.run_simulation`; the
-    grid machinery degenerates to one lane.  Accepts arbitrary
-    mitigation factories (unknown techniques replay per-record through
-    the real ``Mitigation`` object, exactly like the fast engine).
+    Drop-in compatible with :func:`repro.sim.engine.run_simulation`.
+    The lane reads its segments straight from the trace, so an early
+    stop (``stop_after_first_trigger``, ``max_activations``) stops
+    decoding too.  Accepts arbitrary mitigation factories (unknown
+    techniques replay per-record through the real ``Mitigation``
+    object).  The telemetry event stream legitimately differs from the
+    reference engine's (batched rollovers, rng-block events); only the
+    ``SimResult`` is pinned identical.
     """
-    plans = [_Plan(mitigation_factory, seed, config, None)]
-    return _run_plans(
-        config, trace, plans, refresh_policy, stop_after_first_trigger,
-        max_activations, tracer, metrics, profiler,
-    )[0]
+    plan = _Plan(mitigation_factory, seed, config, None)
+    policy = _refresh_policy(config, [plan], refresh_policy, tracer)
+    tele = EngineTelemetry.create(tracer, metrics)
+    times: List[int] = []
+    result, segments = _replay(
+        plan, policy, _segments(trace, times), times, trace.meta,
+        ({}, {}, {}), stop_after_first_trigger, max_activations, tele,
+        profiler,
+    )
+    _count_work(metrics, 1, 1, segments, len(times))
+    return result

@@ -45,31 +45,16 @@ from repro.config import SimConfig
 from repro.mitigations.registry import technique_names
 from repro.rng import derive_seed
 from repro.sim.engine import get_engine
-from repro.sim.executors import (  # noqa: F401  (re-exported compat surface)
-    EXECUTOR_NAMES,
-    FAULT_COUNTERS,
-    ON_FAILURE_MODES,
+from repro.sim.executors import (
     CampaignJob,
     ExecutionContext,
-    Executor,
     JobOutcome,
-    PoolExecutor,
     ProgressCallback,
     RetryPolicy,
-    SerialExecutor,
     ShardCallback,
     ShardFailure,
-    ShardOutcome,
-    ShardTimeout,
     _count,
-    _exhaust,
-    _fault_kind,
     _FusedBlock,
-    _kill_workers,
-    _run_block,
-    _run_chunk,
-    _run_job,
-    _shard_id,
     get_executor,
 )
 from repro.sim.experiment import TechniqueAggregate

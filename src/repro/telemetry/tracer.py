@@ -42,7 +42,7 @@ class NullTracer:
     Passing ``tracer=NullTracer()`` is exactly equivalent to passing
     ``tracer=None`` -- the engines see ``enabled`` is False and never
     build a single event (a guarantee pinned by the overhead guard in
-    ``benchmarks/bench_fast_engine.py``).
+    ``benchmarks/bench_fused_engine.py``).
     """
 
     enabled = False

@@ -8,7 +8,7 @@ layer can classify extra activations as true or false positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Sequence
 
 
@@ -41,19 +41,34 @@ class TraceMeta:
 class Trace:
     """A trace: metadata plus an iterable of time-ordered records.
 
-    ``records`` may be a materialised list (tests, small runs) or any
-    re-iterable source; :meth:`materialize` forces a list.
+    ``records`` may be a materialised list (tests, small runs), any
+    re-iterable source, or a one-shot iterator such as the lazy trace
+    generators.  A one-shot source can be read once: iterating or
+    materializing it a second time raises instead of silently yielding
+    nothing.  :meth:`materialize` forces a list.
     """
 
     meta: TraceMeta
     records: Iterable[TraceRecord]
+    _read: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        records = self.records
+        iterator = iter(records)
+        if iterator is records:  # a one-shot source
+            if self._read:
+                raise RuntimeError(
+                    "trace records already consumed: this trace wraps a "
+                    "one-shot iterator, which can be read only once -- "
+                    "build a fresh trace per run, or call materialize() "
+                    "before the first read"
+                )
+            self._read = True
+        return iterator
 
     def materialize(self) -> "Trace":
         if not isinstance(self.records, list):
-            self.records = list(self.records)
+            self.records = list(self)
         return self
 
     def aggressor_rows(self) -> dict:

@@ -1,10 +1,10 @@
 """Differential test harness for the simulation engines.
 
-The fast engine (:mod:`repro.sim.fast_engine`) is only allowed to exist
-because this harness pins it field-for-field to the reference engine:
-every comparison runs both engines over *identically generated* traces
-and asserts that the two :class:`~repro.sim.metrics.SimResult` objects
-agree on every field except ``wall_seconds``.
+The optimized engine (:mod:`repro.sim.fused_engine`) is only allowed to
+exist because this harness pins it field-for-field to the reference
+engine: every comparison runs both engines over *identically generated*
+traces and asserts that the two :class:`~repro.sim.metrics.SimResult`
+objects agree on every field except ``wall_seconds``.
 
 Traces are requested through a zero-argument factory rather than passed
 as values: lazily generated traces are one-shot iterators, so handing
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Tuple
 
 from repro.sim.engine import run_simulation
-from repro.sim.fast_engine import run_simulation_fast
+from repro.sim.fused_engine import run_simulation_fused
 from repro.sim.metrics import SimResult
 from repro.traces.record import Trace
 
@@ -49,7 +49,9 @@ def assert_engines_equivalent(
     seed: int = 0,
     **engine_kwargs,
 ) -> SimResult:
-    """Run both engines and assert result equivalence.
+    """Run the reference and the single-cell optimized engine (the
+    streamed leg of :func:`run_simulation_fused`) and assert result
+    equivalence.
 
     ``engine_kwargs`` (``refresh_policy``, ``stop_after_first_trigger``,
     ``max_activations``) are forwarded to both engines.  Returns the
@@ -58,15 +60,15 @@ def assert_engines_equivalent(
     reference = run_simulation(
         config, trace_factory(), mitigation_factory, seed=seed, **engine_kwargs
     )
-    fast = run_simulation_fast(
+    fused = run_simulation_fused(
         config, trace_factory(), mitigation_factory, seed=seed, **engine_kwargs
     )
-    differences = diff_results(reference, fast)
+    differences = diff_results(reference, fused)
     assert not differences, (
         f"engines diverged for technique={reference.technique!r} "
         f"seed={seed} kwargs={engine_kwargs!r}:\n"
         + "\n".join(
-            f"  {field}: reference={ref!r} fast={cand!r}"
+            f"  {field}: reference={ref!r} fused={cand!r}"
             for field, (ref, cand) in differences.items()
         )
     )

@@ -1,10 +1,10 @@
-"""Differential equivalence: fast engine vs reference engine.
+"""Differential equivalence: single-cell optimized engine vs reference.
 
 Every registered technique (plus the unmitigated baseline) is replayed
 by both engines over a grid of (workload, seed) points, plus the
 engine-kwarg and refresh-policy variants, and the results must be
 field-for-field identical.  This is the correctness spine that lets the
-fast engine take shortcuts (bulk RNG draws, run batching, interval
+optimized engine take shortcuts (bulk RNG draws, run batching, interval
 skipping) without any risk of silent drift.
 """
 
@@ -182,11 +182,11 @@ def test_mismatched_policy_geometry_rejected():
     """Both engines validate the policy geometry identically."""
     from repro.dram.refresh import SequentialRefresh
     from repro.sim.engine import run_simulation
-    from repro.sim.fast_engine import run_simulation_fast
+    from repro.sim.fused_engine import run_simulation_fused
 
     other = small_test_config(rows_per_bank=1024)
     policy = SequentialRefresh(other.geometry)
-    for engine in (run_simulation, run_simulation_fast):
+    for engine in (run_simulation, run_simulation_fused):
         with pytest.raises(ValueError):
             engine(
                 CONFIG, _mixed(0)(), _factory("PARA"), refresh_policy=policy

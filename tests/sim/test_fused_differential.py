@@ -276,20 +276,107 @@ def test_tracer_requires_single_cell():
         )
 
 
-def test_single_cell_tracer_matches_solo_fast_engine():
-    """A one-cell grid with telemetry equals the solo fast engine's."""
-    from repro.sim.fast_engine import run_simulation_fast
+def test_single_cell_tracer_matches_streamed_run():
+    """A one-cell grid with telemetry equals the reference result, and
+    its event stream equals the streamed single-cell run's."""
     from repro.mitigations.registry import make_factory
+    from repro.sim.engine import run_simulation
+    from repro.sim.fused_engine import run_simulation_fused
     from repro.telemetry import RecordingTracer
 
     trace = _mixed(0)().materialize()
     solo_tracer, grid_tracer = RecordingTracer(), RecordingTracer()
-    solo = run_simulation_fast(
+    solo = run_simulation_fused(
         CONFIG, trace, make_factory("LiPRoMi"), seed=0, tracer=solo_tracer
     )
     [gridded] = run_simulation_grid(
         CONFIG, trace, [GridCell(technique="LiPRoMi", seed=0)],
         tracer=grid_tracer,
     )
-    assert solo.as_dict() == gridded.as_dict()
+    reference = run_simulation(CONFIG, trace, make_factory("LiPRoMi"), seed=0)
+    assert reference.as_dict() == gridded.as_dict() == solo.as_dict()
     assert solo_tracer.events == grid_tracer.events
+
+
+def test_cell_wall_seconds_sum_within_the_grid_call():
+    """Each computed cell is charged its own lane's time and a deduped
+    replica none, so cell times never add up to more than the call."""
+    import time
+
+    trace = _mixed(0)().materialize()
+    cells = grid_cells(
+        ["PARA", "TWiCe", "LiPRoMi", None], SEEDS,
+        pbase_scales=PBASE_SCALES, config=CONFIG,
+    )
+    started = time.perf_counter()
+    results = run_simulation_grid(CONFIG, trace, cells)
+    elapsed = time.perf_counter() - started
+    assert all(result.wall_seconds >= 0.0 for result in results)
+    assert sum(result.wall_seconds for result in results) <= elapsed
+
+
+def test_single_cell_early_stop_stops_decoding():
+    """A streamed single-cell run stops pulling records inside the
+    segment where its first trigger fired (plus the one record that
+    closes that segment), instead of decoding the whole trace."""
+    from repro.mitigations.registry import make_factory
+    from repro.sim.fused_engine import run_simulation_fused
+    from repro.traces.record import Trace
+
+    row = CONFIG.geometry.rows_per_bank // 2
+    source = build_trace(
+        CONFIG, TOTAL_INTERVALS,
+        attacks=(AttackSpec(bank=0, aggressors=(row,), acts_per_interval=120,
+                            start_interval=3),),
+        seed=1,
+    ).materialize()
+    records = source.records
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for record in records:
+            pulled += 1
+            yield record
+
+    result = run_simulation_fused(
+        CONFIG, Trace(source.meta, counting()), make_factory("LiPRoMi"),
+        seed=1, stop_after_first_trigger=True,
+    )
+    last = result.first_trigger_activation - 1  # index of the last act run
+    interval_ns = source.meta.interval_ns
+
+    def key(index):
+        record = records[index]
+        return record[1:], record.time_ns // interval_ns
+
+    end = last + 1
+    while end < len(records) and key(end) == key(last):
+        end += 1
+    assert pulled <= end + 1 < len(records)
+
+
+@pytest.mark.parametrize(
+    "techniques", [[], ["PARA", "TWiCe", None]], ids=["empty", "grid"]
+)
+def test_grid_counts_every_record_and_segment(techniques):
+    """``fused.records``/``fused.segments`` count the whole trace, even
+    for an empty grid, and so does a full single-cell run."""
+    from repro.sim.fused_engine import run_simulation_fused
+
+    trace = _mixed(0)().materialize()
+    interval_ns = trace.meta.interval_ns
+    keys = [
+        (r.bank, r.row, r.is_attack, r.time_ns // interval_ns)
+        for r in trace.records
+    ]
+    segments = 1 + sum(1 for a, b in zip(keys, keys[1:]) if a != b)
+    grid, solo = MetricsRegistry(), MetricsRegistry()
+    run_simulation_grid(
+        CONFIG, trace, grid_cells(techniques, (0,), config=CONFIG),
+        metrics=grid,
+    )
+    run_simulation_fused(CONFIG, trace, None, metrics=solo)
+    for registry in (grid, solo):
+        assert registry.counters["fused.records"].value == trace.count()
+        assert registry.counters["fused.segments"].value == segments

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import small_test_config
-from repro.sim.parallel import CampaignJob, _run_job, parallel_map, run_campaign
+from repro.sim.executors import CampaignJob, _run_job
+from repro.sim.parallel import parallel_map, run_campaign
 
 
 def _square(value):

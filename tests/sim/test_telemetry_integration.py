@@ -117,7 +117,8 @@ def test_engines_agree_on_aggregate_counters():
         outcomes[engine] = {
             name: counter.value
             for name, counter in metrics.counters.items()
-            if not name.startswith("rng_")  # fast-engine-only accounting
+            # optimized-engine-only accounting
+            if not name.startswith(("rng_", "fused."))
         }
     assert outcomes["reference"] == outcomes["fast"]
 

@@ -1,5 +1,6 @@
 """Tests for trace records, validation, and merging."""
 
+import pytest
 
 from repro.traces.record import (
     Trace,
@@ -43,6 +44,17 @@ class TestTrace:
         records = [TraceRecord(0, 0, 1), TraceRecord(50, 1, 2)]
         trace = make_trace(records)
         assert list(trace) == records
+        assert list(trace) == records  # a list source re-reads
+
+    def test_spent_one_shot_source_raises(self):
+        """A second read of a one-shot source fails loudly instead of
+        replaying an empty trace -- also after a partial first read."""
+        trace = make_trace(TraceRecord(i * 100, 0, i) for i in range(5))
+        next(iter(trace))
+        with pytest.raises(RuntimeError, match="already consumed"):
+            iter(trace)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            trace.materialize()
 
 
 class TestValidateTrace:

@@ -356,6 +356,25 @@ def test_single_cell_early_stop_stops_decoding():
     assert pulled <= end + 1 < len(records)
 
 
+def test_streamed_run_memory_does_not_grow_with_the_trace():
+    """A single-cell run over a lazy trace holds the live segment only:
+    its peak memory stays far below one retained timestamp per record
+    (a list slot plus an int object, about 40 bytes)."""
+    import tracemalloc
+
+    from repro.sim.fused_engine import run_simulation_fused
+
+    trace = paper_mixed_workload(CONFIG, total_intervals=600, seed=0)
+    tracemalloc.start()
+    try:
+        result = run_simulation_fused(CONFIG, trace, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.normal_activations > 50_000
+    assert peak < 8 * result.normal_activations
+
+
 @pytest.mark.parametrize(
     "techniques", [[], ["PARA", "TWiCe", None]], ids=["empty", "grid"]
 )

@@ -41,6 +41,13 @@ observability flags (see docs/observability.md):
 
     python -m repro manifest-diff A.json B.json   # compare two runs
 
+Exit status: 0 on success; 2 on bad input -- an unknown technique, a
+missing input file, a malformed trace -- reported as one line on
+stderr before any work starts; 1 means "the attack succeeded" for
+``run``, "the manifests differ" for ``manifest-diff`` and a failed
+shard or server error elsewhere (``submit`` adds 3 for a lost
+connection).
+
 ``campaign`` runs the full technique comparison with per-shard
 checkpointing: kill it at any point and re-run with ``--resume`` to
 continue from the completed shards (see docs/campaigns.md).  Worker
@@ -73,10 +80,37 @@ docs/adversary.md).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
+
+
+class UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it as one line and
+    exits with status 2."""
+
+
+def _technique(name: str) -> str:
+    """The registry name for a user spelling (case-insensitive)."""
+    from repro.mitigations.registry import resolve_technique
+
+    try:
+        return resolve_technique(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _techniques(names: Optional[Sequence[str]]) -> Optional[List[str]]:
+    return None if names is None else [_technique(name) for name in names]
+
+
+def _input_file(path: Optional[str], what: str) -> None:
+    """Fail before any work if an input file given on the command line
+    is missing."""
+    if path is not None and not os.path.isfile(path):
+        raise UsageError(f"{what} not found: {path}")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -381,6 +415,7 @@ def _cmd_policies(args) -> int:
     from repro.dram.refresh import all_policies
     from repro.sim.experiment import default_trace_factory, run_technique
 
+    args.technique = _technique(args.technique)
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
     factory = default_trace_factory(config, total_intervals=args.intervals)
@@ -412,6 +447,9 @@ def _cmd_trace(args) -> int:
     from repro.traces.mixer import paper_mixed_workload
     from repro.traces.trace_io import save_trace
 
+    directory = os.path.dirname(args.out)
+    if directory and not os.path.isdir(directory):
+        raise UsageError(f"output directory not found: {directory}")
     config = SimConfig()
     trace = paper_mixed_workload(
         config, total_intervals=args.intervals, seed=args.seed
@@ -425,6 +463,7 @@ def _cmd_ingest(args) -> int:
     from repro.analysis.report import render_ingest
     from repro.traces.trace_io import save_trace_npz
 
+    _input_file(args.trace_file, "trace file")
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
     result = _ingest_from_args(args, config, metrics)
@@ -444,6 +483,8 @@ def _cmd_compare(args) -> int:
     from repro.analysis.report import render_comparison, render_ingest
     from repro.sim.experiment import compare_techniques, default_trace_factory
 
+    args.techniques = _techniques(args.techniques)
+    _input_file(args.trace_file, "trace file")
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
     extra = {"command": "compare"}
@@ -474,7 +515,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.mitigations.registry import make_factory, resolve_technique
+    from repro.mitigations.registry import make_factory
     from repro.sim.engine import get_engine
     from repro.sim.experiment import TechniqueAggregate
     from repro.traces.trace_io import load_trace
@@ -484,7 +525,9 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     if args.technique != "none":
-        args.technique = resolve_technique(args.technique)
+        args.technique = _technique(args.technique)
+    _input_file(args.trace, "trace")
+    _input_file(args.trace_file, "trace file")
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
     ingest_provenance = None
@@ -519,12 +562,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    import os
-
     from repro.analysis.report import render_campaign
     from repro.campaign import FaultInjector, run_durable_campaign
     from repro.sim.parallel import RetryPolicy
 
+    # checked here, not in a pool worker after the campaign started
+    args.techniques = _techniques(args.techniques)
+    _input_file(args.trace_file, "trace file")
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
     spans = _spans_from_args(args, config)
@@ -631,6 +675,9 @@ def _cmd_campaign_worker(args) -> int:
     """
     from repro.campaign import run_worker
 
+    if os.path.exists(args.queue_dir) and not os.path.isdir(args.queue_dir):
+        raise UsageError(f"queue directory is a file: {args.queue_dir}")
+
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
@@ -652,6 +699,7 @@ def _cmd_adversary(args) -> int:
     from repro.analysis.report import render_adversary
     from repro.config import small_test_config
 
+    args.technique = _technique(args.technique)
     args.trace_events = None  # search fans out; no per-event stream
     tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig() if args.preset == "paper" else small_test_config()
@@ -760,15 +808,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    import os
-
     from repro.analysis.report import render_serve_session
     from repro.serve import ServeClient, ServeError
 
-    if not os.path.isfile(args.trace_file):
-        print(f"submit: trace file not found: {args.trace_file}",
-              file=sys.stderr)
-        return 2
+    _input_file(args.trace_file, "trace file")
+    techniques = args.techniques or ["PARA"]
+    # the server resolves the names itself and also takes "none"
+    _techniques([name for name in techniques if name.lower() != "none"])
     client = ServeClient(args.host, args.port, timeout=args.timeout)
 
     def on_frame(frame) -> None:
@@ -782,7 +828,7 @@ def _cmd_submit(args) -> int:
     try:
         outcome = client.submit(
             args.trace_file,
-            techniques=args.techniques or ["PARA"],
+            techniques=techniques,
             seeds=list(range(args.seeds)),
             format=args.trace_format,
             mapper=args.mapper,
@@ -904,8 +950,6 @@ def _cmd_campaign_status(args) -> int:
         # pipe after taking what it needed: that is a clean stop, not
         # an error.  Point stdout at devnull so the interpreter-exit
         # flush cannot raise a second BrokenPipeError traceback.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
@@ -915,6 +959,8 @@ def _cmd_manifest_diff(args) -> int:
     from repro.telemetry import RunManifest, diff_manifests
     from repro.telemetry.manifest import VOLATILE_FIELDS
 
+    _input_file(args.a, "manifest")
+    _input_file(args.b, "manifest")
     left = RunManifest.load(args.a)
     right = RunManifest.load(args.b)
     ignore = tuple(VOLATILE_FIELDS) + tuple(args.ignore or ())
@@ -1328,9 +1374,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.traces.trace_io import TraceFormatError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, FileNotFoundError, TraceFormatError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,25 +21,59 @@ Where the speed comes from
   pass, into maximal runs of identical records that never cross a
   refresh-interval boundary.  Segmentation is cell-independent (the
   refresh clock is driven purely by record timestamps), so a grid builds
-  the segment list once and every cell replays it; a single cell reads
-  straight from the generator, holding one segment at a time, so
+  the segment list once; a single cell reads straight from the
+  generator, holding one segment at a time, so
   ``stop_after_first_trigger`` and ``max_activations`` stop decoding
   early.
-* **Lane-major replay** -- :func:`_replay` runs one computed cell (a
-  *lane*) over the whole segment sequence with its state in locals:
-  the arithmetic of the reference controller / bank / disturbance
-  stack without the object layering, whose only observable effect is
-  that arithmetic.  Refresh state is resolved once per interval, not
+* **One device pass per grid** -- the device model (disturbance
+  counters, flip threshold, periodic refresh) is the same ground truth
+  in every cell; only the mitigations' extra activations differ, and
+  deciders never read device state.  :func:`_device_pass` replays the
+  unmitigated model once over the segment list -- its result *is* the
+  unmitigated cell's -- and keeps the record position of every refresh
+  tick and every flip, plus the largest epoch totals (an *epoch* is the
+  span between two restorations of a row).
+* **Decider-only lanes with an action log** -- :func:`_decide` runs
+  one computed cell's deciders, refresh ticks and pending queue and no
+  disturbance counter.  Each applied action is logged with its
+  position: the records and refresh ticks performed before the drain
+  that applies it (before record *k*, or at tick *j* before or after
+  that tick's row refreshes, or after the last tick).
+* **Per-lane resolution** -- :func:`_resolve` expands a lane's log into
+  row restorations and neighbour increments, indexes the activation
+  runs of just the rows involved (one scan, typed arrays), and
+  recomputes only the base epochs those operations fall in, counting
+  base increments between two positions by bisecting the index.
+  ``max_disturbance`` is the larger of the recomputed epochs and the
+  best epoch the lane left untouched; base flips outside touched epochs
+  are kept, merged in the reference's per-bank event order.  If a lane
+  touches every epoch the pass kept (:data:`_TOP_EPOCHS`), a second
+  pass recounts the best untouched one.
+
+  A grid call shares one device pass among its computed cells unless it
+  may stop early (``stop_after_first_trigger``, ``max_activations``),
+  carries an enabled tracer, or its geometry's adjacency is not the
+  symmetric kind of the built-in geometries; lanes with
+  ``distance2_rate > 0`` (float increments) or a flip threshold other
+  than the first lane's, and a lone mitigated lane, replay inline.  The
+  unmitigated cell -- or, without one, the first sharing lane -- is
+  charged the device pass's ``wall_seconds``.
+* **Inline lanes** -- :func:`_replay` runs one lane over the segments
+  with its decisions *and* its disturbance counters in locals (the
+  single-cell entry point, and the grid cells above): the arithmetic
+  of the reference controller / bank / disturbance stack without the
+  object layering.  Refresh state is resolved once per interval, not
   once per record.
 * **Run batching** -- a row's trigger probability is constant between
   triggers within an interval and the draws are a fixed pre-buffered
   sequence, so a segment's no-trigger prefix reduces to one scan over
-  buffered draws plus a single ``+= n`` per victim counter; threshold
-  crossings inside the run are recovered arithmetically with the exact
-  per-record timestamp.  The table-based techniques (TWiCe, CRA,
-  CaPRoMi) collapse a run into one arithmetic update, ProHit and MRLoc
-  detect their steady table state and scan the remaining draws in bulk,
-  and the modern families batch through their own ``observe_run``.
+  buffered draws (plus, inline, a single ``+= n`` per victim counter;
+  threshold crossings inside the run are recovered arithmetically with
+  the exact per-record timestamp).  The table-based techniques (TWiCe,
+  CRA, CaPRoMi) collapse a run into one arithmetic update, ProHit and
+  MRLoc detect their steady table state and scan the remaining draws in
+  bulk, and the modern families batch through their own
+  ``observe_run``.
 * **Bulk RNG draws** -- the probabilistic deciders pre-draw their
   Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
   same value eagerly or batched) and scan long runs as numpy arrays;
@@ -64,7 +98,12 @@ throughput).
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from heapq import heappush, heapreplace
+from itertools import accumulate
+from operator import itemgetter, sub
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the long draw scans; the scalar fallback is exact
@@ -72,13 +111,14 @@ try:  # numpy accelerates the long draw scans; the scalar fallback is exact
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-from repro.config import SimConfig
+from repro.config import DRAMGeometry, SimConfig
 from repro.controller.controller import MitigationFactory
 from repro.core.capromi import CaPRoMi
 from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi, TiVaPRoMiBase
 from repro.core.weights import linear_weight, log_weight, trigger_probability
 from repro.dram.disturbance import FlipEvent
 from repro.dram.refresh import RefreshPolicy, SequentialRefresh
+from repro.dram.remap import RemappedGeometry
 from repro.mitigations.base import (
     ActivateNeighbors,
     Mitigation,
@@ -115,6 +155,11 @@ _SCAN_MIN = 64
 #: minimum number of empty intervals before the span short-circuit is
 #: cheaper than ticking through them
 _SKIP_THRESHOLD = 4
+#: base epochs the shared device pass keeps, largest totals first: a
+#: lane's ``max_disturbance`` is the largest epoch its mitigations
+#: leave untouched, and a lane touching every kept epoch of a longer
+#: list has that epoch recounted by a second pass
+_TOP_EPOCHS = 1024
 
 #: sentinel pbase used to canonicalise configs of techniques that do not
 #: consume ``pbase`` when building dedup keys (any valid value works --
@@ -1436,6 +1481,839 @@ def _replay(
 
 
 # ---------------------------------------------------------------------------
+# the shared device pass: one disturbance replay for every lane of a grid
+# ---------------------------------------------------------------------------
+#
+# Positions.  A mitigation action is applied at a drain of the pending
+# queue: before record *k*, or at refresh tick *j* before or after that
+# tick's row refreshes, or after the last tick.  Each drain is logged
+# as ``(kb, tb)``: the records and the tick refreshes performed before
+# it.  A record *k* of interval *i* sits at ``(k, i + 1)`` after that
+# position's drain, and tick *j* refreshes its rows between ``(r_j, j)``
+# and ``(r_j, j + 1)``, where ``r_j`` counts the records before tick *j*.
+#
+# Epochs.  A row's *epoch* is the span between two restorations of it
+# (its own activation, or a refresh tick of one of its slots).  It is
+# named by the restoration that ends it, as an index into the merged
+# stream of records and ticks: ``k + i + 1`` for record *k* of interval
+# *i*, ``j + r_j`` for tick *j*, ``records + ticks`` for the end of the
+# run.  The counts used by the resolution are record ranges: an epoch
+# ``[s, e)`` gets one increment per activation of a neighbour among
+# records ``s .. e - 1``.
+
+
+#: geometries whose adjacency is symmetric: a row is disturbed exactly
+#: by activations of its own ``neighbors(row)``, which lets the
+#: resolution count its increments from its neighbours' activation runs
+_SYMMETRIC_GEOMETRIES = (DRAMGeometry, RemappedGeometry)
+
+
+class _Device:
+    """What the device pass leaves for the lanes: the unmitigated
+    outcome, the tick positions and the largest base epochs, plus the
+    per-row activation index the resolution builds on demand."""
+
+    __slots__ = (
+        "segments", "policy", "neighbors_of", "threshold", "records",
+        "attacks", "ticks", "flips", "flip_records", "top", "truncated",
+        "starts", "activations", "slot_map",
+    )
+
+    def __init__(self, segments, policy, neighbors_of, threshold):
+        self.segments = segments
+        self.policy = policy
+        self.neighbors_of = neighbors_of
+        self.threshold = threshold
+        self.records = 0
+        self.attacks = 0
+        #: ``ticks[j]`` is ``r_j``, the number of records before tick *j*
+        self.ticks = array("q")
+        #: per bank: base flips in event order, and the record of each
+        self.flips: List[List[FlipEvent]] = []
+        self.flip_records: List[List[int]] = []
+        #: ``(total, epoch, key)`` of the largest base epochs, descending
+        self.top: List[Tuple[int, int, int]] = []
+        #: whether smaller epochs than the last of :attr:`top` were dropped
+        self.truncated = False
+        #: the segments' first record indices, plus the record count
+        self.starts: Optional[array] = None
+        #: ``key -> (run start records, cumulative run lengths)`` of
+        #: indexed rows
+        self.activations: Dict[int, Tuple[array, array]] = {}
+        #: refresh slots of indexed rows (non-sequential policies only)
+        self.slot_map: Dict[int, List[int]] = {}
+
+    def neighbors(self, row: int) -> Tuple[int, ...]:
+        found = self.neighbors_of.get(row)
+        if found is None:
+            found = self.neighbors_of[row] = self.policy.geometry.neighbors(row)
+        return found
+
+    @property
+    def max_disturbance(self) -> int:
+        return self.top[0][0] if self.top else 0
+
+    def result(self, plan: _Plan) -> SimResult:
+        """The unmitigated cell's result."""
+        result = SimResult(
+            technique="none", seed=plan.seed, flip_threshold=self.threshold
+        )
+        result.normal_activations = self.records
+        result.attack_activations = self.attacks
+        result.flips = [flip for flips in self.flips for flip in flips]
+        result.max_disturbance = self.max_disturbance
+        result.intervals_simulated = len(self.ticks)
+        return result
+
+    def index(self, keys: set) -> None:
+        """Index the activation runs of the rows *keys* (``bank *
+        rows_per_bank + row``) in one scan over the segments."""
+        rows_per_bank = self.policy.geometry.rows_per_bank
+        self.starts = starts = array("q", accumulate(
+            map(len, map(itemgetter(0), self.segments)), initial=0
+        ))
+        # typed arrays, not int lists: on a small bank every row may be
+        # indexed, and the index then spans the whole trace
+        found = {key: array("q") for key in keys}
+        by_bank: List[Dict[int, array]] = [
+            {} for _ in range(self.policy.geometry.num_banks)
+        ]
+        for key, runs in found.items():
+            by_bank[key // rows_per_bank][key % rows_per_bank] = runs
+        for segment, (_times, bank, row, _attack, _interval) in enumerate(
+            self.segments
+        ):
+            runs = by_bank[bank].get(row)
+            if runs is not None:
+                runs.append(segment)
+        # per row: run start records and cumulative run lengths (lists
+        # built at C level, then packed)
+        get = starts.__getitem__
+        self.activations = {}
+        while found:
+            key, runs = found.popitem()
+            first = list(map(get, runs))
+            lengths = map(sub, map(get, map((1).__add__, runs)), first)
+            self.activations[key] = (
+                array("q", first),
+                array("q", list(accumulate(lengths, initial=0))),
+            )
+        policy = self.policy
+        if type(policy) is not SequentialRefresh:
+            # invert the refresh order for the indexed rows only; a row
+            # may have no slot or several
+            rows = {key % rows_per_bank for key in keys}
+            slot_map: Dict[int, List[int]] = {}
+            for slot in range(policy.geometry.refint):
+                for row in policy.rows_for_interval(slot):
+                    if row in rows:
+                        slot_map.setdefault(row, []).append(slot)
+            self.slot_map = slot_map
+
+    # -- queries on the index ------------------------------------------
+
+    def _segment_of(self, record: int) -> int:
+        return bisect_right(self.starts, record) - 1
+
+    def interval_of(self, record: int) -> int:
+        return self.segments[self._segment_of(record)][4]
+
+    def time_of(self, record: int) -> int:
+        segment = self._segment_of(record)
+        return self.segments[segment][0][record - self.starts[segment]]
+
+    def row_of(self, record: int) -> int:
+        return self.segments[self._segment_of(record)][2]
+
+    def activations_before(self, key: int, record: int) -> int:
+        """Activations of row *key* among records ``0 .. record - 1``."""
+        starts, prefix = self.activations[key]
+        run = bisect_left(starts, record)
+        if not run:
+            return 0
+        run -= 1
+        return prefix[run] + min(prefix[run + 1] - prefix[run], record - starts[run])
+
+    def increments(self, keys: Sequence[int], lo: int, hi: int) -> int:
+        """Base increments of a row whose neighbours are *keys* among
+        records ``lo .. hi - 1``."""
+        if hi <= lo:
+            return 0
+        before = self.activations_before
+        return sum(before(key, hi) - before(key, lo) for key in keys)
+
+    def nth_increment(self, keys: Sequence[int], lo: int, count: int) -> int:
+        """The record holding the *count*-th base increment from *lo*."""
+        high = self.records - 1
+        low = lo
+        while low < high:
+            middle = (low + high) // 2
+            if self.increments(keys, lo, middle + 1) >= count:
+                high = middle
+            else:
+                low = middle + 1
+        return low
+
+    def epoch(self, key: int, kb: int, tb: int) -> Tuple[int, int, int, int, int]:
+        """The base epoch of row *key* holding position ``(kb, tb)``.
+
+        Returns ``(s, e, epoch, end_record, end_tick)``: the record range
+        ``[s, e)`` counted into it, its name, and the restoration ending
+        it -- a record (``end_tick`` = -1), a tick (``end_record`` = -1)
+        or the end of the run (both -1).
+        """
+        geometry = self.policy.geometry
+        refint = geometry.refint
+        ticks = self.ticks
+        row = key % geometry.rows_per_bank
+        starts, prefix = self.activations[key]
+        run = bisect_left(starts, kb)
+        start = 0
+        following = -1
+        if run:
+            stop = starts[run - 1] + prefix[run] - prefix[run - 1]
+            if stop > kb:  # position inside one of the row's own runs
+                start, following = kb, kb
+            else:
+                start = stop
+        if following < 0 and run < len(starts):
+            following = starts[run]
+        if type(self.policy) is SequentialRefresh:
+            slots: Sequence[int] = (row // geometry.rows_per_interval,)
+        else:
+            slots = self.slot_map.get(row, ())
+        previous = -1
+        upcoming = len(ticks)
+        for slot in slots:
+            if tb > slot:
+                previous = max(previous, tb - 1 - (tb - 1 - slot) % refint)
+            upcoming = min(upcoming, tb + (slot - tb) % refint)
+        if previous >= 0:
+            start = max(start, ticks[previous])
+        if following >= 0 and (
+            upcoming >= len(ticks) or following < ticks[upcoming]
+        ):
+            return (
+                start, following,
+                following + self.interval_of(following) + 1, following, -1,
+            )
+        if upcoming < len(ticks):
+            end = ticks[upcoming]
+            return start, end, upcoming + end, -1, upcoming
+        return start, self.records, self.records + len(ticks), -1, -1
+
+
+def _device_pass(
+    segments: List[Segment],
+    policy: RefreshPolicy,
+    meta: TraceMeta,
+    caches: Tuple[Dict, Dict, Dict],
+    threshold: int,
+    tele,
+    keep: int,
+    exclude: Optional[set] = None,
+) -> _Device:
+    """Replay the unmitigated disturbance model once over *segments*.
+
+    Mirrors the inline lane with no deciders (whole ``+n`` steps only),
+    and also records each tick's record position, each flip's record
+    and the *keep* largest epoch totals.  An epoch ``(key, epoch)`` in
+    *exclude* is left out of that list.
+    """
+    geometry = policy.geometry
+    rows_per_bank = geometry.rows_per_bank
+    refint = geometry.refint
+    rows_per_interval = geometry.rows_per_interval
+    sequential = type(policy) is SequentialRefresh
+    interval_ns = meta.interval_ns
+    neighbors_of, _second, refresh_rows_of = caches
+    device = _Device(segments, policy, neighbors_of, threshold)
+    ticks = device.ticks
+    counters: List[Dict[int, int]] = [{} for _ in range(geometry.num_banks)]
+    device.flips = bank_flips = [[] for _ in counters]
+    device.flip_records = flip_records = [[] for _ in counters]
+    heap: List[Tuple[int, int, int]] = []
+    floor = 0  # epochs must beat this to enter the heap
+    truncated = False
+    records = 0
+    attacks = 0
+    current_interval = -1
+
+    def close(total: int, epoch: int, key: int) -> None:
+        """An epoch ended with *total* > ``floor``: keep the largest."""
+        nonlocal floor, truncated
+        if exclude is not None and (key, epoch) in exclude:
+            return
+        if truncated:
+            heapreplace(heap, (total, epoch, key))
+        else:
+            heappush(heap, (total, epoch, key))
+            if len(heap) < keep:
+                return
+            truncated = True
+        floor = heap[0][0]
+
+    def tick() -> None:
+        nonlocal current_interval
+        current_interval += 1
+        ticks.append(records)
+        slot = current_interval % refint
+        rows = refresh_rows_of.get(slot)
+        if rows is None:
+            rows = refresh_rows_of[slot] = list(policy.rows_for_interval(slot))
+        epoch = current_interval + records
+        for bank, c in enumerate(counters):
+            if c:
+                base = bank * rows_per_bank
+                for row in rows:
+                    total = c.pop(row, None)
+                    if total is not None and total > floor:
+                        close(total, epoch, base + row)
+        if tele is not None:
+            tele.on_interval(
+                current_interval, current_interval * interval_ns,
+                records, attacks, [],
+            )
+
+    def advance_to(target: int) -> None:
+        """The inline lane's ``advance_to`` with no deciders."""
+        nonlocal current_interval
+        if target - current_interval <= _SKIP_THRESHOLD:
+            while current_interval < target:
+                tick()
+            return
+        first = current_interval + 1
+        for _ in range(first, target + 1):
+            ticks.append(records)
+        whole = target - current_interval >= refint
+        lo = first % refint
+        hi = target % refint
+        wrapped = lo > hi
+        for bank, c in enumerate(counters):
+            base = bank * rows_per_bank
+            doomed = []
+            for row, total in c.items():
+                slot = (
+                    row // rows_per_interval
+                    if sequential
+                    else policy.refresh_slot_of(row)
+                )
+                if whole or (
+                    (slot >= lo or slot <= hi) if wrapped else lo <= slot <= hi
+                ):
+                    doomed.append(row)
+                    if total > floor:
+                        # refreshed at the span's first tick of its slot
+                        tick_index = first + (slot - first) % refint
+                        close(total, tick_index + records, base + row)
+            for row in doomed:
+                del c[row]
+        current_interval = target
+        if tele is not None:
+            tele.on_interval_skip(first, target, target * interval_ns)
+
+    neighbors_get = neighbors_of.get
+    for times, bank, row, is_attack, interval in segments:
+        if interval > current_interval:
+            advance_to(interval)
+        c = counters[bank]
+        total = c.pop(row, None)
+        if total is not None and total > floor:
+            close(total, records + interval + 1, bank * rows_per_bank + row)
+        n = len(times)
+        victims = neighbors_get(row)
+        if victims is None:
+            victims = neighbors_of[row] = geometry.neighbors(row)
+        for victim in victims:
+            before = c.get(victim, 0)
+            count = c[victim] = before + n
+            if before < threshold <= count:
+                # counts move in whole +1 steps: the crossing act is
+                # computable; flips stay in record order (several
+                # victims may cross inside one run)
+                crossing = threshold - before - 1
+                record = records + crossing
+                held = flip_records[bank]
+                at = len(held)
+                while at and held[at - 1] > record:
+                    at -= 1
+                held.insert(at, record)
+                bank_flips[bank].insert(at, FlipEvent(
+                    bank=bank, row=victim, count=threshold,
+                    time_ns=times[crossing],
+                ))
+        records += n
+        if is_attack:
+            attacks += n
+    advance_to(meta.total_intervals - 1)
+    end = records + len(ticks)
+    for bank, c in enumerate(counters):
+        base = bank * rows_per_bank
+        for row, total in c.items():
+            if total > floor:
+                close(total, end, base + row)
+    if tele is not None:
+        tele.finish(records, attacks)
+    device.records = records
+    device.attacks = attacks
+    device.top = sorted(heap, reverse=True)
+    device.truncated = truncated
+    return device
+
+
+def _decide(
+    plan: _Plan,
+    policy: RefreshPolicy,
+    segments: List[Segment],
+    meta: TraceMeta,
+    caches: Tuple[Dict, Dict, Dict],
+    tele,
+) -> Tuple[SimResult, List[Tuple[int, int, int, int, Tuple[int, ...]]]]:
+    """Run one lane's deciders, refresh ticks and pending queue only.
+
+    The inline lane (:func:`_replay`) without its disturbance counters:
+    every applied action is counted and logged at its position as
+    ``(kb, tb, time_ns, bank, rows)``, *rows* being the rows it
+    activates, instead of being applied.  The
+    result's ``flips`` and ``max_disturbance`` are left for
+    :func:`_resolve`.
+    """
+    started = time.perf_counter()
+    config = plan.config
+    geometry = policy.geometry
+    deciders = [
+        _make_decider(plan.factory(
+            config, bank, derive_seed(plan.seed, "mitigation", bank)
+        ))
+        for bank in range(geometry.num_banks)
+    ]
+    if tele is not None:
+        for decider in deciders:
+            decider.attach_telemetry(tele)
+    neighbors_of = caches[0]
+    refint = geometry.refint
+    interval_ns = meta.interval_ns
+    all_trivial = all(decider.trivial_refresh for decider in deciders)
+    can_batch = all(hasattr(decider, "decide_run") for decider in deciders)
+    aggressors: List[set] = [set() for _ in deciders]
+    log: List[Tuple[int, int, int, int, Tuple[int, ...]]] = []
+    extra_activations = 0
+    fp_extra_activations = 0
+    mitigation_triggers = 0
+    max_occupancy = 0
+    pending: List[Tuple[int, object, bool]] = []
+    time_now = 0
+    current_interval = -1
+    activation_index = 0
+    attack_activations = 0
+    first_trigger: Optional[int] = None
+
+    def neighbors(row: int) -> Tuple[int, ...]:
+        found = neighbors_of.get(row)
+        if found is None:
+            found = neighbors_of[row] = geometry.neighbors(row)
+        return found
+
+    def apply_pending() -> None:
+        """Count and log the queued actions (the device is not touched)."""
+        nonlocal extra_activations, fp_extra_activations, mitigation_triggers
+        position = (activation_index, current_interval + 1, time_now)
+        for bank, action, was_attack in pending:
+            mitigation_triggers += 1
+            if isinstance(action, ActivateNeighbors):
+                activated: Tuple[int, ...] = neighbors(action.row)
+            elif isinstance(action, RefreshRow):
+                activated = (action.row,)
+            elif isinstance(action, RecoveryRefresh):
+                activated = tuple(
+                    row for aggressor in action.rows
+                    for row in neighbors(aggressor)
+                )
+            else:  # pragma: no cover - future action kinds
+                raise TypeError(f"unknown mitigation action {action!r}")
+            cost = len(activated)
+            extra_activations += cost
+            if not was_attack:
+                fp_extra_activations += cost
+            if tele is not None:
+                tele.on_apply(
+                    bank, action.row, current_interval, cost, not was_attack
+                )
+            log.append(position + (bank, activated))
+        pending.clear()
+
+    def enqueue(bank: int, actions) -> None:
+        nonlocal max_occupancy
+        bank_aggressors = aggressors[bank]
+        for action in actions:
+            pending.append((bank, action, action.trigger_row in bank_aggressors))
+            if tele is not None:
+                tele.on_trigger(
+                    bank, action.row, current_interval, type(action).__name__
+                )
+        if len(pending) > max_occupancy:
+            max_occupancy = len(pending)
+
+    def refresh_tick() -> None:
+        nonlocal current_interval
+        if pending:
+            apply_pending()
+        current_interval += 1
+        for bank, decider in enumerate(deciders):
+            actions = decider.on_refresh(current_interval)
+            if actions:
+                enqueue(bank, actions)
+        if pending:
+            apply_pending()
+        if tele is not None:
+            tele.on_interval(
+                current_interval,
+                current_interval * interval_ns,
+                activation_index,
+                attack_activations,
+                [decider.table_occupancy for decider in deciders],
+            )
+
+    def advance_to(target: int) -> None:
+        """The inline lane's ``advance_to`` without counters."""
+        nonlocal current_interval
+        if not all_trivial or target - current_interval <= _SKIP_THRESHOLD:
+            while current_interval < target:
+                refresh_tick()
+            return
+        if pending:
+            apply_pending()
+        first_skipped = current_interval + 1
+        if target - current_interval >= refint:
+            boundary = True
+        else:
+            lo = first_skipped % refint
+            hi = target % refint
+            boundary = lo > hi or lo == 0
+        if boundary:
+            for decider in deciders:
+                decider.clear_window()
+        current_interval = target
+        if tele is not None:
+            tele.on_interval_skip(first_skipped, target, target * interval_ns)
+
+    last: List[int] = [0]  # timestamps of the previous segment
+    for times, bank, row, is_attack, interval in segments:
+        if interval > current_interval:
+            time_now = last[-1]
+            advance_to(interval)
+        last = times
+        end = len(times)
+        if is_attack:
+            # no tick falls inside a segment and queued actions carry
+            # their own flag, so the segment's acts count up front
+            aggressors[bank].add(row)
+            attack_activations += end
+        if end == 1:  # the mixed workload's common case
+            if pending:
+                time_now = times[0]
+                apply_pending()
+            actions = deciders[bank].on_activation(row, current_interval)
+            activation_index += 1
+            if actions:
+                enqueue(bank, actions)
+            if first_trigger is None and mitigation_triggers:
+                first_trigger = activation_index
+            continue
+        decider = deciders[bank]
+        i = 0
+        while i < end:
+            if pending:
+                time_now = times[i]
+                apply_pending()
+            # batch exactly when the inline lane does (see _replay)
+            if end - i > 1 and can_batch and (
+                first_trigger is not None or mitigation_triggers == 0
+            ):
+                clean, actions = decider.decide_run(
+                    row, current_interval, end - i
+                )
+                done = end - i if clean == end - i else clean + 1
+            else:
+                actions = decider.on_activation(row, current_interval)
+                done = 1
+            activation_index += done
+            i += done
+            if actions:
+                enqueue(bank, actions)
+            if first_trigger is None and mitigation_triggers:
+                first_trigger = activation_index
+    time_now = last[-1]
+    advance_to(meta.total_intervals - 1)
+    if pending:
+        apply_pending()
+    if tele is not None:
+        tele.finish(activation_index, attack_activations)
+
+    result = SimResult(
+        technique=deciders[0].name, seed=plan.seed,
+        flip_threshold=config.flip_threshold,
+    )
+    result.normal_activations = activation_index
+    result.attack_activations = attack_activations
+    result.extra_activations = extra_activations
+    result.fp_extra_activations = fp_extra_activations
+    result.mitigation_triggers = mitigation_triggers
+    result.intervals_simulated = current_interval + 1
+    result.first_trigger_activation = first_trigger
+    result.max_rh_buffer_occupancy = max_occupancy
+    result.table_bytes = deciders[0].table_bytes
+    result.wall_seconds = time.perf_counter() - started
+    return result, log
+
+
+def _lane_ops(log, device: _Device) -> Dict[int, List[Tuple]]:
+    """Expand a lane's action log into per-row device operations.
+
+    Returns ``key -> [(kb, tb, time_ns, sequence, restores)]`` in
+    application order: each extra activation restores its row
+    (``restores``) and then bumps each neighbour, as ``do_activation``.
+    """
+    rows_per_bank = device.policy.geometry.rows_per_bank
+    neighbors = device.neighbors
+    ops: Dict[int, List[Tuple]] = {}
+    sequence = 0
+    for kb, tb, time_ns, bank, activated in log:
+        base = bank * rows_per_bank
+        for row in activated:
+            ops.setdefault(base + row, []).append(
+                (kb, tb, time_ns, sequence, True)
+            )
+            sequence += 1
+            for victim in neighbors(row):
+                ops.setdefault(base + victim, []).append(
+                    (kb, tb, time_ns, sequence, False)
+                )
+                sequence += 1
+    return ops
+
+
+def _resolve(
+    result: SimResult, ops: Dict[int, List[Tuple]], device: _Device
+) -> Optional[set]:
+    """Fill a decided lane's ``flips`` and ``max_disturbance``.
+
+    Recomputes only the base epochs the lane's operations fall in;
+    every other epoch, and its flips, are the device pass's.  Returns
+    the touched epochs when the device pass kept too few epochs to
+    name the best untouched one (``max_disturbance`` is then left
+    for the caller), else ``None``.
+    """
+    geometry = device.policy.geometry
+    rows_per_bank = geometry.rows_per_bank
+    neighbors = device.neighbors
+    threshold = device.threshold
+    touched = set()
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    found: Dict[int, List[Tuple[Tuple, FlipEvent]]] = {}
+    peak = 0
+
+    for key, row_ops in ops.items():
+        bank, row = divmod(key, rows_per_bank)
+        sources = [bank * rows_per_bank + u for u in neighbors(row)]
+
+        def crossed(lo: int, count: int) -> None:
+            # the base increment from *lo* that reaches the threshold
+            record = device.nth_increment(sources, lo, threshold - count)
+            source = device.row_of(record)
+            found.setdefault(bank, []).append((
+                (record, device.interval_of(record) + 1, 1,
+                 neighbors(source).index(row)),
+                FlipEvent(bank=bank, row=row, count=threshold,
+                          time_ns=device.time_of(record)),
+            ))
+
+        at = 0
+        while at < len(row_ops):
+            start, end, epoch, end_record, end_tick = device.epoch(
+                key, row_ops[at][0], row_ops[at][1]
+            )
+            touched.add((key, epoch))
+            spans.setdefault(key, []).append((start, end))
+            count = 0
+            cursor = start
+            while at < len(row_ops):
+                kb, tb, time_ns, sequence, restores = row_ops[at]
+                if (end_record >= 0 and kb > end_record) or (
+                    end_tick >= 0 and tb > end_tick
+                ):
+                    break  # past the restoration ending this epoch
+                added = device.increments(sources, cursor, kb)
+                if added:
+                    if count < threshold <= count + added:
+                        crossed(cursor, count)
+                    count += added
+                cursor = kb
+                if restores:
+                    peak = max(peak, count)
+                    count = 0
+                else:
+                    count += 1
+                    if count == threshold:
+                        found.setdefault(bank, []).append((
+                            (kb, tb, 0, sequence),
+                            FlipEvent(bank=bank, row=row, count=threshold,
+                                      time_ns=time_ns),
+                        ))
+                at += 1
+            added = device.increments(sources, cursor, end)
+            if count < threshold <= count + added:
+                crossed(cursor, count)
+            peak = max(peak, count + added)
+
+    flips: List[FlipEvent] = []
+    for bank, (base, records) in enumerate(
+        zip(device.flips, device.flip_records)
+    ):
+        kept = [
+            (record, flip)
+            for record, flip in zip(records, base)
+            if not any(
+                start <= record < end
+                for start, end in spans.get(bank * rows_per_bank + flip.row, ())
+            )
+        ]
+        new = found.get(bank)
+        if not new:
+            flips.extend(flip for _, flip in kept)
+            continue
+        for record, flip in kept:
+            source = device.row_of(record)
+            new.append((
+                (record, device.interval_of(record) + 1, 1,
+                 neighbors(source).index(flip.row)),
+                flip,
+            ))
+        new.sort(key=lambda item: item[0])
+        flips.extend(flip for _, flip in new)
+    result.flips = flips
+
+    for total, epoch, key in device.top:
+        if (key, epoch) not in touched:
+            result.max_disturbance = max(total, peak)
+            return None
+    result.max_disturbance = peak
+    return touched if device.truncated else None
+
+
+def _shared_lanes(
+    plans: List[_Plan],
+    computed: List[int],
+    policy: RefreshPolicy,
+    stop_after_first_trigger: bool,
+    max_activations: Optional[int],
+    tracer,
+) -> List[int]:
+    """The computed cells that share one device pass (empty = none do).
+
+    Runs that may stop early, traced runs, float (distance-2)
+    disturbance and asymmetric adjacency replay inline; so do lanes
+    whose flip threshold differs from the first sharing lane's.  A
+    lone mitigated lane has nothing to share and replays inline too.
+    """
+    if (
+        stop_after_first_trigger
+        or max_activations is not None
+        or (tracer is not None and getattr(tracer, "enabled", True))
+        or type(policy.geometry) not in _SYMMETRIC_GEOMETRIES
+    ):
+        return []
+    lanes = [
+        index for index in computed
+        if plans[index].config.distance2_rate == 0.0
+    ]
+    if not lanes:
+        return []
+    threshold = plans[lanes[0]].config.flip_threshold
+    lanes = [
+        index for index in lanes
+        if plans[index].config.flip_threshold == threshold
+    ]
+    if len(lanes) == 1 and plans[lanes[0]].factory is not None:
+        return []
+    return lanes
+
+
+def _run_shared(
+    plans: List[_Plan],
+    lanes: List[int],
+    policy: RefreshPolicy,
+    segments: List[Segment],
+    meta: TraceMeta,
+    caches: Tuple[Dict, Dict, Dict],
+    metrics,
+) -> Dict[int, SimResult]:
+    """One device pass, decider-only lanes, then per-lane resolution.
+
+    Returns the result of every cell in *lanes*.  The unmitigated cell
+    (or, without one, the first lane) is charged the device pass and
+    the index scan; every other lane its own decisions and resolution.
+    """
+    started = time.perf_counter()
+    baseline = next(
+        (index for index in lanes if plans[index].factory is None), None
+    )
+    device = _device_pass(
+        segments, policy, meta, caches,
+        plans[lanes[0]].config.flip_threshold,
+        EngineTelemetry.create(None, metrics) if baseline is not None else None,
+        _TOP_EPOCHS,
+    )
+    results: Dict[int, SimResult] = {}
+    if baseline is not None:
+        results[baseline] = device.result(plans[baseline])
+    shared_seconds = time.perf_counter() - started
+
+    # keep each lane's compact log, not its expanded operations: only
+    # the rows they touch are needed before every lane has decided
+    logs: Dict[int, list] = {}
+    keys = set()
+    rows_per_bank = policy.geometry.rows_per_bank
+    for index in lanes:
+        if plans[index].factory is None:
+            continue
+        result, logs[index] = _decide(
+            plans[index], policy, segments, meta, caches,
+            EngineTelemetry.create(None, metrics),
+        )
+        results[index] = result
+        started = time.perf_counter()
+        for key in _lane_ops(logs[index], device):
+            keys.add(key)
+            bank, row = divmod(key, rows_per_bank)
+            keys.update(bank * rows_per_bank + u for u in device.neighbors(row))
+        result.wall_seconds += time.perf_counter() - started
+
+    started = time.perf_counter()
+    if keys:
+        device.index(keys)
+    shared_seconds += time.perf_counter() - started
+
+    for index, log in logs.items():
+        started = time.perf_counter()
+        result = results[index]
+        touched = _resolve(result, _lane_ops(log, device), device)
+        if touched is not None:
+            # every kept epoch was touched: recount the best untouched one
+            recount = _device_pass(
+                segments, policy, meta, caches, device.threshold, None, 1,
+                exclude=touched,
+            )
+            result.max_disturbance = max(
+                result.max_disturbance, recount.max_disturbance
+            )
+        result.wall_seconds += time.perf_counter() - started
+    charged = baseline if baseline is not None else lanes[0]
+    results[charged].wall_seconds += shared_seconds
+    return results
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
@@ -1497,8 +2375,11 @@ def run_simulation_grid(
     Returns one :class:`SimResult` per cell, in cell order, each
     bit-identical (except ``wall_seconds``) to a solo
     :func:`repro.sim.engine.run_simulation` of that cell.  A computed
-    cell's ``wall_seconds`` is its own lane's time and a deduplicated
-    replica's is 0.0, so the cells never sum to more than the call.
+    cell's ``wall_seconds`` is its own lane's time (decisions plus
+    resolution under a shared device pass; the pass itself is charged
+    to the unmitigated cell, or else the first sharing lane) and a
+    deduplicated replica's is 0.0, so the cells never sum to more than
+    the call.  See the module docstring for when cells share the pass.
     The whole trace is decoded exactly once, even for an empty grid, so
     lazy traces are safe; the *seed* axis only re-seeds the mitigations
     -- callers whose traces vary per seed must issue one grid call per
@@ -1519,6 +2400,20 @@ def run_simulation_grid(
     )
 
     caches: Tuple[Dict, Dict, Dict] = ({}, {}, {})
+    computed = [
+        index for index, plan in enumerate(plans)
+        if plan.key is None or owners[plan.key] == index
+    ]
+    lanes = _shared_lanes(
+        plans, computed, policy, stop_after_first_trigger, max_activations,
+        tracer,
+    )
+    solved: Dict[int, SimResult] = {}
+    if lanes:
+        with section_of(profiler, "engine:replay"):
+            solved = _run_shared(
+                plans, lanes, policy, segments, trace.meta, caches, metrics
+            )
     results: List[SimResult] = []
     for index, plan in enumerate(plans):
         owner = owners[plan.key] if plan.key is not None else index
@@ -1529,6 +2424,9 @@ def run_simulation_grid(
             results.append(replace(
                 base, seed=plan.seed, flips=list(base.flips), wall_seconds=0.0
             ))
+            continue
+        if index in solved:
+            results.append(solved[index])
             continue
         tele = EngineTelemetry.create(
             tracer if len(plans) == 1 else None, metrics

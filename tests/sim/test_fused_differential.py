@@ -5,8 +5,10 @@ The fused engine replays one decoded trace for a whole
 deduplication.  Its license to exist is this suite: every cell of a
 fused grid must be field-for-field identical (flips included) to a solo
 reference-engine run of that cell, across all registered techniques,
-three seeds, a pbase grid, engine-kwarg variants, and an ingested
-DRAMSim capture.
+three seeds, a pbase grid, engine-kwarg variants, an ingested DRAMSim
+capture, every refresh policy and a remapped geometry -- on attack
+grids whose flips land inside the epochs the mitigations touch, which
+is what the shared device pass must resolve exactly.
 """
 
 from __future__ import annotations
@@ -259,6 +261,144 @@ def test_ingested_dramsim_grid_equivalence():
     assert_grid_equivalent(config, lambda: trace, cells)
 
 
+#: techniques whose actions reach the device every way a lane can:
+#: ``RecoveryRefresh`` batches (PRAC, PRACtical), ``RefreshRow``
+#: (PARA, MRLoc, ProHit, the last at refresh-time drains) and
+#: ``ActivateNeighbors`` (LiPRoMi, TWiCe)
+SHARED_PASS_TECHNIQUES = [
+    "PRAC", "PRACtical", "PARA", "MRLoc", "ProHit", "LiPRoMi", "TWiCe", None,
+]
+
+
+def _attack(kind, geometry, bank):
+    from repro.traces.attacker import double_sided, flooding, n_aggressor
+
+    middle = geometry.rows_per_bank // 2
+    if kind == "flooding":
+        return flooding(geometry, bank, middle, 120, start_interval=2)
+    if kind == "double-sided":
+        return double_sided(geometry, bank, middle + 1, 160, start_interval=1)
+    return n_aggressor(geometry, bank, 4, 240, first_row=middle - 6, spacing=3)
+
+
+def _policy(name, geometry):
+    from repro.dram.refresh import (
+        CounterMaskRefresh,
+        RandomRefresh,
+        RemappedRefresh,
+    )
+
+    if name == "random":
+        return RandomRefresh(geometry, seed=3)
+    if name == "remapped":
+        return RemappedRefresh(geometry, remap_fraction=0.1, seed=3)
+    return CounterMaskRefresh(geometry)
+
+
+def _attack_grid(config, kind):
+    """A 72-interval trace hammering bank 1 (of two) in the *kind* way."""
+    return lambda: build_trace(
+        config, 72, attacks=(_attack(kind, config.geometry, 1),), seed=5
+    )
+
+
+@pytest.mark.parametrize("kind", ["flooding", "double-sided", "n-aggressor"])
+@pytest.mark.parametrize("policy", ["random", "remapped", "counter-mask"])
+def test_refresh_policy_attack_grid_equivalence(policy, kind):
+    """Grids under every non-sequential refresh policy, with flips inside
+    the epochs the mitigations touch (threshold 500, two banks)."""
+    config = small_test_config(num_banks=2, flip_threshold=500)
+    cells = grid_cells(SHARED_PASS_TECHNIQUES, (0, 1), config=config)
+    results = assert_grid_equivalent(
+        config, _attack_grid(config, kind), cells,
+        refresh_policy=_policy(policy, config.geometry),
+    )
+    assert any(result.flips for result in results)
+
+
+@pytest.mark.parametrize("kind", ["flooding", "double-sided", "n-aggressor"])
+def test_remapped_geometry_attack_grid_equivalence(kind):
+    """A grid on a geometry whose true adjacency is remapped: act_n
+    refreshes the physical neighbours, PARA/MRLoc/ProHit the assumed
+    ones."""
+    from dataclasses import replace
+
+    from repro.dram.remap import RemappedGeometry
+
+    base = small_test_config(num_banks=2, flip_threshold=500)
+    middle = base.geometry.rows_per_bank // 2
+    geometry = RemappedGeometry(
+        num_banks=2, rows_per_bank=base.geometry.rows_per_bank,
+        rows_per_interval=base.geometry.rows_per_interval,
+        swaps=((middle, 40), (middle + 2, 300), (middle - 3, 7)),
+    )
+    config = replace(base, geometry=geometry)
+    cells = grid_cells(SHARED_PASS_TECHNIQUES, (0, 1), config=config)
+    results = assert_grid_equivalent(config, _attack_grid(config, kind), cells)
+    assert any(result.flips for result in results)
+
+
+def test_best_untouched_epoch_recount(monkeypatch):
+    """A lane that touches every epoch the device pass kept gets its
+    ``max_disturbance`` from a recount that skips the touched ones."""
+    import repro.sim.fused_engine as fused
+
+    monkeypatch.setattr(fused, "_TOP_EPOCHS", 1)
+    recounts = []
+    device_pass = fused._device_pass
+
+    def counting(*args, **kwargs):
+        if kwargs.get("exclude") is not None:
+            recounts.append(len(kwargs["exclude"]))
+        return device_pass(*args, **kwargs)
+
+    monkeypatch.setattr(fused, "_device_pass", counting)
+    config = small_test_config(num_banks=2, flip_threshold=500)
+    cells = grid_cells(SHARED_PASS_TECHNIQUES, (0, 1), config=config)
+    assert_grid_equivalent(config, _attack_grid(config, "double-sided"), cells)
+    assert recounts
+
+
+def test_grid_shares_one_device_pass(monkeypatch):
+    """A grid replays the device once: no computed cell runs the inline
+    lane, and lanes that may stop early still do."""
+    import repro.sim.fused_engine as fused
+
+    calls = {"device": 0, "inline": 0}
+    device_pass, replay = fused._device_pass, fused._replay
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fused, "_device_pass", counted("device", device_pass))
+    monkeypatch.setattr(fused, "_replay", counted("inline", replay))
+    trace = _mixed(0)().materialize()
+    cells = grid_cells(TECHNIQUES, (0,), config=CONFIG)
+    run_simulation_grid(CONFIG, trace, cells)
+    assert calls == {"device": 1, "inline": 0}
+    run_simulation_grid(CONFIG, trace, cells, max_activations=500)
+    assert calls == {"device": 1, "inline": len(cells)}
+
+
+def test_shared_pass_metrics_match_inline_lanes():
+    """Grid lanes emit the same metrics with or without the shared
+    device pass (campaign checkpoints store them)."""
+    config = small_test_config(num_banks=2, flip_threshold=500)
+    trace = _attack_grid(config, "n-aggressor")().materialize()
+    cells = grid_cells(SHARED_PASS_TECHNIQUES, (0, 1), config=config)
+    shared, inline = MetricsRegistry(), MetricsRegistry()
+    run_simulation_grid(config, trace, cells, metrics=shared)
+    # a limit past the end changes nothing but keeps every lane inline
+    run_simulation_grid(
+        config, trace, cells, metrics=inline,
+        max_activations=trace.count() + 1,
+    )
+    assert shared.as_dict() == inline.as_dict()
+
+
 def test_mismatched_cell_geometry_rejected():
     other = small_test_config(rows_per_bank=1024)
     cells = [GridCell(technique="PARA", seed=0, config=other)]
@@ -373,6 +513,42 @@ def test_streamed_run_memory_does_not_grow_with_the_trace():
         tracemalloc.stop()
     assert result.normal_activations > 50_000
     assert peak < 8 * result.normal_activations
+
+
+#: bytes per record a 10-cell grid may hold beyond its segment list:
+#: the shared device pass's index measured about 41 (a list-of-lists
+#: index holding Python ints per record needs about 360)
+GRID_BYTES_PER_RECORD = 80
+
+
+def test_grid_memory_beyond_the_segment_list():
+    """A 10-cell grid on a lazy trace holds little beyond the segment
+    list it shares between lanes: the device pass's index is packed."""
+    import tracemalloc
+
+    from repro.sim.fused_engine import _segments
+
+    def trace():
+        return paper_mixed_workload(CONFIG, total_intervals=600, seed=0)
+
+    tracemalloc.start()
+    try:
+        segments = list(_segments(trace()))
+        segment_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    records = sum(len(segment[0]) for segment in segments)
+    del segments
+    cells = grid_cells(TECHNIQUES, (0,), config=CONFIG)
+    assert len(cells) == 10
+    tracemalloc.start()
+    try:
+        run_simulation_grid(CONFIG, trace(), cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records > 50_000
+    assert peak - segment_bytes < GRID_BYTES_PER_RECORD * records
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,93 @@ class TestParser:
             assert args.command == command
 
 
+class TestBadInput:
+    """Every subcommand's bad input exits 2 with one line on stderr and
+    no traceback, before any work starts (1 stays "attack succeeded"
+    for ``run`` and "differences" for ``manifest-diff``)."""
+
+    @staticmethod
+    def _fails(capsys, argv, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert needle in lines[0]
+
+    def test_run_missing_trace(self, tmp_path, capsys):
+        self._fails(capsys, ["run", "--technique", "PARA", "--trace",
+                             str(tmp_path / "missing.npz")], "missing.npz")
+
+    def test_run_missing_trace_file(self, tmp_path, capsys):
+        self._fails(capsys, ["run", "--technique", "PARA", "--trace-file",
+                             str(tmp_path / "missing.log")], "missing.log")
+
+    def test_run_unknown_technique(self, tmp_path, capsys):
+        trace = tmp_path / "t.trc"
+        assert main(["trace", "--out", str(trace), "--intervals", "2"]) == 0
+        capsys.readouterr()
+        self._fails(capsys, ["run", "--technique", "Nope", "--trace",
+                             str(trace)], "unknown technique 'Nope'")
+
+    def test_run_malformed_trace(self, tmp_path, capsys):
+        trace = tmp_path / "bad.trc"
+        trace.write_text("not a trace\n")
+        self._fails(capsys, ["run", "--technique", "PARA", "--trace",
+                             str(trace)], "bad.trc")
+
+    def test_compare_unknown_technique(self, capsys):
+        self._fails(capsys, ["compare", "--intervals", "2", "--techniques",
+                             "PARA", "Nope"], "unknown technique 'Nope'")
+
+    def test_campaign_unknown_technique_before_work(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ckpt"
+        self._fails(capsys, ["campaign", "--checkpoint-dir", str(checkpoint),
+                             "--intervals", "4", "--techniques", "Nope"],
+                    "unknown technique 'Nope'")
+        assert not checkpoint.exists()
+
+    def test_campaign_missing_trace_file(self, tmp_path, capsys):
+        self._fails(capsys, ["campaign", "--checkpoint-dir",
+                             str(tmp_path / "ckpt"), "--trace-file",
+                             str(tmp_path / "missing.log")], "missing.log")
+
+    def test_ingest_missing_file(self, tmp_path, capsys):
+        self._fails(capsys, ["ingest", str(tmp_path / "missing.log")],
+                    "missing.log")
+
+    def test_policies_unknown_technique(self, capsys):
+        self._fails(capsys, ["policies", "--technique", "Nope"],
+                    "unknown technique 'Nope'")
+
+    def test_adversary_unknown_technique(self, capsys):
+        self._fails(capsys, ["adversary", "--technique", "Nope",
+                             "--budget", "1", "--preset", "small"],
+                    "choose from")
+
+    def test_trace_missing_output_directory(self, tmp_path, capsys):
+        self._fails(capsys, ["trace", "--out",
+                             str(tmp_path / "absent" / "t.trc")], "absent")
+
+    def test_submit_unknown_technique(self, tmp_path, capsys):
+        trace = tmp_path / "t.trc"
+        trace.write_text("")
+        self._fails(capsys, ["submit", str(trace), "--port", "1",
+                             "--techniques", "Nope"],
+                    "unknown technique 'Nope'")
+
+    def test_campaign_worker_queue_dir_is_a_file(self, tmp_path, capsys):
+        queue = tmp_path / "queue"
+        queue.write_text("")
+        self._fails(capsys, ["campaign-worker", str(queue), "--idle-exit",
+                             "1"], "queue")
+
+    def test_manifest_diff_missing_manifest(self, tmp_path, capsys):
+        self._fails(capsys, ["manifest-diff", str(tmp_path / "a.json"),
+                             str(tmp_path / "b.json")], "a.json")
+
+
 class TestStaticCommands:
     def test_table1_prints_parameters(self, capsys):
         assert main(["table1"]) == 0
@@ -137,10 +224,11 @@ class TestAdversary:
         assert extra["frontier"]["technique"] == "LiPRoMi"
         assert extra["frontier"]["points"]
 
-    def test_unknown_technique_fails(self):
-        with pytest.raises(ValueError, match="choose from"):
-            main(["adversary", "--technique", "NoSuch", "--budget", "1",
-                  "--preset", "small"])
+    def test_unknown_technique_fails(self, capsys):
+        code = main(["adversary", "--technique", "NoSuch", "--budget", "1",
+                     "--preset", "small"])
+        assert code == 2
+        assert "choose from" in capsys.readouterr().err
 
 
 class TestObservabilityCli:

@@ -2,12 +2,12 @@
 
 The distributed lane of the executor contract
 (:mod:`repro.sim.executors`; spec in ``docs/distributed.md``).  The
-runner turns every campaign shard into a JSON *ticket* in a shared
+runner turns the campaign's work into JSON *tickets* in a shared
 queue directory; independent worker processes -- started anywhere the
 directory is mounted via ``repro campaign-worker <queue-dir>`` --
 *lease* tickets by atomic ``os.rename``, run them with the exact same
-:func:`~repro.sim.executors._run_job` the pool uses, and push results
-back as JSON records the runner folds into the campaign.  Every
+shard functions the pool uses, and push one JSON result record per
+shard back for the runner to fold into the campaign.  Every
 coordination primitive is a filesystem operation with POSIX atomicity
 semantics, so the only infrastructure a multi-host campaign needs is a
 shared directory::
@@ -15,31 +15,47 @@ shared directory::
     <queue_dir>/
         queue.json        # banner: campaign identity, written by the runner
         tickets/
-            <shard>.json  # pending work, one ShardTicket per shard attempt
+            <ticket>.json # pending work, one ShardTicket per attempt
         leases/
-            <shard>.json  # in flight: renamed from tickets/, mtime = liveness
+            <ticket>.json # in flight: renamed from tickets/, mtime = liveness
         results/
             <shard>.json  # completed ShardOutcome records (atomic writes)
         failed/
-            <shard>.json  # per-attempt failure reports from workers
+            <ticket>.json # per-attempt failure reports from workers
         traces/
             trace-<n>.npz # pre-generated traces shared by every worker
         status/           # a plain StatusBus: worker heartbeats + snapshot
         stop              # sentinel: workers drain and exit when it appears
 
+Tickets come in two sizes.  A campaign that the serial and pool lanes
+would run as fused blocks -- the fused engine (``fused`` or its alias
+``fast``), no retry policy, no fault injector, no tracer -- publishes
+one *block ticket* per seed (``block__s<seed>``): the worker loads the
+seed's trace once and runs every technique of it in one grid replay
+(:func:`~repro.sim.executors._run_block`).  Every other campaign
+publishes one ticket per shard (``<technique>__s<seed>``), run by
+:func:`~repro.sim.executors._run_job`.  Either way the worker writes
+one result per shard, so checkpointing and progress stay per shard.
+The lease, its expiry and self-heal cover a whole ticket: a worker
+killed mid-block loses the whole block, and since block tickets only
+run without a retry policy, the campaign then raises
+:class:`~repro.sim.executors.ShardTimeout` naming the block's shards.
+Tickets carry :data:`QUEUE_SCHEMA_VERSION`; a worker refuses a ticket
+of another version with a failure report naming both versions.
+
 Lease protocol: claiming is ``os.rename(tickets/X, leases/X)`` --
-atomic on POSIX, so exactly one worker wins a ticket and a shard is
-always in exactly one stage.  While a shard runs, the worker's
+atomic on POSIX, so exactly one worker wins a ticket and a ticket is
+always in exactly one stage.  While a ticket runs, the worker's
 :class:`~repro.telemetry.statusbus.Heartbeater` refreshes the lease
 file's mtime alongside its status-bus heartbeat; a SIGKILLed, crashed
 or hung worker stops refreshing, the lease ages past the runner's
 ``lease_timeout``, and the runner *reclaims* it -- re-ticketing the
-shard with the next attempt number, charged to the campaign's
+work with the next attempt number, charged to the campaign's
 :class:`~repro.sim.executors.RetryPolicy` as a ``timeout``.  Results
 and failure reports are written atomically (temp file +
 ``os.replace``), so no reader ever observes a torn record; foreign or
 torn files are quarantined/swept, and the runner re-publishes any
-unresolved shard that is absent from every stage, which makes the
+unresolved ticket that is absent from every stage, which makes the
 queue self-healing against lost files.
 
 Determinism: a shard is a pure function of its ticket (config, seed,
@@ -61,9 +77,19 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Container,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.campaign.faults import FaultInjector
 from repro.sim.executors import (
@@ -76,6 +102,8 @@ from repro.sim.executors import (
     ShardTimeout,
     _count,
     _exhaust,
+    _FusedBlock,
+    _run_block,
     _run_job,
     _shard_id,
 )
@@ -88,7 +116,8 @@ from repro.telemetry.statusbus import (
 )
 
 #: bump when the on-disk queue layout changes incompatibly
-QUEUE_SCHEMA_VERSION = 1
+#: (2: block tickets, which carry a fused block's technique list)
+QUEUE_SCHEMA_VERSION = 2
 
 BANNER_FILENAME = "queue.json"
 TICKETS_DIRNAME = "tickets"
@@ -111,9 +140,19 @@ class RemoteShardError(RuntimeError):
         self.shard_fault_kind = kind
 
 
+class TicketSchemaError(ValueError):
+    """A ticket written for a queue schema version this code does not run."""
+
+
+def _block_id(seed: int) -> str:
+    """The ticket id of a seed's fused block (shard ids are
+    ``<technique>__s<seed>``; no technique is named ``block``)."""
+    return f"block__s{seed}"
+
+
 @dataclass
 class ShardTicket:
-    """One shard attempt as a self-contained JSON work order.
+    """One shard (or fused block) attempt as a self-contained JSON work order.
 
     Everything a worker on another host needs to run the shard: the
     full simulation config (as the nested plain dict
@@ -124,6 +163,11 @@ class ShardTicket:
     heartbeat into the queue's own ``status/`` directory (the only
     path guaranteed shared), and the runner relays those records into
     the campaign's bus.
+
+    A *block ticket* (``techniques`` set, ``shard`` = ``block__s<seed>``)
+    carries a whole fused block -- every technique of one seed -- and
+    the worker runs it with one grid replay, writing one result per
+    member shard.  ``technique`` is None on a block ticket.
     """
 
     shard: str
@@ -144,7 +188,16 @@ class ShardTicket:
     span_seed: str = ""
     #: :meth:`FaultInjector.spec` JSON, or None (production campaigns)
     fault_spec: Optional[str] = None
+    #: a block ticket's technique list (None = one-shard ticket)
+    techniques: Optional[List[Optional[str]]] = None
     schema_version: int = QUEUE_SCHEMA_VERSION
+
+    @property
+    def shards(self) -> List[str]:
+        """The shard ids this ticket produces results for."""
+        if self.techniques is None:
+            return [self.shard]
+        return [_shard_id(name, self.seed) for name in self.techniques]
 
     @classmethod
     def from_job(
@@ -172,12 +225,54 @@ class ShardTicket:
             ),
         )
 
+    @classmethod
+    def from_block(
+        cls, block: _FusedBlock, trace: Optional[str] = None
+    ) -> "ShardTicket":
+        return cls(
+            shard=_block_id(block.seed),
+            technique=None,
+            seed=block.seed,
+            attempt=0,
+            engine=block.engine,
+            total_intervals=block.total_intervals,
+            config=config_as_dict(block.config),
+            workload_kwargs=[list(pair) for pair in block.workload_kwargs],
+            trace=trace,
+            collect_metrics=block.collect_metrics,
+            collect_spans=block.collect_spans,
+            span_seed=block.span_seed,
+            techniques=list(block.techniques),
+        )
+
+    def _trace_path(self, queue_root) -> Optional[str]:
+        if not self.trace:
+            return None
+        return str(Path(queue_root) / TRACES_DIRNAME / self.trace)
+
+    def to_block(self, queue_root) -> _FusedBlock:
+        """Rehydrate a block ticket's runnable block on the worker side."""
+        return _FusedBlock(
+            config=config_from_dict(self.config),
+            techniques=tuple(self.techniques or ()),
+            seed=self.seed,
+            total_intervals=self.total_intervals,
+            workload_kwargs=tuple(
+                (key, value) for key, value in self.workload_kwargs
+            ),
+            trace_path=self._trace_path(queue_root),
+            engine=self.engine,
+            collect_metrics=self.collect_metrics,
+            collect_spans=self.collect_spans,
+            span_seed=self.span_seed,
+            # the worker's Heartbeater keeps every member shard's
+            # heartbeat fresh on the queue bus, as for one-shard tickets
+            status_dir=None,
+        )
+
     def to_job(self, queue_root) -> CampaignJob:
         """Rehydrate the runnable job on the worker side."""
-        trace_path = (
-            str(Path(queue_root) / TRACES_DIRNAME / self.trace)
-            if self.trace else None
-        )
+        trace_path = self._trace_path(queue_root)
         return CampaignJob(
             config=config_from_dict(self.config),
             technique=self.technique,
@@ -215,10 +310,22 @@ class ShardTicket:
             "collect_spans": self.collect_spans,
             "span_seed": self.span_seed,
             "fault_spec": self.fault_spec,
+            "techniques": self.techniques,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ShardTicket":
+        """Parse a ticket; raises :class:`TicketSchemaError` for a ticket
+        of another queue schema version rather than misreading it."""
+        version = int(data.get("schema_version", QUEUE_SCHEMA_VERSION))
+        if version != QUEUE_SCHEMA_VERSION:
+            raise TicketSchemaError(
+                f"ticket {data.get('shard')!r} has queue schema version "
+                f"{version}, but this code runs schema version "
+                f"{QUEUE_SCHEMA_VERSION}; run campaign-worker from the "
+                "same release as the campaign"
+            )
+        techniques = data.get("techniques")
         return cls(
             shard=data["shard"],
             technique=data.get("technique"),
@@ -235,9 +342,8 @@ class ShardTicket:
             collect_spans=bool(data.get("collect_spans", False)),
             span_seed=data.get("span_seed", ""),
             fault_spec=data.get("fault_spec"),
-            schema_version=int(
-                data.get("schema_version", QUEUE_SCHEMA_VERSION)
-            ),
+            techniques=list(techniques) if techniques is not None else None,
+            schema_version=version,
         )
 
 
@@ -347,7 +453,9 @@ class WorkQueue:
         writer, or corrupted on disk) is quarantined into
         ``failed/<name>.corrupt`` rather than retried forever; the
         runner's self-heal pass re-publishes the shard from its
-        in-memory job list.
+        in-memory job list.  A ticket of another queue schema version is
+        not run: a failure report naming both versions takes its place,
+        which the runner surfaces as a :class:`RemoteShardError`.
         """
         if not self.tickets_dir.is_dir():
             return None
@@ -358,11 +466,17 @@ class WorkQueue:
             except OSError:
                 continue  # lost the race; try the next ticket
             try:
-                ticket = ShardTicket.from_dict(
-                    json.loads(lease.read_text(encoding="utf-8"))
+                data = json.loads(lease.read_text(encoding="utf-8"))
+                ticket = ShardTicket.from_dict(data)
+            except TicketSchemaError as exc:
+                self._write_failure(
+                    dict(data, shard=path.stem), "error",
+                    f"{type(exc).__name__}: {exc}",
                 )
-            except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
+                self.release(lease)
+                continue
+            except (OSError, json.JSONDecodeError, AttributeError, KeyError,
+                    TypeError, ValueError):
                 quarantine = self.failed_dir / f"{path.name}.corrupt"
                 try:
                     os.replace(lease, quarantine)
@@ -439,37 +553,49 @@ class WorkQueue:
         write_json_atomic(path, record)
         return path
 
-    def read_results(self) -> Dict[str, Dict[str, Any]]:
-        """Every parseable result record, keyed by shard id."""
+    def scan_results(
+        self, skip: Container[str] = ()
+    ) -> Tuple[Dict[str, Dict[str, Any]], List[Path]]:
+        """One pass over ``results/``: (parseable records keyed by shard
+        id, unparseable files).  Files named after a shard in *skip*
+        (already ingested) are not read at all."""
         results: Dict[str, Dict[str, Any]] = {}
+        torn: List[Path] = []
         if not self.results_dir.is_dir():
-            return results
+            return results, torn
         for path in sorted(self.results_dir.glob("*.json")):
+            if path.stem in skip:
+                continue
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
+                torn.append(path)
                 continue
             if isinstance(record, dict) and "shard" in record:
                 results[record["shard"]] = record
-        return results
+        return results, torn
+
+    def read_results(self) -> Dict[str, Dict[str, Any]]:
+        """Every parseable result record, keyed by shard id."""
+        return self.scan_results()[0]
+
+    @staticmethod
+    def sweep(paths: Sequence[Path]) -> int:
+        """Unlink torn result files (foreign writers only -- this
+        module's writes are atomic); their shards re-run via self-heal.
+        Returns the number swept."""
+        swept = 0
+        for path in paths:
+            try:
+                path.unlink()
+                swept += 1
+            except OSError:  # pragma: no cover - racing rewrite
+                pass
+        return swept
 
     def sweep_torn_results(self) -> int:
-        """Unlink unparseable result files (foreign writers only --
-        this module's writes are atomic); the shard re-runs via
-        self-heal.  Returns the number swept."""
-        swept = 0
-        if not self.results_dir.is_dir():
-            return swept
-        for path in sorted(self.results_dir.glob("*.json")):
-            try:
-                json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                try:
-                    path.unlink()
-                    swept += 1
-                except OSError:  # pragma: no cover - racing rewrite
-                    pass
-        return swept
+        """Scan ``results/`` and :meth:`sweep` its unparseable files."""
+        return self.sweep(self.scan_results()[1])
 
     def failure_path(self, shard: str) -> Path:
         return self.failed_dir / f"{shard}.json"
@@ -477,13 +603,18 @@ class WorkQueue:
     def write_failure(
         self, ticket: ShardTicket, kind: str, error: str
     ) -> Path:
-        path = self.failure_path(ticket.shard)
+        return self._write_failure(ticket.as_dict(), kind, error)
+
+    def _write_failure(
+        self, ticket: Dict[str, Any], kind: str, error: str
+    ) -> Path:
+        path = self.failure_path(ticket["shard"])
         write_json_atomic(path, {
             "schema_version": QUEUE_SCHEMA_VERSION,
-            "shard": ticket.shard,
-            "technique": ticket.technique,
-            "seed": ticket.seed,
-            "attempt": ticket.attempt,
+            "shard": ticket["shard"],
+            "technique": ticket.get("technique"),
+            "seed": ticket.get("seed"),
+            "attempt": ticket.get("attempt", 0),
             "kind": kind,
             "error": error,
             "worker": {"pid": os.getpid(), "host": socket.gethostname()},
@@ -508,6 +639,17 @@ class WorkQueue:
                 reports.append(record)
         return reports
 
+    def staged_tickets(self) -> set:
+        """Ticket ids in tickets, leases or failure reports right now."""
+        staged: set = set()
+        for directory in (self.tickets_dir, self.leases_dir,
+                          self.failed_dir):
+            if directory.is_dir():
+                staged.update(
+                    path.stem for path in directory.glob("*.json")
+                )
+        return staged
+
     def present_shards(self) -> set:
         """Shard ids visible in *any* queue stage right now.
 
@@ -515,16 +657,11 @@ class WorkQueue:
         absent from tickets, leases, results *and* failure reports has
         been lost (quarantined corrupt ticket, swept torn result,
         foreign deletion) and must be re-published by the runner.
+        Stages are listed before results: a worker writes its results
+        before it releases the lease, so work moving between the two
+        listings is always seen in one of them.
         """
-        present: set = set()
-        for directory in (self.tickets_dir, self.leases_dir,
-                          self.failed_dir):
-            if directory.is_dir():
-                present.update(
-                    path.stem for path in directory.glob("*.json")
-                )
-        present.update(self.read_results())
-        return present
+        return self.staged_tickets() | set(self.read_results())
 
     def stage_trace(self, source: str, name: str) -> str:
         """Copy a trace file into ``traces/`` (atomically) and return
@@ -547,18 +684,43 @@ class WorkQueue:
         return name
 
 
+@dataclass
+class _Unit:
+    """Runner-side state of one ticket: a single shard or a fused block."""
+
+    #: the attempt-0 ticket; re-publishing stamps the current attempt
+    ticket: ShardTicket
+    #: position of the job (or block) in the executor's input
+    index: int
+    attempts: int = 0
+    resolved: bool = False
+    #: member outcomes ingested so far, by shard id
+    landed: Dict[str, JobOutcome] = field(default_factory=dict)
+
+    def describe(self) -> str:
+        if self.ticket.techniques is None:
+            return f"shard {self.ticket.shard}"
+        return (
+            f"block {self.ticket.shard} (shards "
+            f"{', '.join(self.ticket.shards)})"
+        )
+
+
 class QueueExecutor(Executor):
     """Campaign execution over a shared filesystem work queue.
 
     The runner side of the queue protocol: publishes one ticket per
-    shard, optionally spawns ``workers`` local ``campaign-worker``
-    subprocesses against the queue, then polls -- ingesting results as
-    they land (checkpointing and progress fire per shard, like every
-    executor), consuming worker failure reports and reclaiming expired
-    leases under the campaign's retry policy, re-publishing lost
-    shards, and relaying worker heartbeats from the queue's status bus
-    into the campaign's.  On completion (or failure) it raises the
-    ``stop`` sentinel so attached workers drain and exit.
+    shard (:meth:`execute`) or per fused block (:meth:`execute_blocks`),
+    optionally spawns ``workers`` local ``campaign-worker`` subprocesses
+    against the queue, then polls -- ingesting results as they land
+    (checkpointing and progress fire per shard, like every executor),
+    consuming worker failure reports and reclaiming expired leases under
+    the campaign's retry policy, re-publishing lost tickets, and
+    relaying worker heartbeats from the queue's status bus into the
+    campaign's.  On completion (or failure) it raises the ``stop``
+    sentinel so attached workers drain and exit.  Both entry points
+    drive the same polling loop; a block ticket is one unit of several
+    shards, so its lease, retry and self-heal cover the whole block.
 
     ``workers=0`` publishes work and waits for *external* workers --
     the multi-host mode: start ``repro campaign-worker <queue-dir>`` on
@@ -569,6 +731,7 @@ class QueueExecutor(Executor):
     """
 
     name: ClassVar[str] = "queue"
+    supports_blocks: ClassVar[bool] = True
     profile_section: ClassVar[str] = "campaign:queue"
 
     def __init__(
@@ -633,47 +796,146 @@ class QueueExecutor(Executor):
 
     # -- the executor contract ----------------------------------------
 
+    def _open(
+        self, engine: Optional[str], shards: int, trace_paths: Sequence
+    ) -> Tuple[WorkQueue, Dict[Any, str]]:
+        """Reset the queue, stage each distinct trace once (workers read
+        them from the queue directory; the runner's tmpdir is
+        host-local) and write the banner."""
+        wq = WorkQueue(self.queue_dir)
+        wq.reset()
+        wq.status_bus().clear_workers()
+        trace_names: Dict[Any, str] = {}
+        for path in trace_paths:
+            if path and path not in trace_names:
+                trace_names[path] = wq.stage_trace(
+                    path, f"trace-{len(trace_names)}.npz"
+                )
+        wq.write_banner({
+            "engine": engine,
+            "shards": shards,
+            "created_unix": time.time(),
+        })
+        return wq, trace_names
+
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
     ) -> List[Optional[JobOutcome]]:
-        policy = ctx.policy
-        wq = WorkQueue(self.queue_dir)
-        wq.reset()
-        queue_bus = wq.status_bus()
-        queue_bus.clear_workers()
-        total = len(jobs)
-        # stage each distinct memoized trace once; workers read them
-        # from the queue directory (the runner's tmpdir is host-local)
-        trace_names: Dict[str, str] = {}
-        for job in jobs:
-            if job.trace_path and job.trace_path not in trace_names:
-                name = f"trace-{len(trace_names)}.npz"
-                trace_names[job.trace_path] = wq.stage_trace(
-                    job.trace_path, name
-                )
-        wq.write_banner({
-            "engine": jobs[0].engine if jobs else None,
-            "shards": total,
-            "created_unix": time.time(),
-        })
-        shard_index: Dict[str, int] = {}
-        for index, job in enumerate(jobs):
-            shard_index[_shard_id(job.technique, job.seed)] = index
-        outcomes: List[Optional[JobOutcome]] = [None] * total
-        resolved = [False] * total
-        attempts = [0] * total
-        done = 0
-
-        def ticket_for(index: int) -> ShardTicket:
-            job = jobs[index]
-            return ShardTicket.from_job(
-                job,
-                trace=trace_names.get(job.trace_path),
-                attempt=attempts[index],
+        wq, trace_names = self._open(
+            jobs[0].engine if jobs else None, len(jobs),
+            [job.trace_path for job in jobs],
+        )
+        units = [
+            _Unit(
+                ShardTicket.from_job(
+                    job, trace=trace_names.get(job.trace_path), attempt=0,
+                ),
+                index,
             )
+            for index, job in enumerate(jobs)
+        ]
+        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
 
-        for index in range(total):
-            wq.publish_ticket(ticket_for(index))
+        def deliver(unit: _Unit, landed: List[JobOutcome]) -> None:
+            outcomes[unit.index] = landed[0]
+            if ctx.shard_callback is not None:
+                ctx.shard_callback(landed[0], unit.attempts + 1)
+
+        self._drive(wq, units, ctx, deliver)
+        return outcomes
+
+    def execute_blocks(
+        self,
+        blocks: Sequence[_FusedBlock],
+        place: Callable[[List[JobOutcome]], None],
+        ctx: ExecutionContext,
+    ) -> None:
+        """One ticket per fused block: one lease, one trace load and one
+        grid replay per seed.  *place* receives a block's outcomes once
+        every one of its shards has landed."""
+        total = sum(len(block.techniques) for block in blocks)
+        wq, trace_names = self._open(
+            blocks[0].engine if blocks else None, total,
+            [block.trace_path for block in blocks],
+        )
+        units = [
+            _Unit(
+                ShardTicket.from_block(
+                    block, trace=trace_names.get(block.trace_path)
+                ),
+                index,
+            )
+            for index, block in enumerate(blocks)
+        ]
+        # place reports progress itself, once per block
+        self._drive(
+            wq, units, replace(ctx, progress=None),
+            lambda unit, landed: place(landed),
+        )
+
+    def _drive(
+        self,
+        wq: WorkQueue,
+        units: List[_Unit],
+        ctx: ExecutionContext,
+        deliver: Callable[[_Unit, List[JobOutcome]], None],
+    ) -> None:
+        """The polling loop behind :meth:`execute` and
+        :meth:`execute_blocks`: publish every unit's ticket, then poll
+        until each unit has delivered its outcomes or been exhausted."""
+        policy = ctx.policy
+        total = sum(len(unit.ticket.shards) for unit in units)
+        by_ticket = {unit.ticket.shard: unit for unit in units}
+        owner = {
+            shard: unit for unit in units for shard in unit.ticket.shards
+        }
+        ingested: set = set()
+        # ticket ids published during the current poll
+        published: set = set()
+        queue_bus = wq.status_bus()
+        # last heartbeat relayed per id, and the last snapshot mirrored
+        relayed: Dict[str, Any] = {}
+        mirrored = None
+        done = 0
+        open_units = len(units)
+
+        def publish(unit: _Unit) -> None:
+            wq.publish_ticket(replace(unit.ticket, attempt=unit.attempts))
+            published.add(unit.ticket.shard)
+
+        def resolve(unit: _Unit) -> None:
+            nonlocal open_units
+            unit.resolved = True
+            open_units -= 1
+            if ctx.progress is not None:
+                ctx.progress(done + len(ctx.failures), total)
+
+        def charge_failure(
+            unit: _Unit, exc: BaseException, kind: str
+        ) -> None:
+            """One failed attempt: count, then retry or exhaust."""
+            unit.attempts += 1
+            _count(ctx.metrics,
+                   FAULT_COUNTERS.get(kind, FAULT_COUNTERS["error"]))
+            if unit.attempts > policy.max_retries:
+                # blocks only run without a retry policy, so a block
+                # exhausts by raising; under "skip" every member degrades
+                ticket = unit.ticket
+                for name in ticket.techniques or [ticket.technique]:
+                    _exhaust(
+                        name, ticket.seed, unit.attempts, exc, policy,
+                        ctx.failures, ctx.metrics,
+                    )
+                resolve(unit)
+            else:
+                _count(ctx.metrics, "campaign.shard_retries")
+                delay = policy.delay(unit.attempts)
+                if delay > 0:
+                    ctx.sleep(delay)
+                publish(unit)
+
+        for unit in units:
+            publish(unit)
         procs = [self._spawn_worker() for _ in range(self.workers)]
         respawns = 0
         respawn_budget = (
@@ -682,92 +944,81 @@ class QueueExecutor(Executor):
             else max(4, 2 * total)
         )
         try:
-            while not all(resolved):
+            while open_units:
                 progressed = False
-                # 1. fold in completed shards
-                for shard, record in wq.read_results().items():
-                    index = shard_index.get(shard)
-                    if index is None or resolved[index]:
+                published.clear()
+                # 1. list the ticket stages before reading results: a
+                # worker writes its results before releasing its lease,
+                # so work moving between the two listings shows in one
+                staged = wq.staged_tickets()
+
+                # 2. fold in landed shards -- one pass over results/,
+                # skipping files already ingested
+                records, torn = wq.scan_results(skip=ingested)
+                for shard, record in records.items():
+                    unit = owner.get(shard)
+                    if unit is None or unit.resolved:
                         continue
                     try:
-                        outcome = ShardOutcome.from_dict(record)
+                        outcome = ShardOutcome.from_dict(record).as_tuple()
                     except (KeyError, TypeError, ValueError):
-                        continue  # torn by a foreign writer; swept below
-                    outcomes[index] = outcome.as_tuple()
-                    resolved[index] = True
-                    done += 1
-                    progressed = True
-                    if ctx.shard_callback is not None:
-                        ctx.shard_callback(
-                            outcomes[index], attempts[index] + 1
-                        )
-                    if ctx.progress is not None:
-                        ctx.progress(done + len(ctx.failures), total)
+                        torn.append(wq.result_path(shard))
+                        continue
+                    ingested.add(shard)
+                    unit.landed[shard] = outcome
+                    members = unit.ticket.shards
+                    if len(unit.landed) == len(members):
+                        done += len(members)
+                        deliver(unit, [unit.landed[m] for m in members])
+                        resolve(unit)
+                        progressed = True
+                swept = wq.sweep(torn)
+                if swept:
+                    _count(ctx.metrics, "campaign.queue_torn_swept", swept)
 
-                def charge_failure(
-                    index: int, exc: BaseException, kind: str
-                ) -> None:
-                    """One failed attempt: count, then retry or exhaust."""
-                    nonlocal progressed
-                    attempts[index] += 1
-                    _count(ctx.metrics,
-                           FAULT_COUNTERS.get(kind, FAULT_COUNTERS["error"]))
-                    if attempts[index] > policy.max_retries:
-                        _exhaust(
-                            jobs[index], attempts[index], exc, policy,
-                            ctx.failures, ctx.metrics,
-                        )
-                        resolved[index] = True
-                        if ctx.progress is not None:
-                            ctx.progress(done + len(ctx.failures), total)
-                    else:
-                        _count(ctx.metrics, "campaign.shard_retries")
-                        delay = policy.delay(attempts[index])
-                        if delay > 0:
-                            ctx.sleep(delay)
-                        wq.publish_ticket(ticket_for(index))
-                    progressed = True
-
-                # 2. consume worker failure reports
+                # 3. consume worker failure reports
                 for report in wq.take_failures():
-                    index = shard_index.get(report.get("shard"))
-                    if index is None or resolved[index]:
+                    unit = by_ticket.get(report.get("shard"))
+                    if unit is None or unit.resolved:
                         continue
                     kind = report.get("kind", "error")
-                    charge_failure(index, RemoteShardError(
-                        f"worker {report.get('worker', {})} failed shard "
-                        f"{report.get('shard')} on attempt "
+                    charge_failure(unit, RemoteShardError(
+                        f"worker {report.get('worker', {})} failed "
+                        f"{unit.describe()} on attempt "
                         f"{report.get('attempt', 0)}: "
                         f"{report.get('error', '')}",
                         kind=kind,
                     ), kind)
+                    progressed = True
 
-                # 3. reclaim leases whose holder has gone quiet
-                for shard, lease in wq.expired_leases(self.lease_timeout):
-                    index = shard_index.get(shard)
+                # 4. reclaim leases whose holder has gone quiet
+                for ticket_id, lease in wq.expired_leases(self.lease_timeout):
+                    unit = by_ticket.get(ticket_id)
                     wq.reclaim_lease(lease)
-                    if index is None or resolved[index]:
+                    if unit is None or unit.resolved:
                         continue
-                    charge_failure(index, ShardTimeout(
-                        f"queue shard {shard} lease expired after "
-                        f"{self.lease_timeout}s on attempt {attempts[index]}"
+                    charge_failure(unit, ShardTimeout(
+                        f"queue {unit.describe()} lease expired after "
+                        f"{self.lease_timeout}s on attempt {unit.attempts}"
                     ), "timeout")
+                    progressed = True
 
-                # 4. self-heal: re-publish unresolved shards lost from
+                # 5. self-heal: re-publish unresolved units lost from
                 # every stage (quarantined corrupt tickets, swept torn
-                # results, foreign deletions)
-                swept = wq.sweep_torn_results()
-                if swept:
-                    _count(ctx.metrics, "campaign.queue_torn_swept", swept)
-                present = wq.present_shards()
-                for shard, index in shard_index.items():
-                    if not resolved[index] and shard not in present:
-                        wq.publish_ticket(ticket_for(index))
+                # results, foreign deletions); a unit re-published by
+                # steps 3-4 is absent from the older listing, not lost
+                for unit in units:
+                    if (
+                        not unit.resolved
+                        and unit.ticket.shard not in staged
+                        and unit.ticket.shard not in published
+                    ):
+                        publish(unit)
                         progressed = True
 
-                # 5. keep the local worker complement alive
-                if procs and not all(resolved):
-                    for slot, proc in enumerate(procs):
+                # 6. keep the local worker complement alive
+                if procs and open_units:
+                    for index, proc in enumerate(procs):
                         if proc.poll() is not None:
                             respawns += 1
                             if respawns > respawn_budget:
@@ -776,25 +1027,29 @@ class QueueExecutor(Executor):
                                     f"({respawns} respawns); aborting the "
                                     "campaign rather than looping"
                                 )
-                            procs[slot] = self._spawn_worker()
+                            procs[index] = self._spawn_worker()
 
-                # 6. relay worker heartbeats into the campaign's bus so
-                # campaign-status on the checkpoint shows remote workers
+                # 7. relay worker heartbeats into the campaign's bus so
+                # campaign-status on the checkpoint shows remote workers;
+                # only records that changed since the last poll are
+                # rewritten (staleness reads the record's own clock)
                 if ctx.status is not None and \
                         ctx.status.root != queue_bus.root:
                     for heartbeat in queue_bus.read_heartbeats():
-                        ctx.status.publish_heartbeat(heartbeat)
+                        if relayed.get(heartbeat.worker) != heartbeat:
+                            ctx.status.publish_heartbeat(heartbeat)
+                            relayed[heartbeat.worker] = heartbeat
                     snapshot = ctx.status.read_snapshot()
-                    if snapshot is not None:
+                    if snapshot is not None and snapshot != mirrored:
                         queue_bus.publish_snapshot(snapshot)
+                        mirrored = snapshot
 
-                if not progressed and not all(resolved):
+                if not progressed and open_units:
                     time.sleep(self.poll_interval)
         finally:
             if self.stop_workers:
                 wq.request_stop()
             self._reap_workers(procs)
-        return outcomes
 
 
 def run_worker(
@@ -810,10 +1065,13 @@ def run_worker(
 
     Polls *queue_dir* every ``poll_interval`` seconds for tickets,
     leases one at a time (atomic rename), runs it through the same
-    :func:`~repro.sim.executors._run_job` every other executor uses,
-    and pushes the result (or a failure report) back.  While a shard
-    runs, a background :class:`~repro.telemetry.statusbus.Heartbeater`
-    refreshes the lease mtime and publishes a status-bus heartbeat
+    shard functions every other executor uses --
+    :func:`~repro.sim.executors._run_job` for a one-shard ticket,
+    :func:`~repro.sim.executors._run_block` for a block ticket -- and
+    pushes one result per shard (or one failure report per ticket)
+    back.  While a ticket runs, a background
+    :class:`~repro.telemetry.statusbus.Heartbeater` refreshes the lease
+    mtime and publishes a status-bus heartbeat for each of its shards
     every ``lease_refresh`` seconds with this worker's host and pid.
 
     Exits (returning 0) when the queue's ``stop`` sentinel appears,
@@ -846,9 +1104,9 @@ def run_worker(
             continue
         idle_since = time.monotonic()
         ticket, lease = claim
-        job = ticket.to_job(wq.root)
+        shards = ticket.shards
         beater = Heartbeater(
-            bus, ticket.shard,
+            bus, shards,
             interval_s=lease_refresh,
             retries=ticket.attempt,
             on_beat=lambda: wq.touch(lease),
@@ -856,38 +1114,45 @@ def run_worker(
         )
         emit(
             f"campaign-worker: leased {ticket.shard} "
-            f"(attempt {ticket.attempt})"
+            f"({len(shards)} shard{'s' if len(shards) > 1 else ''}, "
+            f"attempt {ticket.attempt})"
         )
         try:
             with beater:
-                outcome = _run_job(job)
+                if ticket.techniques is not None:
+                    outcomes = _run_block(ticket.to_block(wq.root))
+                else:
+                    outcomes = [_run_job(ticket.to_job(wq.root))]
         except Exception as exc:
             kind = getattr(exc, "shard_fault_kind", "error")
             wq.write_failure(
                 ticket, kind=kind, error=f"{type(exc).__name__}: {exc}"
             )
             wq.release(lease)
-            bus.beat(
-                ticket.shard, 0, 1, retries=ticket.attempt, phase="failed",
-                host=host,
-            )
+            for shard in shards:
+                bus.beat(
+                    shard, 0, 1, retries=ticket.attempt, phase="failed",
+                    host=host,
+                )
             emit(f"campaign-worker: {ticket.shard} failed ({kind}): {exc}")
         else:
-            record = ShardOutcome.from_outcome(
-                outcome, attempts=ticket.attempt + 1
-            ).as_dict()
-            record.update({
-                "schema_version": QUEUE_SCHEMA_VERSION,
-                "shard": ticket.shard,
-                "worker": {"pid": os.getpid(), "host": host},
-            })
-            wq.write_result(record)
+            for outcome in outcomes:
+                record = ShardOutcome.from_outcome(
+                    outcome, attempts=ticket.attempt + 1
+                ).as_dict()
+                record.update({
+                    "schema_version": QUEUE_SCHEMA_VERSION,
+                    "shard": _shard_id(outcome[0], outcome[1]),
+                    "worker": {"pid": os.getpid(), "host": host},
+                })
+                wq.write_result(record)
             wq.release(lease)
-            bus.beat(
-                ticket.shard, 1, 1, retries=ticket.attempt, phase="done",
-                host=host,
-            )
-            completed += 1
+            for shard in shards:
+                bus.beat(
+                    shard, 1, 1, retries=ticket.attempt, phase="done",
+                    host=host,
+                )
+            completed += len(outcomes)
             emit(f"campaign-worker: {ticket.shard} done")
             if max_shards is not None and completed >= max_shards:
                 emit(f"campaign-worker: {completed} shards done; exiting")

@@ -308,8 +308,7 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
              "'reference' (pinned by the differential tests), several "
              "times faster per run, and evaluates a whole "
              "technique/seed/pbase grid in one trace pass (campaigns, "
-             "sweeps, adversary searches); 'fast' is an alias of 'fused' "
-             "that keeps one run per campaign shard",
+             "sweeps, adversary searches); 'fast' is an alias of 'fused'",
     )
 
 

@@ -74,7 +74,7 @@ from repro.serve.protocol import (
     encode_frame,
     error_frame,
 )
-from repro.sim.engine import ENGINE_NAMES, get_engine
+from repro.sim.engine import ENGINE_NAMES, get_engine, is_grid_engine
 from repro.sim.fused_engine import GridCell, run_simulation_grid
 from repro.telemetry.export import write_metrics_export
 from repro.telemetry.metrics import MetricsRegistry
@@ -634,7 +634,7 @@ class ServeServer:
             trace = result.trace.materialize()
             engine = self.settings.engine
             with spans.span("evaluate", engine=engine, cells=len(session.cells)):
-                if engine == "fused":
+                if is_grid_engine(engine):
                     results = run_simulation_grid(
                         self.config, trace, session.cells,
                         metrics=session.registry,

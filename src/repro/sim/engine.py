@@ -164,3 +164,15 @@ def get_engine(name: str):
     raise ValueError(
         f"unknown engine {name!r} (expected one of {', '.join(ENGINE_NAMES)})"
     )
+
+
+def is_grid_engine(name: str) -> bool:
+    """Whether *name* resolves to the fused engine's entry point.
+
+    Only that engine has a grid form
+    (:func:`repro.sim.fused_engine.run_simulation_grid`), so callers that
+    batch a whole cell grid into one replay -- campaign block dispatch,
+    serve sessions -- ask this rather than compare names: every alias of
+    the fused engine (``"fast"``) takes the grid path too.
+    """
+    return get_engine(name) is get_engine("fused")

@@ -348,6 +348,9 @@ class _FusedBlock:
     total_intervals: int
     workload_kwargs: tuple = ()
     trace_path: Optional[str] = None
+    #: requested engine name, recorded in span attributes only: every
+    #: name :func:`~repro.sim.engine.is_grid_engine` accepts runs the grid
+    engine: str = "fused"
     collect_metrics: bool = False
     collect_spans: bool = False
     span_seed: str = ""
@@ -376,7 +379,7 @@ def _run_block(block: _FusedBlock) -> List[JobOutcome]:
         for name, tracer in zip(block.techniques, tracers):
             shard_stack.enter_context(span_of(
                 tracer, "shard",
-                technique=name or "none", seed=block.seed, engine="fused",
+                technique=name or "none", seed=block.seed, engine=block.engine,
             ))
         with ExitStack() as trace_stack:
             for tracer in tracers:
@@ -453,7 +456,8 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
 
 
 def _exhaust(
-    job: CampaignJob,
+    technique: Optional[str],
+    seed: int,
     attempts: int,
     exc: BaseException,
     policy: RetryPolicy,
@@ -464,8 +468,8 @@ def _exhaust(
     if policy.on_failure == "raise":
         raise exc
     failure = ShardFailure(
-        technique=job.technique or "none",
-        seed=job.seed,
+        technique=technique or "none",
+        seed=seed,
         attempts=attempts,
         kind=_fault_kind(exc),
         error=f"{type(exc).__name__}: {exc}",
@@ -538,11 +542,15 @@ class Executor(ABC):
         self,
         blocks: Sequence[_FusedBlock],
         place: Callable[[List[JobOutcome]], None],
+        ctx: ExecutionContext,
     ) -> None:
         """Run fused cell-blocks, feeding each block's outcomes to *place*.
 
-        Only called when ``supports_blocks`` is true; *place* handles
-        canonical placement, checkpointing and progress.
+        Only called when ``supports_blocks`` is true, which
+        :func:`~repro.sim.parallel.run_campaign` only does without a
+        retry policy, fault injector or tracer.  *place* handles
+        canonical placement, checkpointing and progress; *ctx* carries
+        the metrics registry and status bus for lanes that need them.
         """
         raise NotImplementedError(
             f"{self.name} executor does not support fused block dispatch"
@@ -585,8 +593,8 @@ class SerialExecutor(Executor):
                     _count(ctx.metrics, FAULT_COUNTERS[_fault_kind(exc)])
                     if attempt > policy.max_retries:
                         _exhaust(
-                            job, attempt, exc, policy, ctx.failures,
-                            ctx.metrics,
+                            job.technique, job.seed, attempt, exc, policy,
+                            ctx.failures, ctx.metrics,
                         )
                         break
                     _count(ctx.metrics, "campaign.shard_retries")
@@ -603,7 +611,7 @@ class SerialExecutor(Executor):
                 ctx.progress(done, total)
         return outcomes
 
-    def execute_blocks(self, blocks, place) -> None:
+    def execute_blocks(self, blocks, place, ctx) -> None:
         for block in blocks:
             place(_run_block(block))
 
@@ -735,8 +743,9 @@ class PoolExecutor(Executor):
                 _count(ctx.metrics, FAULT_COUNTERS[_fault_kind(exc)])
                 if attempts[index] > policy.max_retries:
                     _exhaust(
-                        jobs[index], attempts[index], exc, policy,
-                        ctx.failures, ctx.metrics,
+                        jobs[index].technique, jobs[index].seed,
+                        attempts[index], exc, policy, ctx.failures,
+                        ctx.metrics,
                     )
                     if ctx.progress is not None:
                         ctx.progress(done + len(ctx.failures), total)
@@ -752,7 +761,7 @@ class PoolExecutor(Executor):
             pending = retry_next
         return outcomes
 
-    def execute_blocks(self, blocks, place) -> None:
+    def execute_blocks(self, blocks, place, ctx) -> None:
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             block_futures = [
                 pool.submit(_run_block, block) for block in blocks

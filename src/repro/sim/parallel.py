@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import SimConfig
 from repro.mitigations.registry import technique_names
 from repro.rng import derive_seed
-from repro.sim.engine import get_engine
+from repro.sim.engine import is_grid_engine
 from repro.sim.executors import (
     CampaignJob,
     ExecutionContext,
@@ -261,7 +261,8 @@ def run_campaign(
     TechniqueAggregate}`` dict whose ``failures`` attribute lists any
     shards degraded under ``on_failure="skip"``.
     """
-    get_engine(engine)  # validate the name before spawning anything
+    # validates the name before spawning anything
+    grid_engine = is_grid_engine(engine)
     runner = get_executor(executor, workers=workers, chunk_size=chunk_size)
     tracer_enabled = tracer is not None and getattr(tracer, "enabled", True)
     if tracer_enabled and not runner.supports_tracer:
@@ -382,7 +383,7 @@ def run_campaign(
         # modes keep the per-cell jobs below (the fused single-cell
         # wrapper still runs there via ``get_engine``).
         use_blocks = (
-            engine == "fused"
+            grid_engine
             and retry is None
             and fault_injector is None
             and not tracer_enabled
@@ -404,6 +405,7 @@ def run_campaign(
                     total_intervals=total_intervals,
                     workload_kwargs=frozen_kwargs,
                     trace_path=trace_paths.get(seed),
+                    engine=engine,
                     collect_metrics=metrics is not None,
                     collect_spans=collect_spans,
                     span_seed=span_seed,
@@ -423,7 +425,7 @@ def run_campaign(
                     progress_cb(done, total)
 
             with section_of(profiler, runner.profile_section):
-                runner.execute_blocks(blocks, place)
+                runner.execute_blocks(blocks, place, ctx)
         else:
             with section_of(profiler, runner.profile_section):
                 outcomes = runner.execute(jobs, ctx)

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 #: bump when the status record layout changes incompatibly
 STATUS_SCHEMA_VERSION = 1
@@ -343,12 +343,16 @@ class Heartbeater:
 
         with Heartbeater(bus, shard, on_beat=touch, host=hostname):
             outcome = run(...)
+
+    *worker* may also be a sequence of ids: one thread then keeps a
+    heartbeat per id fresh, as a queue worker does for every shard of a
+    leased fused block.
     """
 
     def __init__(
         self,
         bus: StatusBus,
-        worker: str,
+        worker: Union[str, Sequence[str]],
         cells_total: int = 1,
         interval_s: float = 1.0,
         retries: int = 0,
@@ -358,7 +362,7 @@ class Heartbeater:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive: {interval_s}")
         self.bus = bus
-        self.worker = worker
+        self.workers = [worker] if isinstance(worker, str) else list(worker)
         self.cells_total = cells_total
         self.interval_s = interval_s
         self.retries = retries
@@ -369,10 +373,11 @@ class Heartbeater:
 
     def _publish(self) -> None:
         try:
-            self.bus.beat(
-                self.worker, 0, self.cells_total, retries=self.retries,
-                **self.attrs,
-            )
+            for worker in self.workers:
+                self.bus.beat(
+                    worker, 0, self.cells_total, retries=self.retries,
+                    **self.attrs,
+                )
             if self.on_beat is not None:
                 self.on_beat()
         except Exception:  # advisory: never fail the shard over telemetry
@@ -386,7 +391,8 @@ class Heartbeater:
         """Publish immediately, then keep publishing until :meth:`stop`."""
         self._publish()
         self._thread = threading.Thread(
-            target=self._loop, name=f"heartbeat-{self.worker}", daemon=True
+            target=self._loop, name=f"heartbeat-{self.workers[0]}",
+            daemon=True,
         )
         self._thread.start()
         return self

@@ -6,7 +6,8 @@ local pool, filesystem queue) asserting the contract spelled out in
 aggregates against a serial baseline, streaming shard/progress
 callbacks, retry healing, degraded-shard accounting parity, and the
 durable-campaign guarantees (checkpointing, resume) holding
-per-executor.  A lane that cannot honor one of these must not ship.
+per-executor -- aggregates, callbacks and resume under both fused-block
+and per-cell dispatch.  A lane that cannot honor one of these must not ship.
 """
 
 import pytest
@@ -27,6 +28,22 @@ SEEDS = (0, 1)
 TOTAL_SHARDS = len(TECHNIQUES) * len(SEEDS)
 
 LANES = ("serial", "pool", "queue")
+
+#: (lane, dispatch) pairs.  The campaigns below run the ``fast`` alias of
+#: the fused engine, so they dispatch one fused block per seed
+#: (``execute_blocks``) unless a retry policy forces per-cell shards
+#: (``execute``); the block case keeps the lane's bare id.
+DISPATCHES = [
+    pytest.param(lane, dispatch, id=lane if dispatch == "blocks" else
+                 f"{lane}-per_cell")
+    for lane in LANES
+    for dispatch in ("blocks", "per_cell")
+]
+
+
+def dispatch_kwargs(dispatch):
+    """Campaign arguments selecting block or per-cell dispatch."""
+    return {"retry": RetryPolicy()} if dispatch == "per_cell" else {}
 
 
 def canonical(aggregates):
@@ -68,13 +85,18 @@ def baseline():
     ))
 
 
-@pytest.mark.parametrize("lane", LANES)
 class TestExecutorContract:
-    def test_bit_identical_aggregates(self, lane, tmp_path, baseline):
+    @pytest.mark.parametrize("lane, dispatch", DISPATCHES)
+    def test_bit_identical_aggregates(
+        self, lane, dispatch, tmp_path, baseline
+    ):
         config = small_test_config(num_banks=2)
-        assert canonical(campaign(config, lane, tmp_path)) == baseline
+        assert canonical(campaign(
+            config, lane, tmp_path, **dispatch_kwargs(dispatch)
+        )) == baseline
 
-    def test_streaming_callbacks(self, lane, tmp_path):
+    @pytest.mark.parametrize("lane, dispatch", DISPATCHES)
+    def test_streaming_callbacks(self, lane, dispatch, tmp_path):
         """Shard and progress callbacks fire per shard as results land,
         and the final progress frame covers the whole grid."""
         config = small_test_config(num_banks=2)
@@ -86,6 +108,7 @@ class TestExecutorContract:
                 (outcome[0], outcome[1], attempts)
             ),
             progress=lambda done, total: frames.append((done, total)),
+            **dispatch_kwargs(dispatch),
         )
         assert sorted((name, seed) for name, seed, _ in landed) == sorted(
             (name, seed) for name in TECHNIQUES for seed in SEEDS
@@ -93,6 +116,7 @@ class TestExecutorContract:
         assert all(attempts == 1 for _, _, attempts in landed)
         assert frames[-1] == (TOTAL_SHARDS, TOTAL_SHARDS)
 
+    @pytest.mark.parametrize("lane", LANES)
     def test_retry_heals_transient_fault(self, lane, tmp_path, baseline):
         """A shard that fails its first attempt only is retried to
         success: aggregates stay bit-identical and nothing degrades."""
@@ -114,6 +138,7 @@ class TestExecutorContract:
         assert counters["campaign.shard_errors"]["value"] == 1
         assert counters["campaign.shard_retries"]["value"] == 1
 
+    @pytest.mark.parametrize("lane", LANES)
     def test_degraded_accounting_parity(self, lane, tmp_path):
         """Exhausted shards degrade identically on every lane: same
         failure record, same degraded seed, same fault counters."""
@@ -148,8 +173,9 @@ class TestExecutorContract:
         ))
         assert healthy == reference
 
-    def test_durable_campaign_and_resume(self, lane, tmp_path):
-        """PR3's durability invariants hold per-executor: shards are
+    @pytest.mark.parametrize("lane, dispatch", DISPATCHES)
+    def test_durable_campaign_and_resume(self, lane, dispatch, tmp_path):
+        """The durability invariants hold per-executor: shards are
         checkpointed as they land, a deleted shard is recomputed on
         resume, and the rebuilt aggregates are bit-identical."""
         config = small_test_config(num_banks=2)
@@ -158,6 +184,7 @@ class TestExecutorContract:
             config, 8, ckpt, techniques=TECHNIQUES, seeds=SEEDS,
             workers=2, engine="fast",
             executor=make_executor(lane, tmp_path),
+            **dispatch_kwargs(dispatch),
         )
         store = CampaignStore(ckpt)
         assert store.status().complete
@@ -166,6 +193,7 @@ class TestExecutorContract:
             config, 8, ckpt, resume=True, techniques=TECHNIQUES,
             seeds=SEEDS, workers=2, engine="fast",
             executor=make_executor(lane, tmp_path / "again"),
+            **dispatch_kwargs(dispatch),
         )
         assert canonical(resumed) == canonical(first)
         assert store.status().complete

@@ -1,12 +1,15 @@
 """Filesystem work-queue: protocol units plus worker-kill integration.
 
-Unit coverage of the on-disk protocol (ticket round trips, atomic
-claim semantics, lease expiry, torn-file quarantine and sweeping,
-self-heal evidence) and the headline integration scenarios from
-``docs/distributed.md``: a leased worker SIGKILLed mid-shard is
-reclaimed via lease expiry and the campaign still finishes
-bit-identical to a single-host pool run, and a queue campaign whose
-*driver* is SIGKILLed resumes bit-identically on another executor.
+Unit coverage of the on-disk protocol (ticket and block-ticket round
+trips, atomic claim semantics, lease expiry, torn-file quarantine and
+sweeping, self-heal evidence, refusal of tickets of another schema)
+and the headline integration scenarios from ``docs/distributed.md``: a
+leased worker SIGKILLed mid-shard is reclaimed via lease expiry and the
+campaign still finishes bit-identical to a single-host pool run, and a
+queue campaign whose *driver* is SIGKILLed resumes bit-identically on
+another executor.  ``TestBlockTickets`` repeats the failure scenarios
+for fused block tickets (one ticket per seed), which a campaign without
+a retry policy, fault injector or tracer publishes.
 """
 
 import json
@@ -24,14 +27,23 @@ from repro.campaign import (
     CampaignStore,
     FaultInjector,
     QueueExecutor,
+    RemoteShardError,
     ShardTicket,
     WorkQueue,
     run_durable_campaign,
     run_worker,
+    write_json_atomic,
 )
 from repro.campaign.faults import FAULT_ENV_VAR
+from repro.campaign.queue import QUEUE_SCHEMA_VERSION
 from repro.config import small_test_config
-from repro.sim.executors import CampaignJob
+from repro.sim.executors import (
+    CampaignJob,
+    ShardOutcome,
+    ShardTimeout,
+    _FusedBlock,
+    _run_block,
+)
 from repro.sim.parallel import RetryPolicy, run_campaign
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -53,6 +65,13 @@ def make_job(config, technique="PARA", seed=0, **kwargs):
     return CampaignJob(
         config=config, technique=technique, seed=seed, total_intervals=8,
         **kwargs,
+    )
+
+
+def make_block(config, techniques=("PARA", "TWiCe"), seed=0, **kwargs):
+    return _FusedBlock(
+        config=config, techniques=tuple(techniques), seed=seed,
+        total_intervals=8, **kwargs,
     )
 
 
@@ -236,6 +255,83 @@ class TestQueueProtocol:
         assert reports[0]["kind"] == "error"
         assert "InjectedFault" in reports[0]["error"]
         assert not list(wq.leases_dir.glob("*.json"))
+
+    def test_block_ticket_round_trips_through_json(self, tmp_path):
+        config = small_test_config(num_banks=2)
+        block = make_block(
+            config, techniques=(None, "PARA"), seed=3, engine="fast",
+            workload_kwargs=(("attack_fraction", 0.5),),
+            collect_metrics=True, collect_spans=True, span_seed="abc",
+        )
+        ticket = ShardTicket.from_block(block, trace="trace-0.npz")
+        assert ticket.shard == "block__s3"
+        assert ticket.shards == ["none__s3", "PARA__s3"]
+        data = json.loads(json.dumps(ticket.as_dict()))
+        assert data["schema_version"] == QUEUE_SCHEMA_VERSION
+        assert data["techniques"] == [None, "PARA"]
+        back = ShardTicket.from_dict(data).to_block(tmp_path)
+        assert back == make_block(
+            config, techniques=(None, "PARA"), seed=3, engine="fast",
+            workload_kwargs=(("attack_fraction", 0.5),),
+            collect_metrics=True, collect_spans=True, span_seed="abc",
+            trace_path=str(tmp_path / "traces" / "trace-0.npz"),
+        )
+
+    def test_worker_runs_a_block_ticket_and_pushes_one_result_per_shard(
+        self, tmp_path
+    ):
+        config = small_test_config(num_banks=2)
+        block = make_block(config, collect_metrics=True)
+        wq = WorkQueue(tmp_path)
+        wq.ensure_layout()
+        wq.publish_ticket(ShardTicket.from_block(block))
+        lines = []
+        assert run_worker(
+            tmp_path, poll_interval=0.01, max_shards=2, log=lines.append,
+        ) == 0
+        assert sum("leased block__s0 (2 shards" in line for line in lines) == 1
+        results = wq.read_results()
+        assert set(results) == {"PARA__s0", "TWiCe__s0"}
+        expected = {
+            outcome[0]: ShardOutcome.from_outcome(outcome).as_dict()
+            for outcome in _run_block(block)
+        }
+        for shard, record in results.items():
+            technique = shard.split("__")[0]
+            assert record["result"]["technique"] == technique
+            assert record["result"] == {
+                **expected[technique]["result"],
+                "wall_seconds": record["result"]["wall_seconds"],
+            }
+            assert record["attempts"] == 1
+        # the block's one metrics registry ships on its first shard only
+        assert results["PARA__s0"]["metrics"] is not None
+        assert results["TWiCe__s0"]["metrics"] is None
+        assert not list(wq.leases_dir.glob("*.json"))  # lease released
+        beats = {
+            beat.worker: beat for beat in wq.status_bus().read_heartbeats()
+        }
+        assert {beats[shard].phase for shard in results} == {"done"}
+
+    def test_worker_refuses_a_ticket_of_another_schema(self, tmp_path):
+        """A ticket written for another queue schema is never run as
+        something else: the worker files a failure report naming both
+        versions instead."""
+        config = small_test_config(num_banks=2)
+        wq = WorkQueue(tmp_path)
+        wq.ensure_layout()
+        path = wq.publish_ticket(ShardTicket.from_job(make_job(config)))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["schema_version"] = 99
+        write_json_atomic(path, data)
+        assert run_worker(tmp_path, poll_interval=0.01, idle_exit=0.2) == 0
+        assert wq.read_results() == {}
+        assert not list(wq.leases_dir.glob("*.json"))
+        assert not list(wq.failed_dir.glob("*.corrupt"))
+        reports = wq.take_failures()
+        assert [report["shard"] for report in reports] == ["PARA__s0"]
+        assert "schema version 99" in reports[0]["error"]
+        assert f"schema version {QUEUE_SCHEMA_VERSION}" in reports[0]["error"]
 
 
 class TestQueueCampaigns:
@@ -441,3 +537,235 @@ class TestQueueCampaigns:
             engine="fast",
         )
         assert canonical(box["aggregates"]) == canonical(reference)
+
+
+class TestBlockTickets:
+    """Queue campaigns that lease one fused block per seed."""
+
+    def test_refused_ticket_surfaces_as_remote_shard_error(self, tmp_path):
+        config = small_test_config(num_banks=2)
+        qdir = tmp_path / "q"
+        wq = WorkQueue(qdir)
+        box = {}
+
+        def drive():
+            try:
+                run_campaign(
+                    config, 8, techniques=TECHNIQUES, seeds=(0,),
+                    engine="fused",
+                    executor=QueueExecutor(
+                        qdir, workers=0, lease_timeout=30.0,
+                        poll_interval=0.05,
+                    ),
+                )
+            except Exception as exc:  # surfaced to the test thread
+                box["error"] = exc
+
+        driver = threading.Thread(target=drive, name="schema-driver")
+        driver.start()
+        try:
+            path = wait_until(
+                lambda: next(iter(wq.tickets_dir.glob("*.json")), None),
+                message="the block ticket to be published",
+            )
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["schema_version"] = 99
+            write_json_atomic(path, data)
+            # drains until the failing campaign raises the stop sentinel
+            run_worker(qdir, poll_interval=0.01, idle_exit=30.0)
+            driver.join(timeout=60)
+            assert not driver.is_alive()
+        finally:
+            wq.request_stop()
+            driver.join(timeout=10)
+        error = box.get("error")
+        assert isinstance(error, RemoteShardError)
+        assert "block__s0" in str(error)
+        assert "schema version 99" in str(error)
+
+    def test_sigkilled_worker_holding_a_block_raises_shard_timeout(
+        self, tmp_path
+    ):
+        """Without a retry policy a dead worker's block is not re-run:
+        its lease expires and the campaign raises ``ShardTimeout``
+        naming the block's shards instead of waiting forever."""
+        config = small_test_config(num_banks=2)
+        qdir = tmp_path / "q"
+        lease_timeout = 2.0
+        box = {}
+
+        def drive():
+            try:
+                run_campaign(
+                    config, 8, techniques=TECHNIQUES, seeds=(0,),
+                    engine="fused",
+                    executor=QueueExecutor(
+                        qdir, workers=0, lease_timeout=lease_timeout,
+                        poll_interval=0.05,
+                    ),
+                )
+            except Exception as exc:  # surfaced to the test thread
+                box["error"] = exc
+                box["raised_at"] = time.monotonic()
+
+        # a real worker loop whose block never finishes, so the kill
+        # always lands while the block lease is held
+        stuck = textwrap.dedent(
+            """
+            import sys, time
+            import repro.campaign.queue as queue
+
+            queue._run_block = lambda block: time.sleep(600)
+            queue.run_worker(sys.argv[1], poll_interval=0.05,
+                             lease_refresh=0.2)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        worker = subprocess.Popen(
+            [sys.executable, "-c", stuck, str(qdir)], env=env,
+            cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        driver = threading.Thread(target=drive, name="block-driver")
+        driver.start()
+        try:
+            bus = WorkQueue(qdir).status_bus()
+
+            def block_holder():
+                beats = {
+                    beat.worker: beat for beat in bus.read_heartbeats()
+                    if beat.phase == "running"
+                }
+                if {"PARA__s0", "TWiCe__s0"} <= set(beats):
+                    return beats["PARA__s0"].pid
+                return None
+
+            pid = wait_until(block_holder,
+                             message="a worker to lease the block")
+            assert pid == worker.pid
+            os.kill(pid, signal.SIGKILL)
+            killed_at = time.monotonic()
+            driver.join(timeout=60)
+            assert not driver.is_alive(), "campaign hung on a dead lease"
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+            worker.wait(timeout=10)
+            WorkQueue(qdir).request_stop()
+            driver.join(timeout=10)
+        error = box.get("error")
+        assert isinstance(error, ShardTimeout)
+        assert "block__s0" in str(error)
+        assert "PARA__s0" in str(error) and "TWiCe__s0" in str(error)
+        assert box["raised_at"] - killed_at < 2 * lease_timeout
+
+    def test_deleted_block_ticket_self_heals(self, tmp_path):
+        config = small_test_config(num_banks=2)
+        qdir = tmp_path / "q"
+        wq = WorkQueue(qdir)
+        box = {}
+
+        def drive():
+            box["aggregates"] = run_campaign(
+                config, 8, techniques=TECHNIQUES, seeds=(0,),
+                engine="fused",
+                executor=QueueExecutor(
+                    qdir, workers=0, lease_timeout=30.0, poll_interval=0.05,
+                ),
+            )
+
+        driver = threading.Thread(target=drive, name="block-heal-driver")
+        driver.start()
+        workers = []
+        try:
+            wait_until(
+                lambda: wq.ticket_path("block__s0").exists(),
+                message="the block ticket to be published",
+            )
+            wq.ticket_path("block__s0").unlink()
+            wait_until(
+                lambda: wq.ticket_path("block__s0").exists(),
+                message="the self-heal pass to re-publish the block",
+            )
+            workers.append(spawn_worker(qdir))
+            driver.join(timeout=120)
+            assert not driver.is_alive()
+        finally:
+            reap(workers, qdir)
+            driver.join(timeout=10)
+        reference = run_campaign(
+            config, 8, techniques=TECHNIQUES, seeds=(0,), workers=0,
+            engine="fused",
+        )
+        assert canonical(box["aggregates"]) == canonical(reference)
+
+    def test_sigkilled_driver_resumes_bit_identical(self, tmp_path):
+        """Kill the runner after one block landed: that block's shards
+        are checkpointed, and a serial resume finishes the other seed
+        bit-identically."""
+        ckpt = tmp_path / "ckpt"
+        qdir = tmp_path / "q"
+        driver = textwrap.dedent(
+            """
+            from repro.campaign import QueueExecutor, run_durable_campaign
+            from repro.config import small_test_config
+
+            run_durable_campaign(
+                small_test_config(num_banks=2),
+                total_intervals=8,
+                checkpoint_dir={ckpt!r},
+                techniques=("PARA", "TWiCe"),
+                seeds=(0, 1),
+                engine="fused",
+                executor=QueueExecutor(
+                    {qdir!r}, workers=0, poll_interval=0.05,
+                ),
+            )
+            """
+        ).format(ckpt=str(ckpt), qdir=str(qdir))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        env.pop(FAULT_ENV_VAR, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", driver], env=env, cwd=REPO_ROOT,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        # one block of two shards, then the worker exits: the other
+        # seed's block stays queued until the driver is killed
+        worker = spawn_worker(qdir, "--max-shards", "2")
+        store = CampaignStore(ckpt)
+        try:
+            def one_block_landed():
+                if proc.poll() is not None:
+                    _, stderr = proc.communicate()
+                    pytest.fail(
+                        "queue campaign exited before being killed:\n"
+                        + stderr.decode("utf-8", "replace")
+                    )
+                return (
+                    store.exists
+                    and len(store.status().completed) == 2
+                )
+
+            wait_until(one_block_landed, message="one block to land")
+            assert worker.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            reap([worker], qdir)
+
+        assert sorted(
+            (name, seed) for name, seed in store.status().completed
+        ) == [("PARA", 0), ("TWiCe", 0)]
+        resumed = run_durable_campaign(
+            small_test_config(num_banks=2), 8, ckpt, resume=True,
+            techniques=TECHNIQUES, seeds=SEEDS, workers=0, engine="fused",
+        )
+        reference = run_campaign(
+            small_test_config(num_banks=2), 8, techniques=TECHNIQUES,
+            seeds=SEEDS, workers=0, engine="fused",
+        )
+        assert canonical(resumed) == canonical(reference)
+        assert store.status().complete

@@ -5,6 +5,7 @@ import pytest
 from repro.config import small_test_config
 from repro.sim.executors import CampaignJob, _run_job
 from repro.sim.parallel import parallel_map, run_campaign
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def _square(value):
@@ -78,6 +79,23 @@ class TestCampaign:
         )
         result = aggregates["PARA"].results[0]
         assert result.normal_activations > 0
+
+    def test_fast_alias_dispatches_fused_blocks(self):
+        """``fast`` names the fused engine, so its campaigns run one grid
+        per seed: the segment counter counts each seed's trace once,
+        not once per cell."""
+        config = small_test_config(num_banks=2)
+
+        def segments(engine):
+            metrics = MetricsRegistry()
+            run_campaign(
+                config, total_intervals=8, techniques=("PARA", "TWiCe"),
+                seeds=(0, 1), include_unmitigated=True, workers=0,
+                engine=engine, metrics=metrics,
+            )
+            return metrics.counters["fused.segments"].value
+
+        assert segments("fast") == segments("fused")
 
 
 class TestParallelMap:

@@ -49,7 +49,7 @@ from repro.campaign.store import CampaignStateError
 from repro.config import SimConfig
 from repro.mitigations.registry import make_factory, resolve_technique
 from repro.rng import derive_seed, stream
-from repro.sim.engine import ENGINE_NAMES, get_engine
+from repro.sim.engine import ENGINE_NAMES, get_engine, is_grid_engine
 from repro.sim.parallel import parallel_map
 from repro.telemetry.progress import ProgressDispatcher
 from repro.telemetry.spans import span_of
@@ -114,10 +114,11 @@ def evaluate_genome(job: EvalJob) -> Dict[str, Any]:
     *and* the genome key, so distinct genomes never share mixing noise
     while reruns of the same genome are reproducible.
 
-    ``engine="fused"`` switches to the many-seeds-per-genome grid
-    evaluation (see :func:`_evaluate_genome_fused`).
+    The fused engine (``engine="fused"`` or its alias ``"fast"``)
+    switches to the many-seeds-per-genome grid evaluation (see
+    :func:`_evaluate_genome_fused`).
     """
-    if job.engine == "fused":
+    if is_grid_engine(job.engine):
         return _evaluate_genome_fused(job)
     run = get_engine(job.engine)
     factory = make_factory(job.technique)
@@ -153,9 +154,10 @@ def _evaluate_genome_fused(job: EvalJob) -> Dict[str, Any]:
     ``run_campaign(trace_path=...)`` already documents, and the point
     of many-seeds-per-genome: fitness variance measures the defense's
     randomness, not the attack's mixing noise.  Fitness values
-    therefore differ from the per-seed-trace engines ("reference",
-    "fast") when ``eval_seeds > 1``; a search checkpoint pins its
-    engine, so the two modes never mix within one search.
+    therefore differ from the per-seed-trace reference engine when
+    ``eval_seeds > 1``; a search checkpoint pins its engine (and its
+    schema version, bumped when ``"fast"`` joined this mode), so the two
+    modes never mix within one search.
     """
     from repro.sim.fused_engine import GridCell, run_simulation_grid
 

@@ -33,8 +33,10 @@ from repro.campaign.store import (
 from repro.config import SimConfig
 from repro.telemetry.manifest import config_as_dict, config_digest
 
-#: bump when the search checkpoint layout changes incompatibly
-SEARCH_SCHEMA_VERSION = 1
+#: bump when the search checkpoint layout changes incompatibly; 2:
+#: ``"fast"`` searches evaluate genomes on the fused grid, as
+#: ``"fused"`` ones do, so a version-1 ``"fast"`` search cannot resume
+SEARCH_SCHEMA_VERSION = 2
 
 SPEC_FILENAME = "adversary.json"
 GENERATION_DIRNAME = "generations"

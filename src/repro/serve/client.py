@@ -211,6 +211,10 @@ class ServeClient:
             raise ServeDisconnected(
                 f"connection to {self.host}:{self.port} lost: {exc}"
             ) from exc
+        if len(line) > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame from {self.host}:{self.port} exceeds MAX_FRAME_BYTES"
+            )
         if not line or not line.endswith(b"\n"):
             return None
         return decode_frame(line)

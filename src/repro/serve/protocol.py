@@ -87,11 +87,16 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one received line into a frame dict.
 
     Raises :class:`ProtocolError` on anything that is not a JSON
-    object with a string ``type``.
+    object with a string ``type``, or longer than ``MAX_FRAME_BYTES``.
     """
+    if len(line) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {len(line)} bytes exceeds MAX_FRAME_BYTES"
+        )
     try:
         frame = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and undecodable UTF-8
         raise ProtocolError(f"malformed frame: {exc}") from exc
     if not isinstance(frame, dict) or not isinstance(frame.get("type"), str):
         raise ProtocolError("frame must be a JSON object with a 'type'")

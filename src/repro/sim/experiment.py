@@ -15,7 +15,7 @@ from repro.config import SimConfig
 from repro.dram.refresh import RefreshPolicy
 from repro.mitigations.registry import make_factory, technique_names
 from repro.rng import derive_seed
-from repro.sim.engine import get_engine
+from repro.sim.engine import get_engine, is_grid_engine
 from repro.sim.metrics import SimResult
 from repro.telemetry.profiler import section_of
 from repro.traces.mixer import paper_mixed_workload
@@ -190,7 +190,7 @@ def compare_techniques(
 
     comparison: Dict[str, TechniqueAggregate] = {}
     telemetry_kwargs = dict(tracer=tracer, metrics=metrics, profiler=profiler)
-    if engine == "fused" and tracer is None:
+    if is_grid_engine(engine) and tracer is None:
         # Grid path: every technique rides one decode+replay of the
         # per-seed trace.  Per-engine tracers are single-cell only, so
         # a tracer falls through to the per-cell loop below.

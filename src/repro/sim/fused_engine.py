@@ -33,12 +33,23 @@ Where the speed comes from
   unmitigated cell's -- and keeps the record position of every refresh
   tick and every flip, plus the largest epoch totals (an *epoch* is the
   span between two restorations of a row).
-* **Decider-only lanes with an action log** -- :func:`_decide` runs
-  one computed cell's deciders, refresh ticks and pending queue and no
-  disturbance counter.  Each applied action is logged with its
-  position: the records and refresh ticks performed before the drain
-  that applies it (before record *k*, or at tick *j* before or after
-  that tick's row refreshes, or after the last tick).
+* **Bank-major decider lanes with an action log** -- deciders never
+  read device state and each bank's decider sees only its own bank's
+  records, so :func:`_decide` runs one computed cell bank by bank: the
+  grid splits its segment list once into per-bank run columns
+  (:class:`_BankRuns`), and each decider takes the refresh ticks and,
+  per interval, one ``decide_chunk`` call for its bank's runs.  The
+  banks' actions are then merged into the order the inline lane's
+  pending queue applies them, each logged with its position: the
+  records and refresh ticks performed before the drain that applies it
+  (before record *k*, or at tick *j* before or after that tick's row
+  refreshes, or after the last tick).  No disturbance counter runs.
+* **Event skipping** -- a draw-driven decider states a probability
+  *ceiling* that none of its decisions can reach, and its
+  ``decide_chunk`` jumps between the few draws below it, rebuilding its
+  state there from the records in between (see
+  :mod:`repro.sim.deciders`, which holds the deciders and that
+  contract).  A decider without a ceiling steps every run.
 * **Per-lane resolution** -- :func:`_resolve` expands a lane's log into
   row restorations and neighbour increments, indexes the activation
   runs of just the rows involved (one scan, typed arrays), and
@@ -90,9 +101,9 @@ Where the speed comes from
   to the requested cells with the ``seed`` field fixed up.
 
 Per-cell RNG streams derive from ``derive_seed(seed, "mitigation",
-bank)`` exactly like the reference.  numpy is optional: without it every
-scan falls back to the scalar loop (identical results, reduced
-throughput).
+bank)`` exactly like the reference.  numpy is optional: without it the
+deciders' draw scans fall back to scalar loops (identical results,
+reduced throughput).
 """
 
 from __future__ import annotations
@@ -102,56 +113,32 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import itemgetter, sub
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the long draw scans; the scalar fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 from repro.config import DRAMGeometry, SimConfig
 from repro.controller.controller import MitigationFactory
-from repro.core.capromi import CaPRoMi
-from repro.core.tivapromi import LiPRoMi, LoLiPRoMi, LoPRoMi, TiVaPRoMiBase
-from repro.core.weights import linear_weight, log_weight, trigger_probability
 from repro.dram.disturbance import FlipEvent
 from repro.dram.refresh import RefreshPolicy, SequentialRefresh
 from repro.dram.remap import RemappedGeometry
 from repro.mitigations.base import (
     ActivateNeighbors,
-    Mitigation,
     RecoveryRefresh,
     RefreshRow,
 )
-from repro.mitigations.cra import CRA
-from repro.mitigations.mrloc import MRLoc
-from repro.mitigations.para import PARA
-from repro.mitigations.prohit import ProHit
 from repro.mitigations.registry import (
     make_factory,
     resolve_technique,
     technique_class,
 )
-from repro.mitigations.twice import TWiCe, _Entry
 from repro.rng import derive_seed
+from repro.sim.deciders import _BankRuns, _column, _make_decider
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.profiler import section_of
 from repro.traces.record import Trace, TraceMeta
 
-#: block size of the pre-drawn ``random()`` buffers
-_BLOCK = 4096
-#: PARA's block: a trigger rewinds and replays the block's consumed
-#: draws, so a modest block keeps that replay cheap
-_PARA_BLOCK = 256
-#: draw scans shorter than this stay scalar: numpy's ~2.5 us per-call
-#: cost outweighs the vectorised compare on short runs.  Measured on a
-#: 2-core x86-64 VM (CPython 3.11, numpy 2.4) for a full scan with no
-#: hit, scalar vs numpy: 1.1 vs 2.5 us at 32 draws, 2.3 vs 2.3 us at
-#: 64, 6.2 vs 2.5 us at 128
-_SCAN_MIN = 64
 #: minimum number of empty intervals before the span short-circuit is
 #: cheaper than ticking through them
 _SKIP_THRESHOLD = 4
@@ -288,786 +275,6 @@ def _segments(trace: Trace) -> Iterator[Segment]:
             times.append(time_ns)
     if times:
         yield (times, bank, row, attack, interval)
-
-
-# ---------------------------------------------------------------------------
-# deciders: the per-bank mitigation state a lane drives
-# ---------------------------------------------------------------------------
-
-
-class _GenericDecider:
-    """Adapter driving a real :class:`Mitigation` object.
-
-    Used for techniques without a specialised decider (any user-supplied
-    factory): decisions are made by the reference implementation itself,
-    so equivalence is by construction; records replay one at a time.
-    """
-
-    __slots__ = ("mitigation", "trivial_refresh")
-
-    def __init__(self, mitigation: Mitigation):
-        self.mitigation = mitigation
-        # a mitigation that inherits the base no-op on_refresh has no
-        # refresh-time state at all, so empty intervals can be skipped
-        self.trivial_refresh = (
-            type(mitigation).on_refresh is Mitigation.on_refresh
-        )
-
-    def attach_telemetry(self, telemetry) -> None:
-        # the wrapped reference mitigation owns the technique hooks
-        self.mitigation.telemetry = telemetry
-
-    @property
-    def name(self) -> str:
-        return self.mitigation.name
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return getattr(self.mitigation, "table_occupancy", None)
-
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
-    def on_refresh(self, interval: int):
-        return self.mitigation.on_refresh(interval)
-
-    def clear_window(self) -> None:
-        # only reachable when trivial_refresh, i.e. on_refresh is the
-        # stateless base no-op: nothing to clear
-        pass
-
-
-class _RunMethodDecider(_GenericDecider):
-    """Run-batching adapter for techniques exposing ``observe_run``.
-
-    A technique that can consume a run of identical activations in one
-    step (the modern counter families) implements
-    ``observe_run(row, interval, count) -> (clean, actions)`` with the
-    same contract as ``decide_run``; this adapter simply forwards,
-    keeping the batching arithmetic inside the technique module while
-    decisions remain the reference object's own.
-    """
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        return self.mitigation.observe_run(row, interval, count)
-
-
-class _NumpyScanMixin:
-    """Lazy numpy mirror of a pre-drawn ``random()`` block."""
-
-    __slots__ = ()
-
-    def _mirror(self):
-        buf = self._buf
-        if self._arr_src is not buf:
-            self._arr = _np.asarray(buf)
-            self._arr_src = buf
-        return self._arr
-
-
-class _TiVaPRoMiDecider(_NumpyScanMixin):
-    """LiPRoMi / LoPRoMi / LoLiPRoMi.
-
-    Mirrors :class:`TiVaPRoMiBase` exactly: one ``random()`` per
-    activation (bulk-drawn), the FIFO history table as an
-    insertion-ordered dict, and per-interval ``slot -> probability``
-    vectors computed with :func:`trigger_probability`.
-    """
-
-    __slots__ = (
-        "name", "mitigation", "weighting", "pbase", "capacity", "refint",
-        "slot_fn", "_rand", "_buf", "_pos", "_arr", "_arr_src", "table",
-        "_slots", "_slot_p", "_p_interval", "telemetry",
-    )
-
-    trivial_refresh = True
-
-    def __init__(self, mitigation: TiVaPRoMiBase):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-        self.weighting = type(mitigation).weighting
-        self.pbase = mitigation.pbase
-        self.capacity = mitigation.history.capacity
-        self.refint = mitigation.refint
-        self.slot_fn = mitigation.refresh_slot_fn
-        # block-buffered random(): the k-th Mersenne-Twister draw is the
-        # same value whether taken eagerly or pre-drawn, and this
-        # mitigation never interleaves other generator calls
-        self._rand = mitigation._rng.random
-        self._buf: List[float] = []
-        self._pos = 0
-        self._arr = None
-        self._arr_src = None
-        #: FIFO history-table mirror: dict preserves insertion order,
-        #: in-place update keeps position, eviction removes the oldest
-        self.table: Dict[int, int] = {}
-        self._slots: Dict[int, int] = {}
-        self._slot_p: Dict[int, float] = {}
-        self._p_interval: Optional[int] = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self) -> int:
-        return len(self.table)
-
-    def _refill(self) -> List[float]:
-        rand = self._rand
-        buf = self._buf = [rand() for _ in range(_BLOCK)]
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
-        return buf
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        draw = buf[pos]
-        self._pos = pos + 1
-        p = self._probability(row, interval)
-        if draw >= p:
-            return ()
-        return self._record_trigger(row, interval)
-
-    def _probability(self, row: int, interval: int) -> float:
-        """Current trigger probability of *row* (no draw consumed).
-
-        The weight of a row not in the history table depends only on
-        its refresh slot, so those probabilities are cached as a
-        per-interval ``slot -> p`` vector built lazily from
-        :func:`trigger_probability`.  Table hits inline the same Eq. 1 /
-        Eq. 2 arithmetic (both the stored and the current interval are
-        window-relative by construction, so the reference's range
-        validation cannot fire).
-        """
-        window_now = interval % self.refint
-        stored = self.table.get(row)
-        if stored is None:
-            if interval != self._p_interval:
-                self._p_interval = interval
-                self._slot_p = {}
-            slot = self._slots.get(row)
-            if slot is None:
-                slot = self._slots[row] = self.slot_fn(row)
-            p = self._slot_p.get(slot)
-            if p is None:
-                p = self._slot_p[slot] = trigger_probability(
-                    window_now, slot, self.refint, self.pbase,
-                    self.weighting, in_table=False,
-                )
-            return p
-        weight = window_now - stored
-        if weight < 0:
-            weight += self.refint
-        if self.weighting == "log":
-            weight = 1 << weight.bit_length()
-        p = weight * self.pbase
-        return p if p < 1.0 else 1.0
-
-    def _weight_of(self, row: int, interval: int, hit: bool) -> int:
-        """Effective (uncapped) weight, telemetry only -- never on the
-        decision path, which uses the cached :meth:`_probability`."""
-        window_now = interval % self.refint
-        if hit:
-            weight = window_now - self.table[row]
-            if weight < 0:
-                weight += self.refint
-            # a history hit is weighted linearly except under pure 'log'
-            return log_weight(weight) if self.weighting == "log" else weight
-        slot = self._slots.get(row)
-        if slot is None:
-            slot = self._slots[row] = self.slot_fn(row)
-        weight = linear_weight(window_now, slot, self.refint)
-        # both 'log' and 'loli' quantise rows missing from the table
-        return weight if self.weighting == "linear" else log_weight(weight)
-
-    def _record_trigger(self, row: int, interval: int):
-        table = self.table
-        telemetry = self.telemetry
-        if telemetry is not None:
-            hit = row in table
-            telemetry.on_trigger_weight(
-                self.mitigation.bank, row, interval,
-                self._weight_of(row, interval, hit), hit,
-            )
-        if row in table:
-            table[row] = interval % self.refint
-        else:
-            if len(table) >= self.capacity:
-                oldest = next(iter(table))
-                del table[oldest]
-                if telemetry is not None:
-                    telemetry.on_history_evict(
-                        self.mitigation.bank, oldest, interval
-                    )
-            table[row] = interval % self.refint
-        return (ActivateNeighbors(row=row),)
-
-    def decide_run(self, row: int, interval: int, count: int):
-        """Decide *count* consecutive activations of *row* in one go.
-
-        Returns ``(clean, actions)``: ``clean`` is the number of
-        non-trigger decisions before the first trigger.  ``clean ==
-        count`` means no trigger (exactly *count* draws consumed);
-        otherwise ``clean + 1`` draws were consumed and *actions* is the
-        trigger's action tuple.  Exact because the probability of a row
-        is constant between triggers within one interval and the draws
-        are a fixed pre-buffered sequence.
-        """
-        p = self._probability(row, interval)
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        while clean < count:
-            if pos >= len(buf):
-                buf = self._refill()
-                pos = 0
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            if p > 0.0:
-                if _np is not None and end - pos >= _SCAN_MIN:
-                    hits = _np.flatnonzero(self._mirror()[pos:end] < p)
-                    hit = pos + int(hits[0]) if hits.size else end
-                else:
-                    hit = pos
-                    while hit < end and buf[hit] >= p:
-                        hit += 1
-                if hit < end:
-                    self._pos = hit + 1
-                    return clean + hit - pos, self._record_trigger(row, interval)
-            clean += end - pos
-            pos = end
-        self._pos = pos
-        return count, ()
-
-    def on_refresh(self, interval: int):
-        if interval % self.refint == 0:
-            self.table.clear()
-        return ()
-
-    def clear_window(self) -> None:
-        self.table.clear()
-
-
-class _PARADecider:
-    """PARA: buffered draws, cached assumed adjacency.
-
-    Implements the same rewind-on-interleave protocol as
-    :class:`repro.rng.BufferedRandom` with the buffer inlined as plain
-    fields: a trigger's ``randrange`` must consume the generator right
-    after the draws handed out so far, so the generator is restored to
-    the block's start state and the consumed draws are replayed.
-    """
-
-    __slots__ = (
-        "name", "mitigation", "probability", "_rng", "_buf", "_pos",
-        "_state", "geometry", "_neighbors", "telemetry",
-    )
-
-    trivial_refresh = True
-
-    def __init__(self, mitigation: PARA):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-        self.probability = mitigation.probability
-        self._rng = mitigation._rng
-        self._buf: List[float] = []
-        self._pos = 0
-        self._state: object = None
-        self.geometry = mitigation.config.geometry
-        self._neighbors: Dict[int, Tuple[int, ...]] = {}
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return None  # PARA is stateless
-
-    def _refill(self) -> List[float]:
-        rng = self._rng
-        self._state = rng.getstate()
-        rand = rng.random
-        buf = self._buf = [rand() for _ in range(_PARA_BLOCK)]
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _PARA_BLOCK)
-        return buf
-
-    def _trigger(self, row: int, consumed: int):
-        """Rewind to the block start, replay *consumed* draws, then take
-        the trigger's ``randrange`` exactly where the reference does."""
-        rng = self._rng
-        rng.setstate(self._state)
-        for _ in range(consumed):
-            rng.random()
-        self._buf = []
-        self._pos = 0
-        neighbors = self._neighbors.get(row)
-        if neighbors is None:
-            neighbors = self._neighbors[row] = self.geometry.assumed_neighbors(row)
-        victim = neighbors[rng.randrange(len(neighbors))]
-        return (RefreshRow(row=victim, trigger_row=row),)
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        draw = buf[pos]
-        pos += 1
-        self._pos = pos
-        if draw >= self.probability:
-            return ()
-        return self._trigger(row, pos)
-
-    def decide_run(self, row: int, interval: int, count: int):
-        """Bulk-decide *count* consecutive activations (see
-        :meth:`_TiVaPRoMiDecider.decide_run` for the contract)."""
-        p = self.probability
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        while clean < count:
-            if pos >= len(buf):
-                buf = self._refill()
-                pos = 0
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            base = pos
-            while pos < end:
-                if buf[pos] < p:
-                    return clean + pos - base, self._trigger(row, pos + 1)
-                pos += 1
-            clean += end - base
-        self._pos = pos
-        return count, ()
-
-    def on_refresh(self, interval: int):
-        return ()
-
-    def clear_window(self) -> None:
-        pass
-
-
-class _BufferedVictimDecider(_NumpyScanMixin):
-    """Shared plumbing for the ProHit / MRLoc deciders.
-
-    Owns *every* draw of the wrapped mitigation's RNG stream through a
-    pre-filled block buffer (the mitigations only ever call ``random()``,
-    so eager block draws preserve the exact sequence), plus the cached
-    assumed-neighbour lookups.
-    """
-
-    __slots__ = (
-        "mitigation", "telemetry", "name", "_rand", "_buf", "_arr",
-        "_arr_src", "_pos", "_victims",
-    )
-
-    def __init__(self, mitigation: Mitigation):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-        self._rand = mitigation._rng.random
-        self._buf: List[float] = []
-        self._arr = None
-        self._arr_src = None
-        self._pos = 0
-        self._victims: Dict[int, Tuple[int, ...]] = {}
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self.mitigation.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return getattr(self.mitigation, "table_occupancy", None)
-
-    def _refill(self) -> None:
-        rand = self._rand
-        self._buf = [rand() for _ in range(_BLOCK)]
-        self._pos = 0
-        self._arr_src = None
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
-
-    def _draw(self) -> float:
-        if self._pos >= len(self._buf):
-            self._refill()
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-    def _neighbors(self, row: int) -> Tuple[int, ...]:
-        victims = self._victims.get(row)
-        if victims is None:
-            victims = self._victims[row] = (
-                self.mitigation.config.geometry.assumed_neighbors(row)
-            )
-        return victims
-
-    def clear_window(self) -> None:
-        # only reachable for trivial_refresh deciders, whose reference
-        # counterpart keeps its state across window boundaries
-        pass
-
-
-class _ProHitDecider(_BufferedVictimDecider):
-    """ProHit with run batching.
-
-    ``on_activation`` never issues actions (all ProHit refreshes come
-    from ``on_refresh``), so a run always decides clean.  Acts are
-    replayed scalar until the hot/cold tables reach a fixed point; the
-    remaining acts then consume ``len(missing)`` draws each against the
-    constant insert probability and are scanned in bulk for the first
-    successful insertion.
-    """
-
-    __slots__ = ()
-
-    trivial_refresh = False  # ProHit refreshes its top hot entry per ref
-
-    def _observe(self, victim: int, trigger_row: int) -> None:
-        # exact port of ProHit._observe_victim with buffered draws
-        m = self.mitigation
-        m._trigger[victim] = trigger_row
-        hot = m._hot
-        if victim in hot:
-            index = hot.index(victim)
-            if index > 0:
-                hot[index - 1], hot[index] = hot[index], hot[index - 1]
-            return
-        cold = m._cold
-        if victim in cold:
-            index = cold.index(victim)
-            if index == 0:
-                m._promote(victim)
-            else:
-                cold[index - 1], cold[index] = cold[index], cold[index - 1]
-            return
-        if self._draw() < m.insert_probability:
-            if len(cold) >= m.cold_entries:
-                dropped = cold.pop()
-                m._trigger.pop(dropped, None)
-            cold.append(victim)
-
-    def on_activation(self, row: int, interval: int):
-        for victim in self._neighbors(row):
-            self._observe(victim, row)
-        return ()
-
-    def on_refresh(self, interval: int):
-        return self.mitigation.on_refresh(interval)  # draw-free
-
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        victims = self._neighbors(row)
-        hot = m._hot
-        cold = m._cold
-        p = m.insert_probability
-        i = 0
-        while i < count:
-            before = (tuple(hot), tuple(cold))
-            for victim in victims:
-                self._observe(victim, row)
-            i += 1
-            if i >= count:
-                break
-            if (tuple(hot), tuple(cold)) != before:
-                continue
-            # Fixed point: the previous act changed nothing, so every
-            # further act is identical until an insertion draw succeeds.
-            missing = 0
-            for victim in victims:
-                if victim not in hot and victim not in cold:
-                    missing += 1
-            if missing == 0:
-                # no draws at all -> pure no-ops (the _trigger writes
-                # are idempotent re-assignments of the same value)
-                i = count
-                break
-            if _np is None:
-                continue  # scalar path stays exact, just slower
-            # consume whole clean acts from the current block; the act
-            # containing the first success (or straddling a block
-            # boundary) is replayed scalar at the top of the loop
-            while i < count:
-                if self._pos >= len(self._buf):
-                    self._refill()
-                avail = (len(self._buf) - self._pos) // missing
-                span = min(avail, count - i)
-                if span <= 0:
-                    break
-                start = self._pos
-                stop = start + span * missing
-                hits = _np.flatnonzero(self._mirror()[start:stop] < p)
-                if hits.size:
-                    clean_acts = int(hits[0]) // missing
-                    self._pos = start + clean_acts * missing
-                    i += clean_acts
-                    break
-                self._pos = stop
-                i += span
-        return count, ()
-
-
-class _MRLocDecider(_BufferedVictimDecider):
-    """MRLoc with run batching.
-
-    Every victim lookup draws exactly once, so a run consumes a fixed
-    number of draws per act.  Once the recency queue reaches its steady
-    cycle (one scalar act leaves it unchanged) the per-victim
-    probabilities are constant and the draws are scanned in bulk for the
-    first refresh trigger.
-    """
-
-    __slots__ = ()
-
-    trivial_refresh = True  # MRLoc inherits the no-op on_refresh
-
-    def _probabilities(self, victims: Tuple[int, ...], queue) -> List[float]:
-        """Per-victim probabilities of one act, advancing *queue* as the
-        reference's recency update does."""
-        m = self.mitigation
-        base = m.base_probability
-        boost = m.max_boost
-        pattern = []
-        for victim in victims:
-            length = len(queue)
-            probability = base
-            if length:
-                try:
-                    position = list(queue).index(victim)
-                except ValueError:
-                    position = -1
-                if position >= 0:
-                    recency = (position + 1) / length
-                    probability = base * (1.0 + (boost - 1.0) * recency)
-                    if probability > 1.0:
-                        probability = 1.0
-            pattern.append(probability)
-            if victim in queue:
-                queue.remove(victim)
-            queue.append(victim)
-        return pattern
-
-    def _act(self, row: int, victims: Tuple[int, ...]):
-        # exact port of MRLoc.on_activation with buffered draws: no
-        # probability depends on a draw, so fixing the act's
-        # probabilities (and queue) first leaves every decision unchanged
-        actions = None
-        for victim, probability in zip(
-            victims, self._probabilities(victims, self.mitigation._queue)
-        ):
-            if self._draw() < probability:
-                if actions is None:
-                    actions = []
-                actions.append(RefreshRow(row=victim, trigger_row=row))
-        return tuple(actions) if actions else ()
-
-    def on_activation(self, row: int, interval: int):
-        return self._act(row, self._neighbors(row))
-
-    def on_refresh(self, interval: int):
-        return ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        victims = self._neighbors(row)
-        queue = self.mitigation._queue
-        width = len(victims)
-        i = 0
-        while i < count:
-            before = tuple(queue)
-            actions = self._act(row, victims)
-            i += 1
-            if actions:
-                return i - 1, actions
-            if i >= count:
-                break
-            if tuple(queue) != before:
-                continue
-            if _np is None:
-                continue
-            # steady state: one act leaves the queue as it was
-            pattern = _np.asarray(self._probabilities(victims, list(queue)))
-            # consume whole clean acts; the act containing the first
-            # trigger draw (or straddling a block) replays scalar above
-            while i < count:
-                if self._pos >= len(self._buf):
-                    self._refill()
-                avail = (len(self._buf) - self._pos) // width
-                span = min(avail, count - i)
-                if span <= 0:
-                    break
-                start = self._pos
-                stop = start + span * width
-                window = self._mirror()[start:stop].reshape(span, width)
-                hits = _np.flatnonzero((window < pattern).ravel())
-                if hits.size:
-                    clean_acts = int(hits[0]) // width
-                    self._pos = start + clean_acts * width
-                    i += clean_acts
-                    break
-                self._pos = stop
-                i += span
-        return count, ()
-
-
-class _TableDecider:
-    """Shared plumbing for the draw-free table deciders (TWiCe, CRA,
-    CaPRoMi): decisions delegate to the real mitigation object, runs
-    collapse into one arithmetic update on its tables."""
-
-    __slots__ = ("mitigation", "telemetry", "name")
-
-    trivial_refresh = False  # all three mutate state on every ``ref``
-
-    def __init__(self, mitigation: Mitigation):
-        self.mitigation = mitigation
-        self.telemetry = None
-        self.name = mitigation.name
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self.mitigation.telemetry = telemetry
-
-    @property
-    def table_bytes(self) -> int:
-        return self.mitigation.table_bytes
-
-    @property
-    def table_occupancy(self):
-        return getattr(self.mitigation, "table_occupancy", None)
-
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
-    def on_refresh(self, interval: int):
-        return self.mitigation.on_refresh(interval)
-
-    def clear_window(self) -> None:  # pragma: no cover - non-trivial refresh
-        pass
-
-
-class _TWiCeDecider(_TableDecider):
-    """TWiCe run batching: a counter either stays below the trigger
-    threshold for the whole run (one ``+= n``) or crosses it at an
-    arithmetically recoverable act."""
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        table = m._table
-        entry = table.get(row)
-        if entry is None:
-            entry = _Entry()
-            table[row] = entry
-            if len(table) > m.max_occupancy:
-                m.max_occupancy = len(table)
-        need = m.trigger_threshold - entry.count
-        if need > count:
-            entry.count += count
-            return count, ()
-        entry.count = 0
-        return need - 1, (ActivateNeighbors(row=row),)
-
-
-class _CRADecider(_TableDecider):
-    """CRA run batching (same arithmetic as TWiCe, sparse counters)."""
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        counters = m._counters
-        current = counters.get(row, 0)
-        need = m.trigger_threshold - current
-        if need > count:
-            counters[row] = current + count
-            return count, ()
-        counters.pop(row, None)
-        return need - 1, (ActivateNeighbors(row=row),)
-
-
-class _CaPRoMiDecider(_TableDecider):
-    """CaPRoMi run batching.
-
-    Activations only observe (no draws, no actions): the first
-    observation of a run inserts/evicts exactly like the reference, the
-    rest collapse into one count update.  The history link is constant
-    across the run (the history table only changes at ``ref``) and
-    re-assignments are idempotent.
-    """
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        link = m.history.lookup_index(row)
-        entry = m.counters.observe(row, history_link=link)
-        if count > 1:
-            if entry is None:
-                # table full of locked entries: every further observe of
-                # this row drops too (no draws -- nothing is unlocked)
-                m.counters.dropped += count - 1
-            else:
-                entry.count += count - 1
-                if entry.count >= m.counters.lock_threshold:
-                    entry.locked = True
-        return count, ()
-
-
-#: the specialised decider of each paper technique (exact type match)
-_DECIDERS = {
-    LiPRoMi: _TiVaPRoMiDecider,
-    LoPRoMi: _TiVaPRoMiDecider,
-    LoLiPRoMi: _TiVaPRoMiDecider,
-    PARA: _PARADecider,
-    ProHit: _ProHitDecider,
-    MRLoc: _MRLocDecider,
-    TWiCe: _TWiCeDecider,
-    CRA: _CRADecider,
-    CaPRoMi: _CaPRoMiDecider,
-}
-
-
-def _make_decider(mitigation: Mitigation):
-    decider = _DECIDERS.get(type(mitigation))
-    if decider is not None:
-        return decider(mitigation)
-    if hasattr(mitigation, "observe_run"):
-        # modern counter families batch runs through their own
-        # observe_run arithmetic (same contract as decide_run)
-        return _RunMethodDecider(mitigation)
-    # unknown techniques run as real Mitigation objects: equivalence by
-    # construction, per-record replay (no run batching)
-    return _GenericDecider(mitigation)
 
 
 # ---------------------------------------------------------------------------
@@ -1515,8 +722,8 @@ class _Device:
 
     __slots__ = (
         "segments", "policy", "neighbors_of", "threshold", "records",
-        "attacks", "ticks", "flips", "flip_records", "top", "truncated",
-        "starts", "activations", "slot_map",
+        "attacks", "ticks", "tick_attacks", "flips", "flip_records", "top",
+        "truncated", "starts", "activations", "slot_map",
     )
 
     def __init__(self, segments, policy, neighbors_of, threshold):
@@ -1528,6 +735,8 @@ class _Device:
         self.attacks = 0
         #: ``ticks[j]`` is ``r_j``, the number of records before tick *j*
         self.ticks = array("q")
+        #: the attack records among them
+        self.tick_attacks = array("q")
         #: per bank: base flips in event order, and the record of each
         self.flips: List[List[FlipEvent]] = []
         self.flip_records: List[List[int]] = []
@@ -1536,7 +745,7 @@ class _Device:
         #: whether smaller epochs than the last of :attr:`top` were dropped
         self.truncated = False
         #: the segments' first record indices, plus the record count
-        self.starts: Optional[array] = None
+        self.starts = array("q")
         #: ``key -> (run start records, cumulative run lengths)`` of
         #: indexed rows
         self.activations: Dict[int, Tuple[array, array]] = {}
@@ -1569,9 +778,7 @@ class _Device:
         """Index the activation runs of the rows *keys* (``bank *
         rows_per_bank + row``) in one scan over the segments."""
         rows_per_bank = self.policy.geometry.rows_per_bank
-        self.starts = starts = array("q", accumulate(
-            map(len, map(itemgetter(0), self.segments)), initial=0
-        ))
+        starts = self.starts
         # typed arrays, not int lists: on a small bank every row may be
         # indexed, and the index then spans the whole trace
         found = {key: array("q") for key in keys}
@@ -1729,6 +936,7 @@ def _device_pass(
     neighbors_of, _second, refresh_rows_of = caches
     device = _Device(segments, policy, neighbors_of, threshold)
     ticks = device.ticks
+    tick_attacks = device.tick_attacks
     counters: List[Dict[int, int]] = [{} for _ in range(geometry.num_banks)]
     device.flips = bank_flips = [[] for _ in counters]
     device.flip_records = flip_records = [[] for _ in counters]
@@ -1757,6 +965,7 @@ def _device_pass(
         nonlocal current_interval
         current_interval += 1
         ticks.append(records)
+        tick_attacks.append(attacks)
         slot = current_interval % refint
         rows = refresh_rows_of.get(slot)
         if rows is None:
@@ -1785,6 +994,7 @@ def _device_pass(
         first = current_interval + 1
         for _ in range(first, target + 1):
             ticks.append(records)
+            tick_attacks.append(attacks)
         whole = target - current_interval >= refint
         lo = first % refint
         hi = target % refint
@@ -1856,26 +1066,120 @@ def _device_pass(
         tele.finish(records, attacks)
     device.records = records
     device.attacks = attacks
+    device.starts = array("q", accumulate(
+        map(len, map(itemgetter(0), segments)), initial=0
+    ))
     device.top = sorted(heap, reverse=True)
     device.truncated = truncated
     return device
 
 
+def _bank_runs(
+    segments: List[Segment], starts: array, ticks: array, num_banks: int
+) -> List[_BankRuns]:
+    """Split the segment list into per-bank run columns, once per grid.
+
+    *starts* are the segments' first records, *ticks* the records
+    before each refresh tick.
+    """
+    if num_banks == 1:
+        members: List[Optional[List[int]]] = [None]
+    else:
+        bank_of = list(map(itemgetter(1), segments))
+        order = sorted(range(len(segments)), key=bank_of.__getitem__)
+        members = []
+        for bank in range(num_banks):
+            members.append(order[:bank_of.count(bank)])
+            del order[:len(members[-1])]
+    banks = []
+    for indices in members:
+        runs = _BankRuns()
+        runs.lookups = None
+        if indices is None:
+            picked: Sequence[Segment] = segments
+            runs.starts = starts
+        else:
+            picked = list(map(segments.__getitem__, indices))
+            runs.starts = _column(map(starts.__getitem__, indices))
+        count = len(picked)
+        runs.rows = _column(map(itemgetter(2), picked))
+        runs.ends = _column(accumulate(
+            map(len, map(itemgetter(0), picked)), initial=0
+        ))
+        runs.chunks = {}
+        lo = 0
+        for interval in range(len(ticks)):
+            hi = bisect_left(
+                runs.starts, ticks[interval + 1], lo, count
+            ) if interval + 1 < len(ticks) else count
+            if hi > lo:
+                runs.chunks[interval] = (lo, hi)
+            lo = hi
+        attack = list(compress(range(count), map(itemgetter(3), picked)))
+        attack.reverse()  # so that a row's first attack run is kept
+        runs.attacks = dict(zip(
+            map(runs.rows.__getitem__, attack),
+            map(runs.starts.__getitem__, attack),
+        ))
+        banks.append(runs)
+    return banks
+
+
+#: the steps of a lane's schedule: a refresh tick the lane runs, a span
+#: of ticks it skips, an interval's chunk of runs
+_TICK, _SKIP, _CHUNK = range(3)
+
+
+def _schedule(active: List[int], last: int, trivial: bool, refint: int) -> List[Tuple]:
+    """The inline lane's refresh ticks and chunks, in order.
+
+    *active* lists the intervals with records, *last* is the final
+    tick.  Steps are ``(_TICK, j)``, ``(_SKIP, first, target,
+    boundary)`` -- the span is skipped in one step, as the inline
+    lane's ``advance_to`` does when every decider's refresh is
+    decision-free (*trivial*); *boundary* says a window boundary lies
+    inside it -- and ``(_CHUNK, interval)``.
+    """
+    steps: List[Tuple] = []
+    current = -1
+    for target, chunk in [(interval, True) for interval in active] + [(last, False)]:
+        if not trivial or target - current <= _SKIP_THRESHOLD:
+            while current < target:
+                current += 1
+                steps.append((_TICK, current))
+        else:
+            first = current + 1
+            boundary = target - current >= refint or (
+                first % refint > target % refint or first % refint == 0
+            )
+            steps.append((_SKIP, first, target, boundary))
+            current = target
+        if chunk:
+            steps.append((_CHUNK, target))
+    return steps
+
+
 def _decide(
     plan: _Plan,
     policy: RefreshPolicy,
-    segments: List[Segment],
+    banks: List[_BankRuns],
+    device: "_Device",
     meta: TraceMeta,
-    caches: Tuple[Dict, Dict, Dict],
     tele,
 ) -> Tuple[SimResult, List[Tuple[int, int, int, int, Tuple[int, ...]]]]:
-    """Run one lane's deciders, refresh ticks and pending queue only.
+    """Run one lane's deciders bank by bank and log its actions.
 
-    The inline lane (:func:`_replay`) without its disturbance counters:
-    every applied action is counted and logged at its position as
-    ``(kb, tb, time_ns, bank, rows)``, *rows* being the rows it
-    activates, instead of being applied.  The
-    result's ``flips`` and ``max_disturbance`` are left for
+    Deciders never read device state, and a bank's decider sees only
+    that bank's records and the refresh ticks, so a lane decides one
+    bank at a time: each tick with ``on_refresh`` (a skipped span with
+    ``clear_window``), each interval's runs with one ``decide_chunk``
+    call.  The actions are then merged in the order the inline lane
+    (:func:`_replay`) applies them, without applying them: each is
+    counted and logged at its drain position as ``(kb, tb, time_ns,
+    bank, rows)``, *rows* being the rows it activates.  A record's
+    actions drain before the next record, or at the next tick if that
+    comes first; a tick's actions right after that tick's refreshes.
+    The result's ``flips`` and ``max_disturbance`` are left for
     :func:`_resolve`.
     """
     started = time.perf_counter()
@@ -1890,177 +1194,123 @@ def _decide(
     if tele is not None:
         for decider in deciders:
             decider.attach_telemetry(tele)
-    neighbors_of = caches[0]
-    refint = geometry.refint
-    interval_ns = meta.interval_ns
-    all_trivial = all(decider.trivial_refresh for decider in deciders)
-    can_batch = all(hasattr(decider, "decide_run") for decider in deciders)
-    aggressors: List[set] = [set() for _ in deciders]
+    ticks = device.ticks
+    records = device.records
+    steps = _schedule(
+        sorted(set().union(*(runs.chunks for runs in banks))),
+        meta.total_intervals - 1,
+        all(decider.trivial_refresh for decider in deciders),
+        geometry.refint,
+    )
+    occupancy: List[List] = [[] for _ in ticks] if tele is not None else []
+    #: ``(kb, tb, bank, queued at tick, time_ns, was_attack, action)``
+    queued: List[Tuple] = []
+    for bank, (decider, runs) in enumerate(zip(deciders, banks)):
+        attacks = runs.attacks
+        for step in steps:
+            kind = step[0]
+            if kind == _CHUNK:
+                interval = step[1]
+                chunk = runs.chunks.get(interval)
+                if chunk is None:
+                    continue
+                following = (
+                    ticks[interval + 1] if interval + 1 < len(ticks) else records
+                )
+                for record, actions in decider.decide_chunk(
+                    runs, chunk[0], chunk[1], interval
+                ):
+                    k = runs.record(record)
+                    time_ns = device.time_of(k + 1 if k + 1 < following else k)
+                    for action in actions:
+                        queued.append((
+                            k + 1, interval + 1, bank, interval + 1, time_ns,
+                            attacks.get(action.trigger_row, records) <= k, action,
+                        ))
+            elif kind == _TICK:
+                tick = step[1]
+                actions = decider.on_refresh(tick)
+                if actions:
+                    kb = ticks[tick]
+                    time_ns = device.time_of(kb - 1) if kb else 0
+                    for action in actions:
+                        queued.append((
+                            kb, tick + 1, bank, tick, time_ns,
+                            attacks.get(action.trigger_row, records) < kb, action,
+                        ))
+                if tele is not None:
+                    occupancy[tick].append(decider.table_occupancy)
+            elif step[3]:
+                decider.clear_window()
+    # drains in position order; a tick's drain takes the banks in order
+    queued.sort(key=itemgetter(0, 1, 2))
+
+    neighbors = device.neighbors
     log: List[Tuple[int, int, int, int, Tuple[int, ...]]] = []
     extra_activations = 0
     fp_extra_activations = 0
-    mitigation_triggers = 0
     max_occupancy = 0
-    pending: List[Tuple[int, object, bool]] = []
-    time_now = 0
-    current_interval = -1
-    activation_index = 0
-    attack_activations = 0
-    first_trigger: Optional[int] = None
-
-    def neighbors(row: int) -> Tuple[int, ...]:
-        found = neighbors_of.get(row)
-        if found is None:
-            found = neighbors_of[row] = geometry.neighbors(row)
-        return found
-
-    def apply_pending() -> None:
-        """Count and log the queued actions (the device is not touched)."""
-        nonlocal extra_activations, fp_extra_activations, mitigation_triggers
-        position = (activation_index, current_interval + 1, time_now)
-        for bank, action, was_attack in pending:
-            mitigation_triggers += 1
-            if isinstance(action, ActivateNeighbors):
-                activated: Tuple[int, ...] = neighbors(action.row)
-            elif isinstance(action, RefreshRow):
-                activated = (action.row,)
-            elif isinstance(action, RecoveryRefresh):
-                activated = tuple(
-                    row for aggressor in action.rows
-                    for row in neighbors(aggressor)
-                )
-            else:  # pragma: no cover - future action kinds
-                raise TypeError(f"unknown mitigation action {action!r}")
-            cost = len(activated)
-            extra_activations += cost
-            if not was_attack:
-                fp_extra_activations += cost
-            if tele is not None:
-                tele.on_apply(
-                    bank, action.row, current_interval, cost, not was_attack
-                )
-            log.append(position + (bank, activated))
-        pending.clear()
-
-    def enqueue(bank: int, actions) -> None:
-        nonlocal max_occupancy
-        bank_aggressors = aggressors[bank]
-        for action in actions:
-            pending.append((bank, action, action.trigger_row in bank_aggressors))
-            if tele is not None:
-                tele.on_trigger(
-                    bank, action.row, current_interval, type(action).__name__
-                )
-        if len(pending) > max_occupancy:
-            max_occupancy = len(pending)
-
-    def refresh_tick() -> None:
-        nonlocal current_interval
-        if pending:
-            apply_pending()
-        current_interval += 1
-        for bank, decider in enumerate(deciders):
-            actions = decider.on_refresh(current_interval)
-            if actions:
-                enqueue(bank, actions)
-        if pending:
-            apply_pending()
-        if tele is not None:
-            tele.on_interval(
-                current_interval,
-                current_interval * interval_ns,
-                activation_index,
-                attack_activations,
-                [decider.table_occupancy for decider in deciders],
+    drained = 0
+    position = None
+    for kb, tb, bank, _tick, time_ns, was_attack, action in queued:
+        if isinstance(action, ActivateNeighbors):
+            activated: Tuple[int, ...] = neighbors(action.row)
+        elif isinstance(action, RefreshRow):
+            activated = (action.row,)
+        elif isinstance(action, RecoveryRefresh):
+            activated = tuple(
+                row for aggressor in action.rows for row in neighbors(aggressor)
             )
-
-    def advance_to(target: int) -> None:
-        """The inline lane's ``advance_to`` without counters."""
-        nonlocal current_interval
-        if not all_trivial or target - current_interval <= _SKIP_THRESHOLD:
-            while current_interval < target:
-                refresh_tick()
-            return
-        if pending:
-            apply_pending()
-        first_skipped = current_interval + 1
-        if target - current_interval >= refint:
-            boundary = True
-        else:
-            lo = first_skipped % refint
-            hi = target % refint
-            boundary = lo > hi or lo == 0
-        if boundary:
-            for decider in deciders:
-                decider.clear_window()
-        current_interval = target
-        if tele is not None:
-            tele.on_interval_skip(first_skipped, target, target * interval_ns)
-
-    last: List[int] = [0]  # timestamps of the previous segment
-    for times, bank, row, is_attack, interval in segments:
-        if interval > current_interval:
-            time_now = last[-1]
-            advance_to(interval)
-        last = times
-        end = len(times)
-        if is_attack:
-            # no tick falls inside a segment and queued actions carry
-            # their own flag, so the segment's acts count up front
-            aggressors[bank].add(row)
-            attack_activations += end
-        if end == 1:  # the mixed workload's common case
-            if pending:
-                time_now = times[0]
-                apply_pending()
-            actions = deciders[bank].on_activation(row, current_interval)
-            activation_index += 1
-            if actions:
-                enqueue(bank, actions)
-            if first_trigger is None and mitigation_triggers:
-                first_trigger = activation_index
-            continue
-        decider = deciders[bank]
-        i = 0
-        while i < end:
-            if pending:
-                time_now = times[i]
-                apply_pending()
-            # batch exactly when the inline lane does (see _replay)
-            if end - i > 1 and can_batch and (
-                first_trigger is not None or mitigation_triggers == 0
-            ):
-                clean, actions = decider.decide_run(
-                    row, current_interval, end - i
-                )
-                done = end - i if clean == end - i else clean + 1
-            else:
-                actions = decider.on_activation(row, current_interval)
-                done = 1
-            activation_index += done
-            i += done
-            if actions:
-                enqueue(bank, actions)
-            if first_trigger is None and mitigation_triggers:
-                first_trigger = activation_index
-    time_now = last[-1]
-    advance_to(meta.total_intervals - 1)
-    if pending:
-        apply_pending()
+        else:  # pragma: no cover - future action kinds
+            raise TypeError(f"unknown mitigation action {action!r}")
+        extra_activations += len(activated)
+        if not was_attack:
+            fp_extra_activations += len(activated)
+        log.append((kb, tb, time_ns, bank, activated))
+        # the pending queue's depth: the actions of one drain
+        drained = drained + 1 if (kb, tb) == position else 1
+        position = (kb, tb)
+        max_occupancy = max(max_occupancy, drained)
     if tele is not None:
-        tele.finish(activation_index, attack_activations)
+        # the inline lane's calls: a tick's rollover counts the triggers
+        # queued since the previous rollover, and the queue order is
+        # also the order of the ticks they were queued at
+        at = 0
+        for step in steps + [(_TICK, None)]:
+            if step[0] != _TICK:
+                if step[0] == _SKIP:
+                    tele.on_interval_skip(
+                        step[1], step[2], step[2] * meta.interval_ns
+                    )
+                continue
+            tick = step[1]
+            while at < len(queued) and (tick is None or queued[at][3] <= tick):
+                _kb, tb, bank, _tick, _time, was_attack, action = queued[at]
+                tele.on_trigger(bank, action.row, tb - 1, type(action).__name__)
+                tele.on_apply(
+                    bank, action.row, tb - 1, len(log[at][4]), not was_attack
+                )
+                at += 1
+            if tick is not None:
+                tele.on_interval(
+                    tick, tick * meta.interval_ns, ticks[tick],
+                    device.tick_attacks[tick], occupancy[tick],
+                )
+        tele.finish(records, device.attacks)
 
     result = SimResult(
         technique=deciders[0].name, seed=plan.seed,
         flip_threshold=config.flip_threshold,
     )
-    result.normal_activations = activation_index
-    result.attack_activations = attack_activations
+    result.normal_activations = records
+    result.attack_activations = device.attacks
     result.extra_activations = extra_activations
     result.fp_extra_activations = fp_extra_activations
-    result.mitigation_triggers = mitigation_triggers
-    result.intervals_simulated = current_interval + 1
-    result.first_trigger_activation = first_trigger
+    result.mitigation_triggers = len(queued)
+    result.intervals_simulated = len(ticks)
+    if queued and queued[0][0] < records:
+        # the inline lane notes the first trigger after the next record
+        result.first_trigger_activation = queued[0][0] + 1
     result.max_rh_buffer_occupancy = max_occupancy
     result.table_bytes = deciders[0].table_bytes
     result.wall_seconds = time.perf_counter() - started
@@ -2274,11 +1524,15 @@ def _run_shared(
     logs: Dict[int, list] = {}
     keys = set()
     rows_per_bank = policy.geometry.rows_per_bank
-    for index in lanes:
-        if plans[index].factory is None:
-            continue
+    decided = [index for index in lanes if plans[index].factory is not None]
+    started = time.perf_counter()
+    banks = _bank_runs(
+        segments, device.starts, device.ticks, policy.geometry.num_banks
+    ) if decided else []
+    shared_seconds += time.perf_counter() - started
+    for index in decided:
         result, logs[index] = _decide(
-            plans[index], policy, segments, meta, caches,
+            plans[index], policy, banks, device, meta,
             EngineTelemetry.create(None, metrics),
         )
         results[index] = result
@@ -2288,6 +1542,7 @@ def _run_shared(
             bank, row = divmod(key, rows_per_bank)
             keys.update(bank * rows_per_bank + u for u in device.neighbors(row))
         result.wall_seconds += time.perf_counter() - started
+    del banks
 
     started = time.perf_counter()
     if keys:

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.sim.attacks import flooding_experiment
+from repro.sim.engine import is_grid_engine
 from repro.sim.experiment import TraceFactory, run_technique
 
 
@@ -145,12 +146,13 @@ def sweep_pbase(
 ) -> List[SweepPoint]:
     """``Pbase`` scaling: overhead grows, flood reaction time shrinks.
 
-    With ``engine="fused"`` the whole scale axis rides one fused grid
-    per trace seed (the pbase axis is a native fused-grid dimension),
-    instead of one engine call per (scale, seed) pair.
+    With the fused engine (``engine="fused"`` or its alias ``"fast"``)
+    the whole scale axis rides one fused grid per trace seed (the pbase
+    axis is a native fused-grid dimension), instead of one engine call
+    per (scale, seed) pair.
     """
     scales = _unique(scales)
-    if engine == "fused":
+    if is_grid_engine(engine):
         return _sweep_pbase_fused(
             config, trace_factory, technique, scales, seeds,
             check_flooding, flood_seeds,

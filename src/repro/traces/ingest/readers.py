@@ -189,9 +189,17 @@ def dramsim_records(
                 line_no=line_no,
             ))
             continue
-        yield TraceRecord(
-            int(round(cycle * clock_ns)), bank, decoded.row, mark_attacks
-        )
+        try:
+            time_ns = int(round(cycle * clock_ns))
+        except OverflowError:
+            policy.handle(TraceFormatError(
+                source,
+                f"bad dramsim record {line!r} (cycle {cycle} at "
+                f"{clock_ns} ns per cycle has no finite time)",
+                line_no=line_no,
+            ))
+            continue
+        yield TraceRecord(time_ns, bank, decoded.row, mark_attacks)
 
 
 def read_dramsim(
@@ -248,6 +256,8 @@ def read_litex(
             raise TraceFormatError(
                 path, f"malformed JSON: {exc}", line_no=exc.lineno
             ) from exc
+        except RecursionError as exc:
+            raise TraceFormatError(path, f"malformed JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TraceFormatError(
             path,

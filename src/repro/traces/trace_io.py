@@ -72,7 +72,7 @@ def parse_trace_header(line: str, path) -> TraceMeta:
         )
     try:
         header = json.loads(line[len(_HEADER_PREFIX):])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceFormatError(
             path, f"malformed header JSON: {exc}", line_no=1
         ) from exc
@@ -89,7 +89,7 @@ def parse_trace_header(line: str, path) -> TraceMeta:
             )
         try:
             values[key] = int(header[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(
                 path,
                 f"header field {key!r} must be an integer, "

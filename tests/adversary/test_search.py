@@ -87,6 +87,41 @@ class TestDeterminism:
         assert names <= {g.name for g in seed_corpus(config)}
 
 
+class TestGridDispatch:
+    def test_fast_alias_runs_one_grid_per_genome_trace(self, monkeypatch):
+        """``fast`` names the fused engine, so a genome's evaluation
+        rides one grid over its one trace, every eval seed a cell, as a
+        ``fused`` evaluation does."""
+        import repro.sim.fused_engine as fused
+        from repro.adversary.search import EvalJob, evaluate_genome
+        from repro.telemetry.metrics import MetricsRegistry
+
+        config = sharp_config()
+        real = fused.run_simulation_grid
+        registry = MetricsRegistry()
+        grids = []
+
+        def counting(config, trace, cells, **kwargs):
+            grids.append(len(cells))
+            return real(config, trace, cells, metrics=registry, **kwargs)
+
+        monkeypatch.setattr(fused, "run_simulation_grid", counting)
+
+        def replay(engine):
+            grids.clear()
+            registry.counters.clear()
+            fitness = evaluate_genome(EvalJob(
+                config=config, technique="LiPRoMi",
+                genome=seed_corpus(config)[0], total_intervals=8,
+                seeds=(0, 1, 2), engine=engine,
+            ))
+            return list(grids), registry.counters["fused.segments"].value, fitness
+
+        fast = replay("fast")
+        assert fast[0] == [3]
+        assert fast == replay("fused")
+
+
 class TestResume:
     def test_full_replay_matches_fresh(self, tmp_path):
         config = small_test_config()
@@ -120,6 +155,21 @@ class TestResume:
         with pytest.raises(CheckpointMismatchError, match="budget"):
             run_search(config, settings(budget=22),
                        checkpoint_dir=tmp_path / "ck", resume=True)
+
+    def test_version_one_checkpoint_fails_fast(self, tmp_path):
+        """A checkpoint written before ``fast`` searches moved to the
+        fused grid evaluation does not resume under the new one."""
+        import json
+
+        config = small_test_config()
+        run_search(config, settings(), checkpoint_dir=tmp_path / "ck")
+        store = SearchStore(tmp_path / "ck")
+        spec = json.loads(store.spec_path.read_text())
+        spec["schema_version"] = 1
+        store.spec_path.write_text(json.dumps(spec))
+        with pytest.raises(CheckpointMismatchError, match="schema_version"):
+            run_search(config, settings(), checkpoint_dir=tmp_path / "ck",
+                       resume=True)
 
     def test_on_generation_skipped_for_replayed_generations(self, tmp_path):
         config = small_test_config()

@@ -10,6 +10,7 @@ from repro.sim.experiment import (
     run_technique,
 )
 from repro.sim.metrics import SimResult
+from repro.telemetry.metrics import MetricsRegistry
 from repro.traces.attacker import double_sided
 from repro.traces.mixer import build_trace
 
@@ -155,6 +156,41 @@ class TestCompare:
             comparison["PARA"].results[0].normal_activations
             == comparison["CRA"].results[0].normal_activations
         )
+
+
+    def test_fast_alias_runs_one_grid_per_trace_seed(self, monkeypatch):
+        """``fast`` names the fused engine, so a comparison runs one grid
+        per trace seed as a ``fused`` one does: the segment counter
+        counts each seed's trace once, not once per technique."""
+        import repro.sim.fused_engine as fused
+
+        config = small_test_config()
+        grids = []
+        real = fused.run_simulation_grid
+
+        def counting(*args, **kwargs):
+            grids.append(kwargs["metrics"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fused, "run_simulation_grid", counting)
+
+        def replay(engine):
+            grids.clear()
+            metrics = MetricsRegistry()
+            comparison = compare_techniques(
+                config, trace_factory(config, intervals=8),
+                techniques=("PARA", "TWiCe"), seeds=(0, 1),
+                include_unmitigated=True, engine=engine, metrics=metrics,
+            )
+            results = {
+                name: [result.as_dict() for result in aggregate.results]
+                for name, aggregate in comparison.items()
+            }
+            return len(grids), metrics.counters["fused.segments"].value, results
+
+        fast = replay("fast")
+        assert fast[0] == 2
+        assert fast == replay("fused")
 
 
 class TestDefaultFactory:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ddr4_paper_config, small_test_config
+from repro.config import SimConfig, ddr4_paper_config, small_test_config
 from repro.mitigations.registry import (
     MODERN_TECHNIQUES,
     technique_class,
@@ -43,9 +43,9 @@ MODERN = list(MODERN_TECHNIQUES)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "traces"
 
 
-def _mixed(seed, config=CONFIG):
+def _mixed(seed, config=CONFIG, intervals=TOTAL_INTERVALS):
     return lambda: paper_mixed_workload(
-        config, total_intervals=TOTAL_INTERVALS, seed=seed
+        config, total_intervals=intervals, seed=seed
     )
 
 
@@ -95,6 +95,19 @@ def test_bounded_smoke_grid():
         TECHNIQUES, (0, 1), pbase_scales=(1.0, 2.0), config=CONFIG
     )
     assert_grid_equivalent(CONFIG, _mixed(2), cells)
+
+
+@pytest.mark.fused_smoke
+def test_paper_geometry_smoke_grid():
+    """The CI fused-smoke job at the paper's geometry (``SimConfig()``:
+    four banks, RefInt 8192, Pbase 2**-23), where the deciders' draw
+    screens pass about one draw in a thousand -- on
+    ``small_test_config`` they pass far more -- and every bank runs its
+    own chunks: all nine techniques plus the baseline, two seeds, each
+    cell pinned to a solo reference run."""
+    config = SimConfig()
+    cells = grid_cells(TECHNIQUES, (0, 1), config=config)
+    assert_grid_equivalent(config, _mixed(4, config=config, intervals=32), cells)
 
 
 @pytest.mark.parametrize("technique", MODERN)

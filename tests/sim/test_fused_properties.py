@@ -13,10 +13,19 @@ bit-exact differential suite cannot name individually:
   between refreshes, locks never release, drops never decrease, and the
   TWiCe lifetime counters stay strictly below the trigger threshold;
 * cell slicing -- any cell of a fused grid equals a solo reference
-  run with the same (technique, seed, pbase).
+  run with the same (technique, seed, pbase);
+* chunk kernels -- a decider's ``decide_chunk`` (the shared grid
+  path, which jumps between the draws below its probability ceiling)
+  fires the same actions at the same records, draws the same random
+  blocks and leaves the same decision state as stepping the chunk
+  record by record with ``on_activation``, with and without numpy.
 """
 
 from __future__ import annotations
+
+from array import array
+from contextlib import contextmanager
+from itertools import accumulate
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -26,13 +35,16 @@ from repro.mitigations.registry import (
     make_mitigation,
     technique_names,
 )
-from repro.sim.engine import run_simulation
-from repro.sim.fused_engine import (
+import repro.sim.deciders as deciders
+from repro.sim.deciders import (
     _CaPRoMiDecider,
     _TiVaPRoMiDecider,
     _TWiCeDecider,
-    grid_cells,
 )
+from repro.sim.engine import run_simulation
+from repro.sim.fused_engine import _bank_runs, grid_cells
+from repro.telemetry.hooks import EngineTelemetry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.traces.attacker import AttackSpec
 from repro.traces.mixer import build_trace
 from repro.traces.workload import WorkloadParams
@@ -193,3 +205,237 @@ def test_fused_cell_slice_equals_solo_reference_run(
             seed=cell.seed,
         )
         assert solo.as_dict() == result.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# chunk kernels: decide_chunk vs record-by-record on_activation
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _numpy(enabled):
+    """Run the kernels with numpy, or on the pure-Python fallback."""
+    saved = deciders._np
+    if not enabled:
+        deciders._np = None
+    try:
+        yield
+    finally:
+        deciders._np = saved
+
+
+def _columns(stream):
+    """One bank's run columns for *stream*, ``(row, interval step,
+    count)`` runs, as the grid builds them from its segment list."""
+    segments = []
+    interval = 0
+    time_ns = 0
+    for row, step, count in stream:
+        interval += step
+        segments.append(
+            (list(range(time_ns, time_ns + count)), 0, row, False, interval)
+        )
+        time_ns += count
+    starts = array("q", accumulate(
+        (len(segment[0]) for segment in segments), initial=0
+    ))
+    ticks = array("q")
+    for index, segment in enumerate(segments):
+        while len(ticks) <= segment[4]:
+            ticks.append(starts[index])
+    [runs] = _bank_runs(segments, starts, ticks, 1)
+    return runs
+
+
+def _state(decider):
+    """What a decider's next decisions depend on (ProHit's ``_trigger``
+    is read only for table entries)."""
+    m = decider.mitigation
+    draws = (getattr(decider, "_pos", None), list(getattr(decider, "_buf", ())))
+    if isinstance(decider, deciders._TiVaPRoMiDecider):
+        return draws, list(decider.table.items())
+    if isinstance(decider, deciders._PARADecider):
+        return draws, decider._rng.getstate()
+    if isinstance(decider, deciders._MRLocDecider):
+        return draws, list(m._queue)
+    if isinstance(decider, deciders._ProHitDecider):
+        return (
+            draws, list(m._hot), list(m._cold),
+            {victim: m._trigger[victim] for victim in m._hot + m._cold},
+        )
+    if isinstance(decider, deciders._TWiCeDecider):
+        table = {row: (e.count, e.life) for row, e in m._table.items()}
+        return table, m.max_occupancy
+    if isinstance(decider, deciders._CRADecider):
+        return dict(m._counters)
+    counters = m.counters
+    return (
+        [(e.row, e.count, e.locked, e.history_link) for e in counters.entries()],
+        counters.dropped, counters._rng.getstate(),
+    )
+
+
+def _assert_kernel_matches(technique, config, seed, stream, numpy, **kwargs):
+    """``decide_chunk`` per interval == ``on_activation`` per record,
+    with the same refresh ticks between intervals."""
+    runs = _columns(stream)
+    registries = MetricsRegistry(), MetricsRegistry()
+    kernel, stepped = (
+        deciders._make_decider(
+            make_mitigation(technique, config, bank=0, seed=seed, **kwargs)
+        )
+        for _ in registries
+    )
+    for decider, registry in zip((kernel, stepped), registries):
+        decider.attach_telemetry(EngineTelemetry.create(None, registry))
+    done = -1
+    with _numpy(numpy):
+        for interval in sorted(runs.chunks):
+            for tick in range(done + 1, interval + 1):
+                assert kernel.on_refresh(tick) == stepped.on_refresh(tick)
+            done = interval
+            lo, hi = runs.chunks[interval]
+            expected = [
+                (record, action)
+                for run in range(lo, hi)
+                for record in range(runs.ends[run], runs.ends[run + 1])
+                for action in stepped.on_activation(runs.rows[run], interval)
+            ]
+            fired = kernel.decide_chunk(runs, lo, hi, interval)
+            assert [
+                (record, action) for record, actions in fired
+                for action in actions
+            ] == expected
+            assert _state(kernel) == _state(stepped)
+    assert registries[0].as_dict() == registries[1].as_dict()
+
+
+KERNEL_SETTINGS = settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: a few neighbouring rows, so tables hit and victims repeat
+pooled_rows = st.integers(min_value=ROWS // 2 - 6, max_value=ROWS // 2 + 6)
+edge_rows = st.sampled_from([0, 1, ROWS - 2, ROWS - 1])
+#: runs of mixed traffic: short runs, table hits, an edge row now and then
+mixed_runs = st.lists(
+    st.tuples(
+        st.one_of(pooled_rows, edge_rows, st.integers(0, ROWS - 1)),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=12),
+    ),
+    min_size=1, max_size=80,
+)
+#: the configured pbase, raised ones, and one whose ceiling is >= 1
+pbases = st.sampled_from([CONFIG.pbase, 0.002, 0.02, 0.5])
+
+
+@KERNEL_SETTINGS
+@given(
+    technique=st.sampled_from(technique_names()),
+    seed=st.integers(0, 50), pbase=pbases, stream=mixed_runs,
+    numpy=st.booleans(),
+)
+def test_chunk_kernel_matches_stepping(technique, seed, pbase, stream, numpy):
+    """Every paper technique, on mixed runs, at any pbase (ceiling >= 1
+    makes every record a candidate)."""
+    _assert_kernel_matches(
+        technique, CONFIG.scaled(pbase=pbase), seed, stream, numpy
+    )
+
+
+@KERNEL_SETTINGS
+@given(
+    technique=st.sampled_from(technique_names()),
+    seed=st.integers(0, 50),
+    stream=st.lists(
+        st.tuples(
+            pooled_rows, st.integers(0, 1), st.integers(1, 3000),
+        ),
+        min_size=1, max_size=12,
+    ),
+    numpy=st.booleans(),
+)
+def test_chunk_kernel_matches_stepping_on_flooding(technique, seed, stream, numpy):
+    """Long flooding runs of a few rows."""
+    _assert_kernel_matches(
+        technique, CONFIG.scaled(pbase=0.002), seed, stream, numpy
+    )
+
+
+@KERNEL_SETTINGS
+@given(
+    seed=st.integers(0, 50),
+    base=st.sampled_from([0.0003, 0.01, 0.2]),
+    pairs=st.lists(
+        st.tuples(st.integers(1, 200), st.integers(1, 200), st.integers(0, 1)),
+        min_size=1, max_size=20,
+    ),
+    numpy=st.booleans(),
+)
+def test_mrloc_kernel_on_two_victim_repeats(seed, base, pairs, numpy):
+    """Two aggressors sharing a victim, alternating: the recency queue
+    holds three victims for the whole stream."""
+    row = ROWS // 2
+    stream = []
+    for first, second, step in pairs:
+        stream += [(row, step, first), (row + 2, 0, second)]
+    _assert_kernel_matches(
+        "MRLoc", CONFIG, seed, stream, numpy, base_probability=base,
+    )
+
+
+@KERNEL_SETTINGS
+@given(
+    technique=tiva_techniques, seed=st.integers(0, 50),
+    stream=st.lists(
+        st.tuples(
+            st.sampled_from([ROWS // 2, ROWS // 2 + 8, ROWS // 2 + 16]),
+            st.integers(0, 3), st.integers(1, 40),
+        ),
+        min_size=1, max_size=60,
+    ),
+    numpy=st.booleans(),
+)
+def test_tivapromi_kernel_on_table_hits(technique, seed, stream, numpy):
+    """Three rows at a high pbase: most triggers hit the history table."""
+    _assert_kernel_matches(
+        technique, CONFIG.scaled(pbase=0.01), seed, stream, numpy
+    )
+
+
+@KERNEL_SETTINGS
+@given(
+    seed=st.integers(0, 50),
+    probability=st.sampled_from([0.001, 0.01, 0.1]),
+    stream=st.lists(
+        st.tuples(pooled_rows, st.integers(0, 1), st.integers(200, 320)),
+        min_size=1, max_size=12,
+    ),
+    numpy=st.booleans(),
+)
+def test_para_kernel_across_draw_blocks(seed, probability, stream, numpy):
+    """Runs about one 256-draw block long: triggers straddle blocks and
+    each rewinds the generator."""
+    _assert_kernel_matches(
+        "PARA", CONFIG, seed, stream, numpy, probability=probability
+    )
+
+
+@KERNEL_SETTINGS
+@given(
+    seed=st.integers(0, 50),
+    insert=st.sampled_from([0.005, 0.1, 0.6]),
+    stream=st.lists(
+        st.tuples(pooled_rows, st.integers(0, 2), st.integers(1, 30)),
+        min_size=1, max_size=80,
+    ),
+    numpy=st.booleans(),
+)
+def test_prohit_kernel_hits_across_refresh_pops(seed, insert, stream, numpy):
+    """A few rows, so victims hit the tables, with refresh pops between
+    intervals."""
+    _assert_kernel_matches(
+        "ProHit", CONFIG, seed, stream, numpy, insert_probability=insert
+    )

@@ -189,3 +189,37 @@ class TestSweepGrids:
         for ref, fus in zip(reference, fused):
             assert fus.flips == ref.flips
             assert fus.overhead_pct == ref.overhead_pct
+
+    def test_fast_alias_runs_one_grid_per_trace_seed(self, monkeypatch):
+        """``fast`` names the fused engine, so its pbase sweep rides one
+        grid per trace seed as a ``fused`` one does, each decoding its
+        trace once."""
+        import repro.sim.fused_engine as fused
+        from repro.telemetry.metrics import MetricsRegistry
+
+        config = self.config()
+        real = fused.run_simulation_grid
+        registry = MetricsRegistry()
+        grids = []
+
+        def counting(config, trace, cells, **kwargs):
+            grids.append(len(cells))
+            return real(config, trace, cells, metrics=registry, **kwargs)
+
+        monkeypatch.setattr(fused, "run_simulation_grid", counting)
+
+        def replay(engine):
+            grids.clear()
+            registry.counters.clear()
+            points = sweep_pbase(
+                config, trace_factory(config), scales=(0.5, 1.0, 2.0),
+                seeds=(0, 1), check_flooding=False, engine=engine,
+            )
+            return (
+                list(grids), registry.counters["fused.segments"].value,
+                [(point.value, point.flips, point.overhead_pct) for point in points],
+            )
+
+        fast = replay("fast")
+        assert fast[0] == [3, 3]
+        assert fast == replay("fused")

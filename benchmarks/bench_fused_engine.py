@@ -4,7 +4,8 @@ Two speed floors, each re-asserting field-for-field equality at
 benchmark scale (the differential tests pin it at test scale):
 
 * the single-cell optimized engine against the reference engine, per
-  technique (>= 3x for the TiVaPRoMi variants);
+  technique on the flooding trace (>= 3x for the TiVaPRoMi variants)
+  and summed over the nine techniques on the paper's mixed trace;
 * the whole nine-technique campaign grid (plus the unmitigated
   baseline) as one grid call that decodes the trace once, against solo
   single-cell runs per ``(technique, seed, pbase)`` cell.
@@ -31,7 +32,7 @@ from repro.sim.engine import run_simulation
 from repro.sim.fused_engine import grid_cells, run_simulation_fused, run_simulation_grid
 from repro.telemetry import MetricsRegistry, NullTracer
 from repro.traces.attacker import AttackSpec
-from repro.traces.mixer import build_trace
+from repro.traces.mixer import build_trace, paper_mixed_workload
 
 #: the paper's pbase ablation axis, scaled around the configured value
 PBASE_SCALES = (0.5, 1.0, 2.0)
@@ -46,6 +47,10 @@ SPEEDUP_FLOOR = 2.0
 REFERENCE_FLOOR_TECHNIQUES = ("LiPRoMi", "LoPRoMi", "LoLiPRoMi")
 REFERENCE_REPORTED_TECHNIQUES = ("PARA", "TWiCe", "CaPRoMi", "none")
 REFERENCE_SPEEDUP_FLOOR = 3.0
+#: the nine techniques' single-cell runs on the paper's mixed trace,
+#: summed, against the reference's: 1.8x measured at 512 intervals on a
+#: 2-core x86-64 VM, so 1.3x sits more than 25% below it
+MIXED_SPEEDUP_FLOOR = 1.3
 
 
 def _flooding_trace(config):
@@ -63,10 +68,15 @@ def _flooding_trace(config):
 
 
 def test_reference_speedup_floor(benchmark, paper_config):
-    """The single-cell optimized engine beats the reference engine."""
-    trace = _flooding_trace(paper_config)
+    """The single-cell optimized engine beats the reference engine: per
+    TiVaPRoMi variant on the flooding trace, and summed over the nine
+    techniques on the paper's mixed trace."""
+    flooding = _flooding_trace(paper_config)
+    mixed = paper_mixed_workload(
+        paper_config, total_intervals=BENCH_INTERVALS, seed=0
+    ).materialize()
 
-    def measure(technique):
+    def measure(trace, technique):
         factory = make_factory(technique) if technique != "none" else None
         started = time.perf_counter()
         reference = run_simulation(paper_config, trace, factory, seed=3)
@@ -76,29 +86,49 @@ def test_reference_speedup_floor(benchmark, paper_config):
         assert reference.as_dict() == fused.as_dict(), technique
         return mid - started, ended - mid
 
-    timings = run_once(benchmark, lambda: {
-        technique: measure(technique)
-        for technique in REFERENCE_FLOOR_TECHNIQUES + REFERENCE_REPORTED_TECHNIQUES
-    })
-    rows = []
-    for technique, (ref_seconds, fused_seconds) in timings.items():
-        speedup = ref_seconds / fused_seconds
-        benchmark.extra_info[technique] = round(speedup, 2)
-        rows.append((technique, f"{ref_seconds:.3f}s", f"{fused_seconds:.3f}s",
-                     f"{speedup:.1f}x"))
+    flooding_timings, mixed_timings = run_once(benchmark, lambda: (
+        {
+            technique: measure(flooding, technique)
+            for technique in REFERENCE_FLOOR_TECHNIQUES + REFERENCE_REPORTED_TECHNIQUES
+        },
+        {technique: measure(mixed, technique) for technique in technique_names()},
+    ))
+
+    def table(timings):
+        rows = []
+        for technique, (ref_seconds, fused_seconds) in timings.items():
+            rows.append((technique, f"{ref_seconds:.3f}s", f"{fused_seconds:.3f}s",
+                         f"{ref_seconds / fused_seconds:.1f}x"))
+        return render_table(("technique", "reference", "fused", "speedup"), rows)
+
+    for technique, (ref_seconds, fused_seconds) in flooding_timings.items():
+        benchmark.extra_info[technique] = round(ref_seconds / fused_seconds, 2)
+    mixed_ref = sum(ref_seconds for ref_seconds, _ in mixed_timings.values())
+    mixed_fused = sum(fused_seconds for _, fused_seconds in mixed_timings.values())
+    mixed_speedup = mixed_ref / mixed_fused
+    benchmark.extra_info["mixed_nine_techniques"] = round(mixed_speedup, 2)
     report = (
         f"=== optimized engine vs reference, flooding trace "
-        f"({trace.count():,} records, {BENCH_INTERVALS} intervals) ===\n"
-        + render_table(("technique", "reference", "fused", "speedup"), rows)
+        f"({flooding.count():,} records, {BENCH_INTERVALS} intervals) ===\n"
+        + table(flooding_timings)
+        + f"\n=== optimized engine vs reference, paper mixed trace "
+        f"({mixed.count():,} records, {BENCH_INTERVALS} intervals) ===\n"
+        + table(mixed_timings)
+        + f"\nnine techniques: reference {mixed_ref:.3f}s, fused "
+        f"{mixed_fused:.3f}s, {mixed_speedup:.2f}x"
     )
     print("\n" + report)
     write_bench_output("reference_speedup", report)
     for technique in REFERENCE_FLOOR_TECHNIQUES:
-        ref_seconds, fused_seconds = timings[technique]
+        ref_seconds, fused_seconds = flooding_timings[technique]
         assert ref_seconds / fused_seconds >= REFERENCE_SPEEDUP_FLOOR, (
             f"{technique}: {ref_seconds / fused_seconds:.2f}x "
             f"< {REFERENCE_SPEEDUP_FLOOR}x floor"
         )
+    assert mixed_speedup >= MIXED_SPEEDUP_FLOOR, (
+        f"mixed trace, nine techniques: {mixed_speedup:.2f}x "
+        f"< {MIXED_SPEEDUP_FLOOR}x floor"
+    )
 
 
 def test_fused_campaign_speedup(benchmark, paper_config):

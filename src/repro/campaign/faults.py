@@ -28,7 +28,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: environment variable holding a JSON fault spec (list of rule dicts)
 FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
@@ -175,15 +175,3 @@ class FaultInjector:
         if not text:
             return None
         return cls.from_spec(text)
-
-
-def describe_rules(injector: Optional[FaultInjector]) -> List[str]:
-    """Human-readable rule summaries (empty for no injector)."""
-    if injector is None:
-        return []
-    return [
-        f"{rule.mode} technique={rule.technique or '*'} "
-        f"seed={'*' if rule.seed is None else rule.seed} "
-        f"attempts={'*' if rule.attempts is None else list(rule.attempts)}"
-        for rule in injector.rules
-    ]

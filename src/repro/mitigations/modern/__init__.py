@@ -22,9 +22,9 @@ mitigation rather than a snapshot:
 
 Every class implements the same :class:`~repro.mitigations.base.Mitigation`
 protocol as the 2021 techniques and passes the reference = fast = fused
-differential harness.  The deterministic counters additionally expose
-``observe_run`` (the run-batching contract of the optimized engine's
-``decide_run``) so fused campaign grids stay fast.
+differential harness.  Every family additionally exposes
+``observe_run``, the optimized engine's run-batching contract (see
+:func:`repro.sim.deciders._step_chunk`), so fused runs stay fast.
 """
 
 from repro.mitigations.modern.loaded_dice import LoadedDice

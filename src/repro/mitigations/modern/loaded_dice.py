@@ -106,7 +106,7 @@ class LoadedDice(Mitigation):
     def observe_run(
         self, row: int, interval: int, count: int
     ) -> Tuple[int, Sequence[MitigationAction]]:
-        """Run-batching hook (the optimized engine's ``decide_run`` contract).
+        """Run-batching hook (the optimized engine's ``observe_run`` contract).
 
         A run repeats one row, so after the first activation settles
         insertion/eviction the remaining activations are one count

@@ -4,16 +4,11 @@ A *decider* mirrors one bank's mitigation of the reference engine
 (:mod:`repro.sim.engine`) with the same decisions, drawn from the same
 RNG stream, and none of its object layering.  :func:`_make_decider`
 picks each technique's decider; :mod:`repro.sim.fused_engine` drives
-them in two ways:
-
-* **inline** (single-cell runs, early-stopping or traced grids) --
-  ``on_activation`` decides one record and ``decide_run`` a run of
-  identical records up to its first trigger, while the lane applies
-  each action to its disturbance counters before the next record;
-* **bank-major** (grids sharing one device pass) -- ``decide_chunk``
-  decides all of one bank's runs of one interval in one call, given as
-  a slice of the bank's :class:`_BankRuns` columns, and returns the
-  triggering records with their actions.
+it bank by bank: ``on_refresh`` at each refresh tick (``clear_window``
+over a span of ticks the lane skips) and ``decide_chunk`` for all of
+one bank's runs of one interval in one call, given as a slice of the
+bank's :class:`_BankRuns` columns.  ``decide_chunk`` returns the
+triggering records with their actions.
 
 The probability-ceiling contract.  A draw-driven decider states a
 ``ceiling``: a probability no decision of it can reach, whatever its
@@ -35,12 +30,13 @@ decision needs from the records since the previous candidate:
   tables draw, and the tables' row set changes only at insertions and
   refresh pops, so only table hits and insertions replay in order.
 
-A decider without a ceiling steps every run (:func:`_step_chunk`, or
-its own loop for TWiCe, CRA and CaPRoMi).  ``tests/sim/
+A decider without a ceiling steps every run: TWiCe, CRA and CaPRoMi
+with their own arithmetic, any other technique through the reference
+object itself (:func:`_step_chunk`).  ``tests/sim/
 test_fused_properties.py`` pins every ``decide_chunk`` to stepping the
-chunk record by record with ``on_activation``.  numpy is optional:
-without it every scan falls back to a scalar loop with identical
-results.
+chunk record by record with the reference mitigation object.  numpy is
+optional: without it every scan falls back to a scalar loop with
+identical results.
 """
 
 from __future__ import annotations
@@ -49,9 +45,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, islice
 from operator import mul, sub
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-try:  # numpy accelerates the long draw scans; the scalar fallback is exact
+try:  # numpy lists a draw block's candidates; the scalar fallback is exact
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
@@ -76,26 +72,28 @@ _BLOCK = 4096
 #: PARA's block: a trigger rewinds and replays the block's consumed
 #: draws, so a modest block keeps that replay cheap
 _PARA_BLOCK = 256
-#: draw scans shorter than this stay scalar: numpy's ~2.5 us per-call
-#: cost outweighs the vectorised compare on short runs.  Measured on a
-#: 2-core x86-64 VM (CPython 3.11, numpy 2.4) for a full scan with no
-#: hit, scalar vs numpy: 1.1 vs 2.5 us at 32 draws, 2.3 vs 2.3 us at
-#: 64, 6.2 vs 2.5 us at 128
-_SCAN_MIN = 64
 
 
 class _BankRuns:
-    """One bank's activation runs, as columns over the grid's segments.
+    """One bank's activation runs, as columns over a slice of the
+    trace's segments: a grid's whole segment list, or the own pass's
+    current interval (which refills the same object per interval).
 
     Run *x* activates ``rows[x]``; it holds the bank's records ``ends[x]
-    .. ends[x + 1] - 1`` (numbered within the bank), the first of which
+    .. ends[x + 1] - 1`` (numbered within the slice), the first of which
     is record ``starts[x]`` of the trace.  ``chunks`` maps each interval
-    with records in the bank to its runs ``(lo, hi)``; ``attacks`` maps
-    each row with an attack run to the first record (trace-wide) of the
-    first one.
+    with records in the bank to its runs ``(lo, hi)``.  ``attacks``
+    maps each row with an attack run so far to the first record
+    (trace-wide) of the first one, and ``victims`` caches assumed
+    neighbours; both carry over when the columns are refilled.
     """
 
     __slots__ = ("rows", "ends", "starts", "chunks", "attacks", "victims", "lookups")
+
+    def __init__(self):
+        self.attacks: Dict[int, int] = {}
+        self.victims: Dict[int, Tuple[int, ...]] = {}
+        self.lookups = None
 
     def record(self, record: int) -> int:
         """The trace-wide index of the bank's record *record*."""
@@ -108,20 +106,23 @@ class _BankRuns:
         """The assumed neighbours of the bank's rows, and the victim
         lookups before each run (plus the total) -- an act looks up
         every assumed neighbour of its row once -- built on first use
-        and shared by the lanes of the grid."""
+        and shared by the lanes of a grid."""
         if self.lookups is None:
+            victims = self.victims
             assumed = geometry.assumed_neighbors
-            self.victims = {row: assumed(row) for row in set(self.rows)}
-            widths = map(len, map(self.victims.__getitem__, self.rows))
+            for row in set(self.rows).difference(victims):
+                victims[row] = assumed(row)
+            widths = map(len, map(victims.__getitem__, self.rows))
             counts = map(sub, islice(self.ends, 1, None), self.ends)
             self.lookups = _column(accumulate(map(mul, counts, widths), initial=0))
         return self.victims, self.lookups
 
 
-def _column(values: Iterator[int]) -> array:
+def _column(values: Iterable[int]) -> array:
     """A typed column of *values*, converted a block at a time (quicker
     than one value at a time, and the list of one block is all the
     conversion holds)."""
+    values = iter(values)
     column = array("q")
     block = list(islice(values, _BLOCK))
     while block:
@@ -133,9 +134,10 @@ def _column(values: Iterator[int]) -> array:
 class _GenericDecider:
     """Adapter driving a real :class:`Mitigation` object.
 
-    Used for techniques without a specialised decider (any user-supplied
-    factory): decisions are made by the reference implementation itself,
-    so equivalence is by construction; records replay one at a time.
+    Used for techniques without a specialised decider (the modern
+    families, any user-supplied factory): decisions are made by the
+    reference implementation itself, so equivalence is by construction
+    (see :func:`_step_chunk`).
     """
 
     __slots__ = ("mitigation", "trivial_refresh")
@@ -164,11 +166,8 @@ class _GenericDecider:
     def table_occupancy(self):
         return getattr(self.mitigation, "table_occupancy", None)
 
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
-        return _step_chunk(self, runs, lo, hi, interval)
+        return _step_chunk(self.mitigation, runs, lo, hi, interval)
 
     def on_refresh(self, interval: int):
         return self.mitigation.on_refresh(interval)
@@ -177,36 +176,6 @@ class _GenericDecider:
         # only reachable when trivial_refresh, i.e. on_refresh is the
         # stateless base no-op: nothing to clear
         pass
-
-
-class _RunMethodDecider(_GenericDecider):
-    """Run-batching adapter for techniques exposing ``observe_run``.
-
-    A technique that can consume a run of identical activations in one
-    step (the modern counter families) implements
-    ``observe_run(row, interval, count) -> (clean, actions)`` with the
-    same contract as ``decide_run``; this adapter simply forwards,
-    keeping the batching arithmetic inside the technique module while
-    decisions remain the reference object's own.
-    """
-
-    __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        return self.mitigation.observe_run(row, interval, count)
-
-
-class _NumpyScanMixin:
-    """Lazy numpy mirror of a pre-drawn ``random()`` block."""
-
-    __slots__ = ()
-
-    def _mirror(self):
-        buf = self._buf
-        if self._arr_src is not buf:
-            self._arr = _np.asarray(buf)
-            self._arr_src = buf
-        return self._arr
 
 
 def _below(buf: List[float], ceiling: float) -> List[int]:
@@ -284,27 +253,34 @@ class _ScreenMixin:
         return self._cands
 
 
-def _step_chunk(decider, runs: "_BankRuns", lo: int, hi: int, interval: int):
-    """``decide_chunk`` of a decider without a ceiling: every run is
-    decided with ``decide_run`` (or record by record with
-    ``on_activation``), in order."""
+def _step_chunk(mitigation: Mitigation, runs: "_BankRuns", lo: int, hi: int, interval: int):
+    """``decide_chunk`` through a reference mitigation object: each run
+    is decided with its ``observe_run`` when it has one (the modern
+    families' run batching), else record by record with
+    ``on_activation``.
+
+    ``observe_run(row, interval, count)`` decides up to *count*
+    consecutive activations of *row* and returns ``(clean, actions)``:
+    ``clean`` non-trigger decisions, then -- when ``clean < count`` --
+    the trigger's *actions*, the ``clean + 1``-th activation's.
+    """
     fired: List[Tuple[int, Tuple]] = []
     rows = runs.rows
     ends = runs.ends
-    decide_run = getattr(decider, "decide_run", None)
+    observe_run = getattr(mitigation, "observe_run", None)
     for run in range(lo, hi):
         row = rows[run]
         first = ends[run]
         count = ends[run + 1] - first
-        if decide_run is None:
-            on_activation = decider.on_activation
+        if observe_run is None:
+            on_activation = mitigation.on_activation
             for record in range(first, first + count):
                 actions = on_activation(row, interval)
                 if actions:
                     fired.append((record, actions))
             continue
         while count:
-            clean, actions = decide_run(row, interval, count)
+            clean, actions = observe_run(row, interval, count)
             done = count if clean == count else clean + 1
             if actions:
                 fired.append((first + done - 1, actions))
@@ -313,7 +289,7 @@ def _step_chunk(decider, runs: "_BankRuns", lo: int, hi: int, interval: int):
     return fired
 
 
-class _TiVaPRoMiDecider(_NumpyScanMixin, _ScreenMixin):
+class _TiVaPRoMiDecider(_ScreenMixin):
     """LiPRoMi / LoPRoMi / LoLiPRoMi.
 
     Mirrors :class:`TiVaPRoMiBase` exactly: one ``random()`` per
@@ -326,7 +302,7 @@ class _TiVaPRoMiDecider(_NumpyScanMixin, _ScreenMixin):
 
     __slots__ = (
         "name", "mitigation", "weighting", "pbase", "capacity", "refint",
-        "slot_fn", "_rand", "_buf", "_pos", "_arr", "_arr_src", "table",
+        "slot_fn", "_rand", "_buf", "_pos", "table",
         "_slots", "_slot_p", "_p_interval", "telemetry", "ceiling",
         "_cands", "_cands_src",
     )
@@ -348,8 +324,6 @@ class _TiVaPRoMiDecider(_NumpyScanMixin, _ScreenMixin):
         self._rand = mitigation._rng.random
         self._buf: List[float] = []
         self._pos = 0
-        self._arr = None
-        self._arr_src = None
         #: FIFO history-table mirror: dict preserves insertion order,
         #: in-place update keeps position, eviction removes the oldest
         self.table: Dict[int, int] = {}
@@ -373,26 +347,12 @@ class _TiVaPRoMiDecider(_NumpyScanMixin, _ScreenMixin):
     def table_occupancy(self) -> int:
         return len(self.table)
 
-    def _refill(self) -> List[float]:
+    def _refill(self) -> None:
         rand = self._rand
-        buf = self._buf = [rand() for _ in range(_BLOCK)]
+        self._buf = [rand() for _ in range(_BLOCK)]
         self._pos = 0
         if self.telemetry is not None:
             self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
-        return buf
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        draw = buf[pos]
-        self._pos = pos + 1
-        p = self._probability(row, interval)
-        if draw >= p:
-            return ()
-        return self._record_trigger(row, interval)
 
     def _probability(self, row: int, interval: int) -> float:
         """Current trigger probability of *row* (no draw consumed).
@@ -468,44 +428,6 @@ class _TiVaPRoMiDecider(_NumpyScanMixin, _ScreenMixin):
             table[row] = interval % self.refint
         return (ActivateNeighbors(row=row),)
 
-    def decide_run(self, row: int, interval: int, count: int):
-        """Decide *count* consecutive activations of *row* in one go.
-
-        Returns ``(clean, actions)``: ``clean`` is the number of
-        non-trigger decisions before the first trigger.  ``clean ==
-        count`` means no trigger (exactly *count* draws consumed);
-        otherwise ``clean + 1`` draws were consumed and *actions* is the
-        trigger's action tuple.  Exact because the probability of a row
-        is constant between triggers within one interval and the draws
-        are a fixed pre-buffered sequence.
-        """
-        p = self._probability(row, interval)
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        while clean < count:
-            if pos >= len(buf):
-                buf = self._refill()
-                pos = 0
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            if p > 0.0:
-                if _np is not None and end - pos >= _SCAN_MIN:
-                    hits = _np.flatnonzero(self._mirror()[pos:end] < p)
-                    hit = pos + int(hits[0]) if hits.size else end
-                else:
-                    hit = pos
-                    while hit < end and buf[hit] >= p:
-                        hit += 1
-                if hit < end:
-                    self._pos = hit + 1
-                    return clean + hit - pos, self._record_trigger(row, interval)
-            clean += end - pos
-            pos = end
-        self._pos = pos
-        return count, ()
-
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
         """Decide runs ``lo .. hi - 1`` of one interval: only a draw
         below the ceiling can fire, and the history table changes only
@@ -574,15 +496,14 @@ class _PARADecider(_ScreenMixin):
     def table_occupancy(self):
         return None  # PARA is stateless
 
-    def _refill(self) -> List[float]:
+    def _refill(self) -> None:
         rng = self._rng
         self._state = rng.getstate()
         rand = rng.random
-        buf = self._buf = [rand() for _ in range(_PARA_BLOCK)]
+        self._buf = [rand() for _ in range(_PARA_BLOCK)]
         self._pos = 0
         if self.telemetry is not None:
             self.telemetry.on_rng_block(self.mitigation.bank, _PARA_BLOCK)
-        return buf
 
     def _trigger(self, row: int, consumed: int):
         """Rewind to the block start, replay *consumed* draws, then take
@@ -598,42 +519,6 @@ class _PARADecider(_ScreenMixin):
             neighbors = self._neighbors[row] = self.geometry.assumed_neighbors(row)
         victim = neighbors[rng.randrange(len(neighbors))]
         return (RefreshRow(row=victim, trigger_row=row),)
-
-    def on_activation(self, row: int, interval: int):
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        draw = buf[pos]
-        pos += 1
-        self._pos = pos
-        if draw >= self.probability:
-            return ()
-        return self._trigger(row, pos)
-
-    def decide_run(self, row: int, interval: int, count: int):
-        """Bulk-decide *count* consecutive activations (see
-        :meth:`_TiVaPRoMiDecider.decide_run` for the contract)."""
-        p = self.probability
-        clean = 0
-        pos = self._pos
-        buf = self._buf
-        while clean < count:
-            if pos >= len(buf):
-                buf = self._refill()
-                pos = 0
-            end = pos + (count - clean)
-            if end > len(buf):
-                end = len(buf)
-            base = pos
-            while pos < end:
-                if buf[pos] < p:
-                    return clean + pos - base, self._trigger(row, pos + 1)
-                pos += 1
-            clean += end - base
-        self._pos = pos
-        return count, ()
 
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
         """Decide runs ``lo .. hi - 1``: jump from trigger to trigger,
@@ -654,20 +539,20 @@ class _PARADecider(_ScreenMixin):
         pass
 
 
-class _BufferedVictimDecider(_NumpyScanMixin, _ScreenMixin):
+class _BufferedVictimDecider(_ScreenMixin):
     """Shared plumbing for the ProHit / MRLoc deciders.
 
     Owns *every* draw of the wrapped mitigation's RNG stream through a
     pre-filled block buffer (the mitigations only ever call ``random()``,
-    so eager block draws preserve the exact sequence), plus the cached
-    assumed-neighbour lookups.  Each act looks up every assumed
-    neighbour of its row once (:meth:`_BankRuns.victim_lookups` numbers
-    those lookups across a bank's runs).
+    so eager block draws preserve the exact sequence).  Each act looks
+    up every assumed neighbour of its row once
+    (:meth:`_BankRuns.victim_lookups` numbers those lookups across a
+    bank's runs).
     """
 
     __slots__ = (
-        "mitigation", "telemetry", "name", "_rand", "_buf", "_arr",
-        "_arr_src", "_pos", "_victims", "ceiling", "_cands", "_cands_src",
+        "mitigation", "telemetry", "name", "_rand", "_buf", "_pos",
+        "ceiling", "_cands", "_cands_src",
     )
 
     def __init__(self, mitigation: Mitigation, ceiling: float):
@@ -676,10 +561,7 @@ class _BufferedVictimDecider(_NumpyScanMixin, _ScreenMixin):
         self.name = mitigation.name
         self._rand = mitigation._rng.random
         self._buf: List[float] = []
-        self._arr = None
-        self._arr_src = None
         self._pos = 0
-        self._victims: Dict[int, Tuple[int, ...]] = {}
         self.ceiling = ceiling
         self._cands: List[int] = []
         self._cands_src = None
@@ -700,9 +582,33 @@ class _BufferedVictimDecider(_NumpyScanMixin, _ScreenMixin):
         rand = self._rand
         self._buf = [rand() for _ in range(_BLOCK)]
         self._pos = 0
-        self._arr_src = None
         if self.telemetry is not None:
             self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
+
+    def clear_window(self) -> None:
+        # only reachable for trivial_refresh deciders, whose reference
+        # counterpart keeps its state across window boundaries
+        pass
+
+
+class _ProHitDecider(_BufferedVictimDecider):
+    """ProHit: activations only observe (all ProHit refreshes come from
+    ``on_refresh``), so ``decide_chunk`` fires nothing and only keeps
+    the hot/cold tables and the draw position exact.
+    """
+
+    __slots__ = ("_inserted", "_victims")
+
+    trivial_refresh = False  # ProHit refreshes its top hot entry per ref
+
+    def __init__(self, mitigation: ProHit):
+        # only a lookup that misses both tables draws, and it inserts
+        # exactly when the draw is below the insert probability
+        super().__init__(mitigation, mitigation.insert_probability)
+        #: insertions so far: the tables' row set changes only with them
+        #: (and with the refresh pops)
+        self._inserted = 0
+        self._victims: Dict[int, Tuple[int, ...]] = {}
 
     def _draw(self) -> float:
         if self._pos >= len(self._buf):
@@ -718,35 +624,6 @@ class _BufferedVictimDecider(_NumpyScanMixin, _ScreenMixin):
                 self.mitigation.config.geometry.assumed_neighbors(row)
             )
         return victims
-
-    def clear_window(self) -> None:
-        # only reachable for trivial_refresh deciders, whose reference
-        # counterpart keeps its state across window boundaries
-        pass
-
-
-class _ProHitDecider(_BufferedVictimDecider):
-    """ProHit with run batching.
-
-    ``on_activation`` never issues actions (all ProHit refreshes come
-    from ``on_refresh``), so a run always decides clean.  Acts are
-    replayed scalar until the hot/cold tables reach a fixed point; the
-    remaining acts then consume ``len(missing)`` draws each against the
-    constant insert probability and are scanned in bulk for the first
-    successful insertion.
-    """
-
-    __slots__ = ("_inserted",)
-
-    trivial_refresh = False  # ProHit refreshes its top hot entry per ref
-
-    def __init__(self, mitigation: ProHit):
-        # only a lookup that misses both tables draws, and it inserts
-        # exactly when the draw is below the insert probability
-        super().__init__(mitigation, mitigation.insert_probability)
-        #: insertions so far: the tables' row set changes only with them
-        #: (and with the refresh pops)
-        self._inserted = 0
 
     def _observe(self, victim: int, trigger_row: int) -> None:
         # exact port of ProHit._observe_victim with buffered draws
@@ -779,20 +656,19 @@ class _ProHitDecider(_BufferedVictimDecider):
         cold.append(victim)
         self._inserted += 1
 
-    def on_activation(self, row: int, interval: int):
-        for victim in self._neighbors(row):
-            self._observe(victim, row)
-        return ()
-
     def on_refresh(self, interval: int):
         return self.mitigation.on_refresh(interval)  # draw-free
 
-    def decide_run(self, row: int, interval: int, count: int):
+    def _observe_run(self, row: int, count: int) -> None:
+        """Replay *count* activations of *row* in order.  Acts replay
+        one by one until the tables reach a fixed point; the remaining
+        acts then consume ``missing`` draws each against the constant
+        insert probability, and are skipped up to the first candidate
+        draw (an insertion)."""
         m = self.mitigation
         victims = self._neighbors(row)
         hot = m._hot
         cold = m._cold
-        p = m.insert_probability
         i = 0
         while i < count:
             before = (tuple(hot), tuple(cold))
@@ -814,29 +690,24 @@ class _ProHitDecider(_BufferedVictimDecider):
                 # are idempotent re-assignments of the same value)
                 i = count
                 break
-            if _np is None:
-                continue  # scalar path stays exact, just slower
             # consume whole clean acts from the current block; the act
-            # containing the first success (or straddling a block
-            # boundary) is replayed scalar at the top of the loop
+            # holding its first candidate (or straddling a block
+            # boundary) is replayed at the top of the loop
             while i < count:
                 if self._pos >= len(self._buf):
                     self._refill()
-                avail = (len(self._buf) - self._pos) // missing
-                span = min(avail, count - i)
+                start = self._pos
+                span = min((len(self._buf) - start) // missing, count - i)
                 if span <= 0:
                     break
-                start = self._pos
-                stop = start + span * missing
-                hits = _np.flatnonzero(self._mirror()[start:stop] < p)
-                if hits.size:
-                    clean_acts = int(hits[0]) // missing
-                    self._pos = start + clean_acts * missing
-                    i += clean_acts
+                cands = self._candidates(self._buf)
+                at = bisect_left(cands, start)
+                first = cands[at] if at < len(cands) else len(self._buf)
+                clean = min(span, (first - start) // missing)
+                self._pos = start + clean * missing
+                i += clean
+                if clean < span:
                     break
-                self._pos = stop
-                i += span
-        return count, ()
 
     def _hit_runs(self, runs: "_BankRuns", lo: int, hi: int) -> List[int]:
         """The runs among ``lo .. hi - 1`` whose row has an assumed
@@ -872,7 +743,7 @@ class _ProHitDecider(_BufferedVictimDecider):
             inserted = self._inserted
             for hit in chain(self._hit_runs(runs, run, hi), (hi,)):
                 if hit > run:
-                    run = self._stretch(runs, run, hit, interval)
+                    run = self._stretch(runs, run, hit)
                     if self._inserted != inserted:
                         break  # the tables changed: find the hits again
                 if hit == hi:
@@ -883,13 +754,13 @@ class _ProHitDecider(_BufferedVictimDecider):
                     for victim in victims_of[row]:
                         observe(victim, row)
                 else:
-                    self.decide_run(row, interval, count)
+                    self._observe_run(row, count)
                 run = hit + 1
                 if self._inserted != inserted:
                     break
         return ()
 
-    def _stretch(self, runs: "_BankRuns", run: int, stop: int, interval: int) -> int:
+    def _stretch(self, runs: "_BankRuns", run: int, stop: int) -> int:
         """Runs ``run .. stop - 1`` miss the tables: consume their
         lookups' draws up to the first one below the insert
         probability, which inserts, and replay the rest of its run.
@@ -910,20 +781,14 @@ class _ProHitDecider(_BufferedVictimDecider):
                 self._observe(victim, row)
             rest = runs.ends[run + 1] - runs.ends[run] - record - 1
             if rest:
-                self.decide_run(row, interval, rest)
+                self._observe_run(row, rest)
             return run + 1
         return stop
 
 
 class _MRLocDecider(_BufferedVictimDecider):
-    """MRLoc with run batching.
-
-    Every victim lookup draws exactly once, so a run consumes a fixed
-    number of draws per act.  Once the recency queue reaches its steady
-    cycle (one scalar act leaves it unchanged) the per-victim
-    probabilities are constant and the draws are scanned in bulk for the
-    first refresh trigger.
-    """
+    """MRLoc: every victim lookup draws exactly once, and only a draw
+    below the probability at full recency boost can fire."""
 
     __slots__ = ()
 
@@ -936,92 +801,8 @@ class _MRLocDecider(_BufferedVictimDecider):
             1.0, base * (1.0 + (mitigation.max_boost - 1.0) * 1.0)
         ))
 
-    def _probabilities(self, victims: Tuple[int, ...], queue) -> List[float]:
-        """Per-victim probabilities of one act, advancing *queue* as the
-        reference's recency update does."""
-        m = self.mitigation
-        base = m.base_probability
-        boost = m.max_boost
-        pattern = []
-        for victim in victims:
-            length = len(queue)
-            probability = base
-            if length:
-                try:
-                    position = list(queue).index(victim)
-                except ValueError:
-                    position = -1
-                if position >= 0:
-                    recency = (position + 1) / length
-                    probability = base * (1.0 + (boost - 1.0) * recency)
-                    if probability > 1.0:
-                        probability = 1.0
-            pattern.append(probability)
-            if victim in queue:
-                queue.remove(victim)
-            queue.append(victim)
-        return pattern
-
-    def _act(self, row: int, victims: Tuple[int, ...]):
-        # exact port of MRLoc.on_activation with buffered draws: no
-        # probability depends on a draw, so fixing the act's
-        # probabilities (and queue) first leaves every decision unchanged
-        actions = None
-        for victim, probability in zip(
-            victims, self._probabilities(victims, self.mitigation._queue)
-        ):
-            if self._draw() < probability:
-                if actions is None:
-                    actions = []
-                actions.append(RefreshRow(row=victim, trigger_row=row))
-        return tuple(actions) if actions else ()
-
-    def on_activation(self, row: int, interval: int):
-        return self._act(row, self._neighbors(row))
-
     def on_refresh(self, interval: int):
         return ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        victims = self._neighbors(row)
-        queue = self.mitigation._queue
-        width = len(victims)
-        i = 0
-        while i < count:
-            before = tuple(queue)
-            actions = self._act(row, victims)
-            i += 1
-            if actions:
-                return i - 1, actions
-            if i >= count:
-                break
-            if tuple(queue) != before:
-                continue
-            if _np is None:
-                continue
-            # steady state: one act leaves the queue as it was
-            pattern = _np.asarray(self._probabilities(victims, list(queue)))
-            # consume whole clean acts; the act containing the first
-            # trigger draw (or straddling a block) replays scalar above
-            while i < count:
-                if self._pos >= len(self._buf):
-                    self._refill()
-                avail = (len(self._buf) - self._pos) // width
-                span = min(avail, count - i)
-                if span <= 0:
-                    break
-                start = self._pos
-                stop = start + span * width
-                window = self._mirror()[start:stop].reshape(span, width)
-                hits = _np.flatnonzero((window < pattern).ravel())
-                if hits.size:
-                    clean_acts = int(hits[0]) // width
-                    self._pos = start + clean_acts * width
-                    i += clean_acts
-                    break
-                self._pos = stop
-                i += span
-        return count, ()
 
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
         """Decide runs ``lo .. hi - 1``: only a lookup whose draw is below
@@ -1126,9 +907,6 @@ class _TableDecider:
     def table_occupancy(self):
         return getattr(self.mitigation, "table_occupancy", None)
 
-    def on_activation(self, row: int, interval: int):
-        return self.mitigation.on_activation(row, interval)
-
     def on_refresh(self, interval: int):
         return self.mitigation.on_refresh(interval)
 
@@ -1142,22 +920,6 @@ class _TWiCeDecider(_TableDecider):
     arithmetically recoverable act."""
 
     __slots__ = ()
-
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        table = m._table
-        entry = table.get(row)
-        if entry is None:
-            entry = _Entry()
-            table[row] = entry
-            if len(table) > m.max_occupancy:
-                m.max_occupancy = len(table)
-        need = m.trigger_threshold - entry.count
-        if need > count:
-            entry.count += count
-            return count, ()
-        entry.count = 0
-        return need - 1, (ActivateNeighbors(row=row),)
 
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
         """Decide runs ``lo .. hi - 1``: a run fires each time its row's
@@ -1191,17 +953,6 @@ class _CRADecider(_TableDecider):
 
     __slots__ = ()
 
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        counters = m._counters
-        current = counters.get(row, 0)
-        need = m.trigger_threshold - current
-        if need > count:
-            counters[row] = current + count
-            return count, ()
-        counters.pop(row, None)
-        return need - 1, (ActivateNeighbors(row=row),)
-
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
         """Decide runs ``lo .. hi - 1`` (TWiCe's arithmetic; a zero
         counter is not stored)."""
@@ -1230,36 +981,17 @@ class _CRADecider(_TableDecider):
 
 
 class _CaPRoMiDecider(_TableDecider):
-    """CaPRoMi run batching.
-
-    Activations only observe (no draws, no actions): the first
-    observation of a run inserts/evicts exactly like the reference, the
-    rest collapse into one count update.  The history link is constant
-    across the run (the history table only changes at ``ref``) and
-    re-assignments are idempotent.
-    """
+    """CaPRoMi: activations only observe (no draws, no actions)."""
 
     __slots__ = ()
 
-    def decide_run(self, row: int, interval: int, count: int):
-        m = self.mitigation
-        link = m.history.lookup_index(row)
-        entry = m.counters.observe(row, history_link=link)
-        if count > 1:
-            if entry is None:
-                # table full of locked entries: every further observe of
-                # this row drops too (no draws -- nothing is unlocked)
-                m.counters.dropped += count - 1
-            else:
-                entry.count += count - 1
-                if entry.count >= m.counters.lock_threshold:
-                    entry.locked = True
-        return count, ()
-
     def decide_chunk(self, runs: "_BankRuns", lo: int, hi: int, interval: int):
-        """Decide runs ``lo .. hi - 1`` (see :meth:`decide_run`); the
-        history links are read once, the history table being constant
-        between two ``ref`` commands."""
+        """Decide runs ``lo .. hi - 1``: the first observation of a run
+        inserts or evicts like the reference, the rest collapse into
+        one count update.  The history links are read once, the
+        history table being constant between two ``ref`` commands, and
+        a row the table of locked entries drops is dropped for the
+        whole run (no draws: nothing is unlocked)."""
         m = self.mitigation
         counters = m.counters
         resident = counters._entries
@@ -1307,12 +1039,8 @@ def _make_decider(mitigation: Mitigation):
     decider = _DECIDERS.get(type(mitigation))
     if decider is not None:
         return decider(mitigation)
-    if hasattr(mitigation, "observe_run"):
-        # modern counter families batch runs through their own
-        # observe_run arithmetic (same contract as decide_run)
-        return _RunMethodDecider(mitigation)
-    # unknown techniques run as real Mitigation objects: equivalence by
-    # construction, per-record replay (no run batching)
+    # any other technique runs as its real Mitigation object:
+    # equivalence by construction
     return _GenericDecider(mitigation)
 
 

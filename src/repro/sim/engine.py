@@ -23,6 +23,14 @@ from repro.telemetry.profiler import section_of
 from repro.traces.record import Trace
 
 
+def check_max_activations(max_activations: Optional[int]) -> None:
+    """Reject a record limit below one: a run replays at least one record."""
+    if max_activations is not None and max_activations < 1:
+        raise ValueError(
+            f"max_activations must be at least 1, got {max_activations}"
+        )
+
+
 def _occupancies(controller: MemoryController):
     """Per-bank mitigation-table occupancy (None for tableless techniques)."""
     return [
@@ -49,12 +57,14 @@ def run_simulation(
     the baseline showing the attack would succeed.
     ``stop_after_first_trigger`` ends the run at the first mitigation
     trigger (used by the flooding experiments, which only need the
-    activation count up to that point).
+    activation count up to that point); ``max_activations`` (at least
+    1) ends it after that many records.
 
     ``tracer`` / ``metrics`` / ``profiler`` enable the observability
     layer (see :mod:`repro.telemetry`); all three default to off and
     none of them can alter the returned :class:`SimResult`.
     """
+    check_max_activations(max_activations)
     started = time.perf_counter()
     tele = EngineTelemetry.create(tracer, metrics)
     with section_of(profiler, "engine:setup"):

@@ -17,83 +17,55 @@ the entire ``(technique, seed, pbase)`` cell grid.
 Where the speed comes from
 --------------------------
 
-* **Segments** -- :func:`_segments` turns the record stream, in one
+* **Segments** -- :func:`_intervals` turns the record stream, in one
   pass, into maximal runs of identical records that never cross a
-  refresh-interval boundary.  Segmentation is cell-independent (the
-  refresh clock is driven purely by record timestamps), so a grid builds
-  the segment list once; a single cell reads straight from the
-  generator, holding one segment at a time, so
-  ``stop_after_first_trigger`` and ``max_activations`` stop decoding
-  early.
-* **One device pass per grid** -- the device model (disturbance
-  counters, flip threshold, periodic refresh) is the same ground truth
-  in every cell; only the mitigations' extra activations differ, and
-  deciders never read device state.  :func:`_device_pass` replays the
-  unmitigated model once over the segment list -- its result *is* the
-  unmitigated cell's -- and keeps the record position of every refresh
-  tick and every flip, plus the largest epoch totals (an *epoch* is the
-  span between two restorations of a row).
-* **Bank-major decider lanes with an action log** -- deciders never
-  read device state and each bank's decider sees only its own bank's
-  records, so :func:`_decide` runs one computed cell bank by bank: the
-  grid splits its segment list once into per-bank run columns
-  (:class:`_BankRuns`), and each decider takes the refresh ticks and,
-  per interval, one ``decide_chunk`` call for its bank's runs.  The
-  banks' actions are then merged into the order the inline lane's
-  pending queue applies them, each logged with its position: the
-  records and refresh ticks performed before the drain that applies it
-  (before record *k*, or at tick *j* before or after that tick's row
-  refreshes, or after the last tick).  No disturbance counter runs.
-* **Event skipping** -- a draw-driven decider states a probability
-  *ceiling* that none of its decisions can reach, and its
-  ``decide_chunk`` jumps between the few draws below it, rebuilding its
-  state there from the records in between (see
-  :mod:`repro.sim.deciders`, which holds the deciders and that
-  contract).  A decider without a ceiling steps every run.
-* **Per-lane resolution** -- :func:`_resolve` expands a lane's log into
-  row restorations and neighbour increments, indexes the activation
-  runs of just the rows involved (one scan, typed arrays), and
-  recomputes only the base epochs those operations fall in, counting
-  base increments between two positions by bisecting the index.
-  ``max_disturbance`` is the larger of the recomputed epochs and the
-  best epoch the lane left untouched; base flips outside touched epochs
-  are kept, merged in the reference's per-bank event order.  If a lane
-  touches every epoch the pass kept (:data:`_TOP_EPOCHS`), a second
-  pass recounts the best untouched one.
+  refresh-interval boundary, grouped by interval.  A grid builds the
+  segment list once (segmentation is cell-independent); a single cell
+  reads straight from the generator, holding one interval at a time,
+  so an early stop stops decoding.  ``max_activations`` cuts the
+  record stream.
+* **Decisions apart from the device** -- the paper's mitigations only
+  observe the ``act``/``ref`` command stream and never read
+  disturbance state, so a :class:`_Lane` decides first, bank by bank:
+  ``on_refresh`` per tick and one ``decide_chunk`` call per interval.
+  It merges the banks' actions into the order the reference
+  controller applies them, each logged at its drain position.
+  Draw-driven deciders jump between the few draws below their
+  probability *ceiling* (see :mod:`repro.sim.deciders`).
+* **The device pass** -- :func:`_device_pass` replays the disturbance
+  model over the segments in whole ``+n`` steps, recovering a
+  threshold crossing inside a run arithmetically, and skips spans of
+  record-free intervals in one step when the lane's refreshes are
+  decision-free.  Without a lane it is the unmitigated cell.
+* **The own pass** -- a single cell, or a grid cell that does not
+  share, runs the device pass with its lane an interval at a time:
+  the lane decides the interval, then its segments replay and each
+  logged drain restores its rows and disturbs their neighbours at its
+  position.
+* **One device pass per grid** -- a grid with two or more computed
+  lanes runs the unmitigated device pass once, keeping every tick's and
+  flip's record position and the largest epoch totals (an *epoch* is
+  the span between two restorations of a row), and decides each lane's
+  whole schedule against it.  :func:`_resolve` then recomputes only the
+  base epochs a lane's actions fall in, counting base increments from
+  an index of just the rows involved; every other epoch, and its
+  flips, are the device pass's.  If a lane touches every epoch the
+  pass kept (:data:`_TOP_EPOCHS`), a second pass recounts the best
+  untouched one.
 
-  A grid call shares one device pass among its computed cells unless it
-  may stop early (``stop_after_first_trigger``, ``max_activations``),
-  carries an enabled tracer, or its geometry's adjacency is not the
-  symmetric kind of the built-in geometries; lanes with
-  ``distance2_rate > 0`` (float increments) or a flip threshold other
-  than the first lane's, and a lone mitigated lane, replay inline.  The
-  unmitigated cell -- or, without one, the first sharing lane -- is
-  charged the device pass's ``wall_seconds``.
-* **Inline lanes** -- :func:`_replay` runs one lane over the segments
-  with its decisions *and* its disturbance counters in locals (the
-  single-cell entry point, and the grid cells above): the arithmetic
-  of the reference controller / bank / disturbance stack without the
-  object layering.  Refresh state is resolved once per interval, not
-  once per record.
-* **Run batching** -- a row's trigger probability is constant between
-  triggers within an interval and the draws are a fixed pre-buffered
-  sequence, so a segment's no-trigger prefix reduces to one scan over
-  buffered draws (plus, inline, a single ``+= n`` per victim counter;
-  threshold crossings inside the run are recovered arithmetically with
-  the exact per-record timestamp).  The table-based techniques (TWiCe,
-  CRA, CaPRoMi) collapse a run into one arithmetic update, ProHit and
-  MRLoc detect their steady table state and scan the remaining draws in
-  bulk, and the modern families batch through their own
-  ``observe_run``.
+  Cells take their own pass instead when the call stops at a lane's
+  first drain (``stop_after_first_trigger``), carries an enabled
+  tracer, or its adjacency is not the symmetric kind of the built-in
+  geometries; so do lanes whose flip threshold differs from the first
+  lane's, and a lone mitigated lane.  The unmitigated cell -- or,
+  without one, the first sharing lane -- is charged the device pass's
+  ``wall_seconds``.  Cells with ``distance2_rate > 0`` (float
+  increments) run on the reference engine over records rebuilt from
+  the segments.
 * **Bulk RNG draws** -- the probabilistic deciders pre-draw their
-  Mersenne-Twister ``random()`` values in blocks (the *k*-th draw is the
-  same value eagerly or batched) and scan long runs as numpy arrays;
-  PARA's interleaved ``randrange`` rewinds the generator first, keeping
-  the stream bit-exact with the reference mitigation objects.
-* **Empty-interval short-circuit** -- spans of record-free intervals
-  are skipped in one step for techniques whose ``on_refresh`` is
-  decision-free: the periodic refresh of a whole span reduces to
-  popping the disturbance counters whose refresh slot the span covers.
+  ``random()`` values in blocks (the *k*-th draw is the same value
+  eagerly or batched); PARA's interleaved ``randrange`` rewinds the
+  generator first, keeping the stream bit-exact.
 * **Cell dedup** -- mitigation classes declare ``consumes_rng`` /
   ``consumes_pbase`` traits.  TWiCe and CRA consume neither, so their
   seed x pbase plane collapses to one computed cell; PARA, ProHit and
@@ -113,7 +85,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, islice
 from operator import itemgetter, sub
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -134,10 +106,11 @@ from repro.mitigations.registry import (
 )
 from repro.rng import derive_seed
 from repro.sim.deciders import _BankRuns, _column, _make_decider
+from repro.sim.engine import check_max_activations, run_simulation
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.profiler import section_of
-from repro.traces.record import Trace, TraceMeta
+from repro.traces.record import Trace, TraceMeta, TraceRecord
 
 #: minimum number of empty intervals before the span short-circuit is
 #: cheaper than ticking through them
@@ -249,446 +222,49 @@ def _plan_cell(cell: GridCell, base_config: SimConfig) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
-def _segments(trace: Trace) -> Iterator[Segment]:
-    """Yield the trace's maximal runs of identical records in one pass.
+def _intervals(trace: Trace, limit: Optional[int] = None) -> Iterator[List[Segment]]:
+    """Yield the trace's maximal runs of identical records, an interval
+    at a time, in one pass.
 
     A run ends where the bank, row or attack flag changes or a record
     reaches the next refresh-interval boundary.  Each run carries its
-    own timestamp list, so a consumer that drops a run once replayed
-    holds one run at a time, never the trace.  A run is yielded once
-    the first record of the next one has been read.
+    own timestamp list, so a consumer that drops an interval once
+    replayed holds one interval at a time, never the trace.  An
+    interval is yielded once the first record of the next one has been
+    read.  *limit* cuts the record stream after that many records.
     """
     interval_ns = trace.meta.interval_ns
+    records = iter(trace) if limit is None else islice(trace, limit)
+    group: List[Segment] = []
     times: List[int] = []
     boundary = 0  # first timestamp past the current interval
     bank = row = attack = interval = None
-    for time_ns, b, r, a in trace:
+    for time_ns, b, r, a in records:
         if time_ns >= boundary or r != row or b != bank or a != attack:
             if times:
-                yield (times, bank, row, attack, interval)
+                group.append((times, bank, row, attack, interval))
             times = [time_ns]
             bank, row, attack = b, r, a
             if time_ns >= boundary:
+                if group:
+                    yield group
+                    group = []
                 interval = time_ns // interval_ns
                 boundary = (interval + 1) * interval_ns
         else:
             times.append(time_ns)
     if times:
-        yield (times, bank, row, attack, interval)
+        group.append((times, bank, row, attack, interval))
+        yield group
+
+
+def _segments(trace: Trace, limit: Optional[int] = None) -> Iterator[Segment]:
+    """The segments of :func:`_intervals`, one after another."""
+    return chain.from_iterable(_intervals(trace, limit))
 
 
 # ---------------------------------------------------------------------------
-# the lane: one computed cell replayed over the segments
-# ---------------------------------------------------------------------------
-
-
-def _replay(
-    plan: _Plan,
-    policy: RefreshPolicy,
-    segments: Iterable[Segment],
-    meta: TraceMeta,
-    caches: Tuple[Dict, Dict, Dict],
-    stop_after_first_trigger: bool,
-    max_activations: Optional[int],
-    tele,
-    profiler,
-) -> Tuple[SimResult, int]:
-    """Replay one lane over *segments*, drain it, return its result.
-
-    Mirrors the reference controller / device arithmetic record by
-    record (see the module docstring for the shortcuts).  *caches* are
-    the geometry lookups ``(neighbours, second neighbours, refresh rows
-    per slot)`` shared by every lane of a grid.  Returns the result,
-    whose ``wall_seconds`` is this lane's own time, and the number of
-    segments the lane read.
-    """
-    started = time.perf_counter()
-    config = plan.config
-    geometry = policy.geometry
-    num_banks = geometry.num_banks
-    with section_of(profiler, "engine:setup"):
-        deciders: List = []
-        if plan.factory is not None:
-            deciders = [
-                _make_decider(plan.factory(
-                    config, bank, derive_seed(plan.seed, "mitigation", bank)
-                ))
-                for bank in range(num_banks)
-            ]
-        if tele is not None:
-            for decider in deciders:
-                decider.attach_telemetry(tele)
-
-    neighbors_of, second_of, refresh_rows_of = caches
-    refint = geometry.refint
-    rows_per_interval = geometry.rows_per_interval
-    sequential = type(policy) is SequentialRefresh
-    interval_ns = meta.interval_ns
-    flip_threshold = config.flip_threshold
-    distance2 = config.distance2_rate
-    plain_disturbance = distance2 == 0.0
-    all_trivial = all(decider.trivial_refresh for decider in deciders)
-    has_deciders = bool(deciders)
-    # Run batching is legal when every decider can bulk-decide (or there
-    # are none, for the unmitigated baseline) and disturbance moves in
-    # whole +1 steps.
-    can_batch = plain_disturbance and all(
-        hasattr(decider, "decide_run") for decider in deciders
-    )
-
-    # ground-truth device state, kept flat (per-bank dicts and lists)
-    counters: List[Dict[int, float]] = [{} for _ in range(num_banks)]
-    bank_flips: List[List[FlipEvent]] = [[] for _ in range(num_banks)]
-    aggressors: List[set] = [set() for _ in range(num_banks)]
-    max_disturbance = 0
-    extra_activations = 0
-    fp_extra_activations = 0
-    mitigation_triggers = 0
-    max_occupancy = 0
-    pending: List[Tuple[int, object, bool]] = []
-    time_now = 0
-    current_interval = -1
-    activation_index = 0
-    attack_activations = 0
-    first_trigger: Optional[int] = None
-
-    def neighbors(row: int) -> Tuple[int, ...]:
-        found = neighbors_of.get(row)
-        if found is None:
-            found = neighbors_of[row] = geometry.neighbors(row)
-        return found
-
-    def do_activation(bank: int, row: int) -> None:
-        """Mirror of Bank.activate: restore *row*, disturb its neighbours."""
-        nonlocal max_disturbance
-        c = counters[bank]
-        flips = bank_flips[bank]
-        c.pop(row, None)
-        for victim in neighbors(row):
-            before = c.get(victim, 0.0)
-            count = before + 1.0
-            c[victim] = count
-            whole = int(count)
-            if whole > max_disturbance:
-                max_disturbance = whole
-            if before < flip_threshold <= count:
-                flips.append(
-                    FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
-                )
-        if distance2 > 0.0:
-            seconds = second_of.get(row)
-            if seconds is None:
-                seconds = second_of[row] = [
-                    second
-                    for neighbor in neighbors(row)
-                    for second in geometry.neighbors(neighbor)
-                    if second != row
-                ]
-            for victim in seconds:
-                before = c.get(victim, 0.0)
-                count = before + distance2
-                c[victim] = count
-                whole = int(count)
-                if whole > max_disturbance:
-                    max_disturbance = whole
-                if before < flip_threshold <= count:
-                    flips.append(
-                        FlipEvent(bank=bank, row=victim, count=whole, time_ns=time_now)
-                    )
-
-    def apply_pending() -> None:
-        """Mirror of MemoryController._drain_buffer / _apply."""
-        nonlocal extra_activations, fp_extra_activations, mitigation_triggers
-        for bank, action, was_attack in pending:
-            mitigation_triggers += 1
-            if isinstance(action, ActivateNeighbors):
-                victims = neighbors(action.row)
-                for victim in victims:
-                    do_activation(bank, victim)
-                cost = len(victims)
-            elif isinstance(action, RefreshRow):
-                do_activation(bank, action.row)
-                cost = 1
-            elif isinstance(action, RecoveryRefresh):
-                cost = 0
-                for aggressor in action.rows:
-                    victims = neighbors(aggressor)
-                    for victim in victims:
-                        do_activation(bank, victim)
-                    cost += len(victims)
-            else:  # pragma: no cover - future action kinds
-                raise TypeError(f"unknown mitigation action {action!r}")
-            extra_activations += cost
-            if not was_attack:
-                fp_extra_activations += cost
-            if tele is not None:
-                tele.on_apply(
-                    bank, action.row, current_interval, cost, not was_attack
-                )
-        pending.clear()
-
-    def enqueue(bank: int, actions) -> None:
-        nonlocal max_occupancy
-        bank_aggressors = aggressors[bank]
-        for action in actions:
-            pending.append((bank, action, action.trigger_row in bank_aggressors))
-            if tele is not None:
-                tele.on_trigger(
-                    bank, action.row, current_interval, type(action).__name__
-                )
-        if len(pending) > max_occupancy:
-            max_occupancy = len(pending)
-
-    def refresh_tick() -> None:
-        """Mirror of MemoryController.refresh_tick (one ``ref`` command)."""
-        nonlocal current_interval
-        if pending:
-            apply_pending()
-        current_interval += 1
-        slot = current_interval % refint
-        rows = refresh_rows_of.get(slot)
-        if rows is None:
-            rows = refresh_rows_of[slot] = list(policy.rows_for_interval(slot))
-        for c in counters:
-            for row in rows:
-                c.pop(row, None)
-        for bank, decider in enumerate(deciders):
-            actions = decider.on_refresh(current_interval)
-            if actions:
-                enqueue(bank, actions)
-        if pending:
-            apply_pending()
-        if tele is not None:
-            tele.on_interval(
-                current_interval,
-                current_interval * interval_ns,
-                activation_index,
-                attack_activations,
-                [decider.table_occupancy for decider in deciders],
-            )
-
-    def advance_to(target: int) -> None:
-        """Run the refresh ticks up to interval *target*.
-
-        Spans of record-free intervals are fast-forwarded when every
-        decider's ``on_refresh`` is decision-free: the span's ticks then
-        reduce to popping the disturbance counters whose refresh slot
-        falls inside the span, plus a history clear if a window boundary
-        was crossed.
-        """
-        nonlocal current_interval
-        if not all_trivial or target - current_interval <= _SKIP_THRESHOLD:
-            while current_interval < target:
-                refresh_tick()
-            return
-        if pending:
-            apply_pending()
-        first_skipped = current_interval + 1
-        if target - current_interval >= refint:
-            # at least one full window: every row refreshed at least once
-            for c in counters:
-                c.clear()
-            boundary = True
-        else:
-            lo = (current_interval + 1) % refint
-            hi = target % refint
-            wrapped = lo > hi
-            boundary = wrapped or lo == 0
-            for c in counters:
-                if not c:
-                    continue
-                doomed = []
-                for row in c:
-                    slot = (
-                        row // rows_per_interval
-                        if sequential
-                        else policy.refresh_slot_of(row)
-                    )
-                    covered = (
-                        (slot >= lo or slot <= hi)
-                        if wrapped
-                        else lo <= slot <= hi
-                    )
-                    if covered:
-                        doomed.append(row)
-                for row in doomed:
-                    del c[row]
-        if boundary:
-            for decider in deciders:
-                decider.clear_window()
-        current_interval = target
-        if tele is not None:
-            tele.on_interval_skip(first_skipped, target, target * interval_ns)
-
-    # Hot loop.  Each segment first ticks the refresh clock up to its
-    # interval; its records then replay as batched runs or one at a
-    # time.  The distance-1 disturbance update is inlined;
-    # ``do_activation`` is kept for the rare mitigation-action path.
-    replay_started = time.perf_counter()
-    neighbors_get = neighbors_of.get
-    segment_count = 0
-    for segment_count, (times, bank, row, is_attack, interval) in enumerate(
-        segments, 1
-    ):
-        if interval > current_interval:
-            advance_to(interval)
-        i = 0
-        end = len(times)
-        while i < end:
-            t = times[i]
-            time_now = t
-            if tele is not None:
-                tele.now = t
-            if pending:
-                apply_pending()
-
-            # Batch the rest of the segment.  The per-act first-trigger
-            # check is skipped because it cannot fire mid-batch: no
-            # action is *applied* during the run (only enqueued at its
-            # very end), so ``mitigation_triggers`` cannot rise from
-            # zero -- runs starting in any other state are excluded.
-            length = end - i
-            if (
-                length > 1
-                and can_batch
-                and (first_trigger is not None or mitigation_triggers == 0)
-            ):
-                if max_activations is not None:
-                    room = max_activations - activation_index
-                    if length > room:
-                        length = room
-            else:
-                length = 1
-            if length > 1:
-                if has_deciders:
-                    clean, actions = deciders[bank].decide_run(
-                        row, current_interval, length
-                    )
-                    done = length if clean == length else clean + 1
-                else:
-                    actions = ()
-                    done = length
-                if is_attack:
-                    aggressors[bank].add(row)
-                    attack_activations += done
-                c = counters[bank]
-                victims = neighbors_get(row)
-                if victims is None:
-                    victims = neighbors(row)
-                c.pop(row, None)
-                bump = float(done)
-                flips = bank_flips[bank]
-                flips_before = len(flips)
-                for victim in victims:
-                    before = c.get(victim, 0.0)
-                    count = before + bump
-                    c[victim] = count
-                    whole = int(count)
-                    if whole > max_disturbance:
-                        max_disturbance = whole
-                    if before < flip_threshold <= count:
-                        # counts move in whole +1 steps, so the act at
-                        # which the threshold is crossed is computable
-                        crossing = flip_threshold - int(before)
-                        flips.append(FlipEvent(
-                            bank=bank, row=victim, count=flip_threshold,
-                            time_ns=times[i + crossing - 1],
-                        ))
-                if len(flips) - flips_before > 1:
-                    # several victims crossed inside one run: the
-                    # reference emits flips in act order, not in victim
-                    # order (timestamps break the tie)
-                    flips[flips_before:] = sorted(
-                        flips[flips_before:], key=lambda f: f.time_ns
-                    )
-                activation_index += done
-                i += done
-                time_now = times[i - 1]
-                if tele is not None:
-                    tele.now = time_now
-                if actions:
-                    # the acts after the trigger act replay next; the
-                    # action applies at the first of them, exactly like
-                    # the reference's next-command drain
-                    enqueue(bank, actions)
-                if max_activations is not None and activation_index >= max_activations:
-                    break
-                continue
-
-            if is_attack:
-                aggressors[bank].add(row)
-                attack_activations += 1
-            if plain_disturbance:
-                c = counters[bank]
-                victims = neighbors_get(row)
-                if victims is None:
-                    victims = neighbors(row)
-                c.pop(row, None)
-                for victim in victims:
-                    before = c.get(victim, 0.0)
-                    count = before + 1.0
-                    c[victim] = count
-                    whole = int(count)
-                    if whole > max_disturbance:
-                        max_disturbance = whole
-                    if before < flip_threshold <= count:
-                        bank_flips[bank].append(
-                            FlipEvent(bank=bank, row=victim, count=whole, time_ns=t)
-                        )
-            else:
-                do_activation(bank, row)
-            if has_deciders:
-                actions = deciders[bank].on_activation(row, current_interval)
-                if actions:
-                    enqueue(bank, actions)
-            activation_index += 1
-            i += 1
-            if first_trigger is None and mitigation_triggers > 0:
-                first_trigger = activation_index
-                if stop_after_first_trigger:
-                    break
-            if max_activations is not None and activation_index >= max_activations:
-                break
-        else:
-            continue
-        break  # the lane stopped early
-    if profiler is not None:
-        profiler.add("engine:replay", time.perf_counter() - replay_started)
-
-    with section_of(profiler, "engine:drain"):
-        if not (stop_after_first_trigger and first_trigger):
-            advance_to(meta.total_intervals - 1)
-        if pending:
-            apply_pending()
-    if tele is not None:
-        tele.finish(activation_index, attack_activations)
-
-    flips: List[FlipEvent] = []
-    for events in bank_flips:
-        flips.extend(events)
-    result = SimResult(
-        technique=deciders[0].name if deciders else "none",
-        seed=plan.seed,
-        flip_threshold=flip_threshold,
-    )
-    result.normal_activations = activation_index
-    result.attack_activations = attack_activations
-    result.extra_activations = extra_activations
-    result.fp_extra_activations = fp_extra_activations
-    result.mitigation_triggers = mitigation_triggers
-    result.flips = flips
-    result.max_disturbance = max_disturbance
-    result.intervals_simulated = current_interval + 1
-    result.first_trigger_activation = first_trigger
-    result.max_rh_buffer_occupancy = max_occupancy
-    if deciders:
-        result.table_bytes = deciders[0].table_bytes
-    result.wall_seconds = time.perf_counter() - started
-    return result, segment_count
-
-
-# ---------------------------------------------------------------------------
-# the shared device pass: one disturbance replay for every lane of a grid
+# the lane: one mitigated cell's decisions
 # ---------------------------------------------------------------------------
 #
 # Positions.  A mitigation action is applied at a drain of the pending
@@ -698,6 +274,271 @@ def _replay(
 # it.  A record *k* of interval *i* sits at ``(k, i + 1)`` after that
 # position's drain, and tick *j* refreshes its rows between ``(r_j, j)``
 # and ``(r_j, j + 1)``, where ``r_j`` counts the records before tick *j*.
+# A record's actions drain at ``(k + 1, i + 1)``: before the next
+# record, or at the next tick if that comes first; a tick's right after
+# that tick's refreshes, at ``(r_j, j + 1)``.
+
+#: the steps of a lane's schedule: a refresh tick the lane runs, a span
+#: of ticks it skips, an interval's chunk of runs
+_TICK, _SKIP, _CHUNK = range(3)
+
+
+def _advance(current: int, target: int, trivial: bool, refint: int) -> List[Tuple]:
+    """The steps from tick *current* to tick *target*.
+
+    Each tick is a step ``(_TICK, j)``, unless every decider's refresh
+    is decision-free (*trivial*) and the span is long: it is then one
+    step ``(_SKIP, first, target, boundary)``, *boundary* saying a
+    window boundary lies inside it.  The device pass ticks and skips
+    the same way.
+    """
+    if not trivial or target - current <= _SKIP_THRESHOLD:
+        return [(_TICK, tick) for tick in range(current + 1, target + 1)]
+    first = current + 1
+    boundary = target - current >= refint or (
+        first % refint > target % refint or first % refint == 0
+    )
+    return [(_SKIP, first, target, boundary)]
+
+
+def _bank_runs(
+    segments: Sequence[Segment],
+    starts: Sequence[int],
+    bounds: Iterable[Tuple[int, int]],
+    banks: List[_BankRuns],
+    column=_column,
+) -> List[_BankRuns]:
+    """Fill *banks* with the per-bank run columns of *segments*.
+
+    *starts* are the segments' first records; *bounds* pairs each
+    interval, in order, with the first record after it.  The segments'
+    attack runs are added to each bank's ``attacks``.  *column* builds
+    a column: typed arrays for a whole trace, lists for one interval.
+    """
+    bank_of = list(map(itemgetter(1), segments))
+    # None: every segment is the bank's
+    members: List[Optional[List[int]]] = [[] for _ in banks]
+    if bank_of.count(bank_of[0] if bank_of else 0) == len(bank_of):
+        members[bank_of[0] if bank_of else 0] = None
+    else:
+        order = sorted(range(len(segments)), key=bank_of.__getitem__)
+        for bank in range(len(banks)):
+            members[bank] = order[:bank_of.count(bank)]
+            del order[:len(members[bank])]
+    bounds = list(bounds)
+    for indices, runs in zip(members, banks):
+        runs.lookups = None
+        if indices == []:
+            runs.rows = runs.starts = column(())
+            runs.ends = column((0,))
+            runs.chunks = {}
+            continue
+        if indices is None:
+            picked: Sequence[Segment] = segments
+            runs.starts = starts
+        else:
+            picked = list(map(segments.__getitem__, indices))
+            runs.starts = column(map(starts.__getitem__, indices))
+        count = len(picked)
+        runs.rows = column(map(itemgetter(2), picked))
+        runs.ends = column(accumulate(
+            map(len, map(itemgetter(0), picked)), initial=0
+        ))
+        runs.chunks = {}
+        lo = 0
+        for interval, bound in bounds:
+            hi = bisect_left(runs.starts, bound, lo, count)
+            if hi > lo:
+                runs.chunks[interval] = (lo, hi)
+            lo = hi
+        attack = list(compress(range(count), map(itemgetter(3), picked)))
+        attack.reverse()  # so that a row's first attack run is kept
+        fresh = dict(zip(
+            map(runs.rows.__getitem__, attack),
+            map(runs.starts.__getitem__, attack),
+        ))
+        held = runs.attacks
+        for row in fresh.keys() - held.keys():
+            held[row] = fresh[row]
+    return banks
+
+
+class _Lane:
+    """One mitigated cell's deciders, and the count of the actions they
+    drain.
+
+    Deciders never read device state, and a bank's decider sees only
+    that bank's records and the refresh ticks, so :meth:`decide` runs a
+    stretch of the schedule one bank at a time: each tick with
+    ``on_refresh`` (a skipped span with ``clear_window``), each
+    interval's runs with one ``decide_chunk`` call.  :meth:`merge` puts
+    the banks' actions in the order the reference controller applies
+    them and counts them.  The grid decides a lane's whole schedule in
+    one call; the own pass one interval at a time, the deciders'
+    state carrying over.
+    """
+
+    __slots__ = (
+        "deciders", "trivial", "tele", "occupancy", "extra", "fp_extra",
+        "triggers", "max_occupancy", "first",
+    )
+
+    def __init__(self, plan: _Plan, geometry: DRAMGeometry, tele):
+        self.deciders = [
+            _make_decider(plan.factory(
+                plan.config, bank, derive_seed(plan.seed, "mitigation", bank)
+            ))
+            for bank in range(geometry.num_banks)
+        ]
+        if tele is not None:
+            for decider in self.deciders:
+                decider.attach_telemetry(tele)
+        self.trivial = all(decider.trivial_refresh for decider in self.deciders)
+        self.tele = tele
+        #: the deciders' table occupancies at each tick, for telemetry
+        self.occupancy: Dict[int, List] = {}
+        self.extra = 0
+        self.fp_extra = 0
+        self.triggers = 0
+        self.max_occupancy = 0
+        #: the record position of the first drain, once there is one
+        self.first: Optional[int] = None
+
+    def decide(
+        self,
+        banks: List[_BankRuns],
+        steps: List[Tuple],
+        ticks: Sequence[int],
+        end: int,
+        time_of,
+    ) -> List[Tuple]:
+        """Decide *steps* bank by bank; return the actions in drain order.
+
+        *banks* hold the steps' runs, *ticks* the records before each
+        of their ticks, *end* the records up to the end of the last
+        chunk, and ``time_of(k)`` is record *k*'s timestamp.  Each
+        action is queued as ``(kb, tb, bank, queued at tick, time_ns,
+        was_attack, action)``, ``time_ns`` being the controller's time
+        at its drain: the next record's, or the last record's at a
+        tick.
+        """
+        tele = self.tele
+        queued: List[Tuple] = []
+        for bank, (decider, runs) in enumerate(zip(self.deciders, banks)):
+            attacks = runs.attacks
+            for step in steps:
+                kind = step[0]
+                if kind == _CHUNK:
+                    interval = step[1]
+                    chunk = runs.chunks.get(interval)
+                    if chunk is None:
+                        continue
+                    following = (
+                        ticks[interval + 1] if interval + 1 < len(ticks) else end
+                    )
+                    for record, actions in decider.decide_chunk(
+                        runs, chunk[0], chunk[1], interval
+                    ):
+                        k = runs.record(record)
+                        time_ns = time_of(k + 1 if k + 1 < following else k)
+                        for action in actions:
+                            queued.append((
+                                k + 1, interval + 1, bank, interval + 1, time_ns,
+                                attacks.get(action.trigger_row, end) <= k, action,
+                            ))
+                elif kind == _TICK:
+                    tick = step[1]
+                    actions = decider.on_refresh(tick)
+                    if actions:
+                        kb = ticks[tick]
+                        time_ns = time_of(kb - 1) if kb else 0
+                        for action in actions:
+                            queued.append((
+                                kb, tick + 1, bank, tick, time_ns,
+                                attacks.get(action.trigger_row, end) < kb, action,
+                            ))
+                    if tele is not None:
+                        self.occupancy.setdefault(tick, []).append(
+                            decider.table_occupancy
+                        )
+                elif step[3]:
+                    decider.clear_window()
+        # drains in position order; a tick's drain takes the banks in order
+        queued.sort(key=itemgetter(0, 1, 2))
+        return queued
+
+    def merge(self, queued: List[Tuple], neighbors) -> List[Tuple]:
+        """Count *queued* (from :meth:`decide`) as applied and log it.
+
+        Returns one ``(kb, tb, time_ns, bank, rows, action,
+        was_attack)`` per action, *rows* being the rows it activates.
+        """
+        log: List[Tuple] = []
+        drained = 0
+        position = None
+        for kb, tb, bank, _tick, time_ns, was_attack, action in queued:
+            if isinstance(action, ActivateNeighbors):
+                activated: Tuple[int, ...] = neighbors(action.row)
+            elif isinstance(action, RefreshRow):
+                activated = (action.row,)
+            elif isinstance(action, RecoveryRefresh):
+                activated = tuple(
+                    row for aggressor in action.rows for row in neighbors(aggressor)
+                )
+            else:  # pragma: no cover - future action kinds
+                raise TypeError(f"unknown mitigation action {action!r}")
+            self.extra += len(activated)
+            if not was_attack:
+                self.fp_extra += len(activated)
+            log.append((kb, tb, time_ns, bank, activated, action, was_attack))
+            # the pending queue's depth: the actions of one drain
+            drained = drained + 1 if (kb, tb) == position else 1
+            position = (kb, tb)
+            self.max_occupancy = max(self.max_occupancy, drained)
+        if queued and self.first is None:
+            self.first = queued[0][0]
+        self.triggers += len(queued)
+        return log
+
+    def count(self, result: SimResult) -> None:
+        """Fill *result*'s technique and mitigation counts."""
+        deciders = self.deciders
+        result.technique = deciders[0].name
+        result.extra_activations = self.extra
+        result.fp_extra_activations = self.fp_extra
+        result.mitigation_triggers = self.triggers
+        if self.first is not None and self.first < result.normal_activations:
+            # the reference notes the first trigger after the next record
+            result.first_trigger_activation = self.first + 1
+        result.max_rh_buffer_occupancy = self.max_occupancy
+        result.table_bytes = deciders[0].table_bytes
+
+
+def _split(
+    group: List[Segment], starts: Sequence[int], points: List[int], limit: int
+) -> List[Segment]:
+    """*group*'s segments cut before each record of *points*
+    (ascending, below *limit*), keeping the records before *limit*."""
+    pieces = group[:bisect_left(starts, limit)]
+    last = len(pieces) - 1
+    if limit - starts[last] < len(pieces[last][0]):
+        pieces[last] = (pieces[last][0][:limit - starts[last]],) + pieces[last][1:]
+    for point in reversed(points):
+        # the later pieces of a segment are cut first, so its first
+        # piece still starts at the segment's start
+        index = bisect_right(starts, point) - 1
+        offset = point - starts[index]
+        if offset:
+            times, *rest = pieces[index]
+            pieces[index:index + 1] = [
+                (times[:offset], *rest), (times[offset:], *rest)
+            ]
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# the device pass: the disturbance replay, shared by a grid or a cell's own
+# ---------------------------------------------------------------------------
 #
 # Epochs.  A row's *epoch* is the span between two restorations of it
 # (its own activation, or a refresh tick of one of its slots).  It is
@@ -716,9 +557,10 @@ _SYMMETRIC_GEOMETRIES = (DRAMGeometry, RemappedGeometry)
 
 
 class _Device:
-    """What the device pass leaves for the lanes: the unmitigated
-    outcome, the tick positions and the largest base epochs, plus the
-    per-row activation index the resolution builds on demand."""
+    """What a device pass leaves: the cell's outcome, the tick
+    positions and the largest epochs, plus -- for a shared pass -- the
+    segments and the per-row activation index the resolution builds
+    on demand."""
 
     __slots__ = (
         "segments", "policy", "neighbors_of", "threshold", "records",
@@ -726,8 +568,8 @@ class _Device:
         "truncated", "starts", "activations", "slot_map",
     )
 
-    def __init__(self, segments, policy, neighbors_of, threshold):
-        self.segments = segments
+    def __init__(self, policy, neighbors_of, threshold):
+        self.segments: List[Segment] = []
         self.policy = policy
         self.neighbors_of = neighbors_of
         self.threshold = threshold
@@ -737,10 +579,10 @@ class _Device:
         self.ticks = array("q")
         #: the attack records among them
         self.tick_attacks = array("q")
-        #: per bank: base flips in event order, and the record of each
+        #: per bank: flips in event order, and the record of each
         self.flips: List[List[FlipEvent]] = []
         self.flip_records: List[List[int]] = []
-        #: ``(total, epoch, key)`` of the largest base epochs, descending
+        #: ``(total, epoch, key)`` of the largest epochs, descending
         self.top: List[Tuple[int, int, int]] = []
         #: whether smaller epochs than the last of :attr:`top` were dropped
         self.truncated = False
@@ -762,8 +604,10 @@ class _Device:
     def max_disturbance(self) -> int:
         return self.top[0][0] if self.top else 0
 
-    def result(self, plan: _Plan) -> SimResult:
-        """The unmitigated cell's result."""
+    def result(self, plan: _Plan, lane: Optional[_Lane] = None) -> SimResult:
+        """The cell's result: the unmitigated one, or with *lane*'s
+        drained actions counted.  A shared lane's ``flips`` and
+        ``max_disturbance`` are the base ones until :func:`_resolve`."""
         result = SimResult(
             technique="none", seed=plan.seed, flip_threshold=self.threshold
         )
@@ -772,6 +616,8 @@ class _Device:
         result.flips = [flip for flips in self.flips for flip in flips]
         result.max_disturbance = self.max_disturbance
         result.intervals_simulated = len(self.ticks)
+        if lane is not None:
+            lane.count(result)
         return result
 
     def index(self, keys: set) -> None:
@@ -911,33 +757,47 @@ class _Device:
 
 
 def _device_pass(
-    segments: List[Segment],
+    intervals: Iterable[List[Segment]],
     policy: RefreshPolicy,
     meta: TraceMeta,
-    caches: Tuple[Dict, Dict, Dict],
+    caches: Tuple[Dict, Dict],
     threshold: int,
     tele,
     keep: int,
     exclude: Optional[set] = None,
+    lane: Optional[_Lane] = None,
+    stop: bool = False,
+    profiler=None,
 ) -> _Device:
-    """Replay the unmitigated disturbance model once over *segments*.
+    """Replay the disturbance model once over *intervals* (segment
+    groups, as :func:`_intervals` yields them).
 
-    Mirrors the inline lane with no deciders (whole ``+n`` steps only),
-    and also records each tick's record position, each flip's record
-    and the *keep* largest epoch totals.  An epoch ``(key, epoch)`` in
-    *exclude* is left out of that list.
+    Without a *lane* this is the unmitigated model, in whole ``+n``
+    steps per segment; it also records each tick's record position,
+    each flip's record and the *keep* largest epoch totals.  An epoch
+    ``(key, epoch)`` in *exclude* is left out of that list.
+
+    With a *lane* it is that cell's own pass.  Before an interval
+    replays, the lane decides its runs and the ticks before it; each
+    logged drain then restores its rows and disturbs their neighbours
+    at its position, so segments are cut at the drains inside them.
+    *stop* ends the run at the lane's first drain the way the
+    reference's ``stop_after_first_trigger`` does: the record after it
+    replays, its actions drain, and no further tick runs.
     """
     geometry = policy.geometry
+    num_banks = geometry.num_banks
     rows_per_bank = geometry.rows_per_bank
     refint = geometry.refint
     rows_per_interval = geometry.rows_per_interval
     sequential = type(policy) is SequentialRefresh
     interval_ns = meta.interval_ns
-    neighbors_of, _second, refresh_rows_of = caches
-    device = _Device(segments, policy, neighbors_of, threshold)
+    neighbors_of, refresh_rows_of = caches
+    device = _Device(policy, neighbors_of, threshold)
+    neighbors = device.neighbors
     ticks = device.ticks
     tick_attacks = device.tick_attacks
-    counters: List[Dict[int, int]] = [{} for _ in range(geometry.num_banks)]
+    counters: List[Dict[int, int]] = [{} for _ in range(num_banks)]
     device.flips = bank_flips = [[] for _ in counters]
     device.flip_records = flip_records = [[] for _ in counters]
     heap: List[Tuple[int, int, int]] = []
@@ -946,6 +806,13 @@ def _device_pass(
     records = 0
     attacks = 0
     current_interval = -1
+    skippable = lane is None or lane.trivial
+    #: the lane's logged drains, position order, from the next one to
+    #: apply (``at``); ``next_kb`` is its record position (-1: none)
+    drains: List[Tuple] = []
+    at = 0
+    next_kb = -1
+    stopped = False
 
     def close(total: int, epoch: int, key: int) -> None:
         """An epoch ended with *total* > ``floor``: keep the largest."""
@@ -961,9 +828,43 @@ def _device_pass(
             truncated = True
         floor = heap[0][0]
 
+    def drain(kb: int, tb: int) -> None:
+        """Apply the logged drains up to position ``(kb, tb)``: each
+        activated row is restored and disturbs its neighbours."""
+        nonlocal at, next_kb
+        while at < len(drains):
+            entry = drains[at]
+            if entry[0] > kb or (entry[0] == kb and entry[1] > tb):
+                break
+            position, tick, time_ns, bank, activated, action, was_attack = entry
+            c = counters[bank]
+            base = bank * rows_per_bank
+            for row in activated:
+                total = c.pop(row, None)
+                if total is not None and total > floor:
+                    close(total, position + tick, base + row)
+                for victim in neighbors(row):
+                    count = c[victim] = c.get(victim, 0) + 1
+                    if count == threshold:
+                        flip_records[bank].append(position)
+                        bank_flips[bank].append(FlipEvent(
+                            bank=bank, row=victim, count=threshold, time_ns=time_ns,
+                        ))
+            if tele is not None:
+                if time_ns > tele.now:
+                    tele.now = time_ns
+                tele.on_trigger(bank, action.row, tick - 1, type(action).__name__)
+                tele.on_apply(
+                    bank, action.row, tick - 1, len(activated), not was_attack
+                )
+            at += 1
+        next_kb = drains[at][0] if at < len(drains) else -1
+
     def tick() -> None:
         nonlocal current_interval
         current_interval += 1
+        if next_kb == records:
+            drain(records, current_interval)
         ticks.append(records)
         tick_attacks.append(attacks)
         slot = current_interval % refint
@@ -978,20 +879,28 @@ def _device_pass(
                     total = c.pop(row, None)
                     if total is not None and total > floor:
                         close(total, epoch, base + row)
+        if next_kb == records:
+            drain(records, current_interval + 1)
         if tele is not None:
             tele.on_interval(
                 current_interval, current_interval * interval_ns,
-                records, attacks, [],
+                records, attacks,
+                lane.occupancy.pop(current_interval, ()) if lane is not None else (),
             )
 
     def advance_to(target: int) -> None:
-        """The inline lane's ``advance_to`` with no deciders."""
+        """Tick up to interval *target*; a span of record-free
+        intervals is skipped in one step (when the lane's refreshes are
+        decision-free): its ticks reduce to popping the counters whose
+        refresh slot the span covers."""
         nonlocal current_interval
-        if target - current_interval <= _SKIP_THRESHOLD:
+        if not skippable or target - current_interval <= _SKIP_THRESHOLD:
             while current_interval < target:
                 tick()
             return
         first = current_interval + 1
+        if next_kb == records:
+            drain(records, first)
         for _ in range(first, target + 1):
             ticks.append(records)
             tick_attacks.append(attacks)
@@ -1022,40 +931,121 @@ def _device_pass(
         if tele is not None:
             tele.on_interval_skip(first, target, target * interval_ns)
 
+    def decided(groups: Iterable[List[Segment]]) -> Iterator[List[Segment]]:
+        """*groups* as the lane decides them, an interval at a time,
+        cut at the drains inside segments (and, with *stop*, after the
+        record following the first drain)."""
+        nonlocal stopped
+        positions: List[int] = []  # records before each decided tick
+        banks = [_BankRuns() for _ in range(num_banks)]
+        last_time = 0  # the last replayed record's timestamp
+
+        def install(queued: List[Tuple]) -> None:
+            nonlocal drains, at, next_kb
+            drains = drains[at:] + lane.merge(queued, neighbors)
+            at = 0
+            next_kb = drains[0][0] if drains else -1
+
+        for group in groups:
+            interval = group[0][4]
+            start = records
+            starts = list(accumulate(
+                map(len, map(itemgetter(0), group)), initial=start
+            ))
+            end = starts[-1]
+
+            def time_of(k: int) -> int:
+                if k < start:
+                    return last_time
+                segment = bisect_right(starts, k) - 1
+                return group[segment][0][k - starts[segment]]
+
+            steps = _advance(len(positions) - 1, interval, lane.trivial, refint)
+            steps.append((_CHUNK, interval))
+            positions += [start] * (interval + 1 - len(positions))
+            queued = lane.decide(
+                _bank_runs(group, starts, ((interval, end),), banks, list),
+                steps, positions, end, time_of,
+            )
+            limit = end
+            if stop:
+                first = lane.first
+                if first is None:
+                    first = queued[0][0] if queued else end
+                if first < end:
+                    # the record at the first drain replays; its actions
+                    # drain at the end, at that record's time
+                    limit = first + 1
+                    queued = [
+                        entry if entry[0] < limit
+                        else entry[:4] + (time_of(first),) + entry[5:]
+                        for entry in queued if entry[0] <= limit
+                    ]
+                    stopped = True
+            install(queued)
+            points = sorted({
+                entry[0] for entry in drains if start < entry[0] < limit
+            })
+            if points or limit < end:
+                group = _split(group, starts, points, limit)
+            yield group
+            last_time = group[-1][0][-1]
+            if stopped:
+                return
+        steps = _advance(
+            len(positions) - 1, meta.total_intervals - 1, lane.trivial, refint
+        )
+        positions += [records] * (meta.total_intervals - len(positions))
+        install(lane.decide(
+            _bank_runs([], [records], (), banks, list),
+            steps, positions, records, lambda k: last_time,
+        ))
+
+    if lane is not None:
+        intervals = decided(intervals)
     neighbors_get = neighbors_of.get
-    for times, bank, row, is_attack, interval in segments:
-        if interval > current_interval:
-            advance_to(interval)
-        c = counters[bank]
-        total = c.pop(row, None)
-        if total is not None and total > floor:
-            close(total, records + interval + 1, bank * rows_per_bank + row)
-        n = len(times)
-        victims = neighbors_get(row)
-        if victims is None:
-            victims = neighbors_of[row] = geometry.neighbors(row)
-        for victim in victims:
-            before = c.get(victim, 0)
-            count = c[victim] = before + n
-            if before < threshold <= count:
-                # counts move in whole +1 steps: the crossing act is
-                # computable; flips stay in record order (several
-                # victims may cross inside one run)
-                crossing = threshold - before - 1
-                record = records + crossing
-                held = flip_records[bank]
-                at = len(held)
-                while at and held[at - 1] > record:
-                    at -= 1
-                held.insert(at, record)
-                bank_flips[bank].insert(at, FlipEvent(
-                    bank=bank, row=victim, count=threshold,
-                    time_ns=times[crossing],
-                ))
-        records += n
-        if is_attack:
-            attacks += n
-    advance_to(meta.total_intervals - 1)
+    with section_of(profiler, "engine:replay"):
+        for group in intervals:
+            interval = group[0][4]
+            if interval > current_interval:
+                advance_to(interval)
+            for times, bank, row, is_attack, interval in group:
+                if next_kb == records:
+                    drain(records, interval + 1)
+                c = counters[bank]
+                total = c.pop(row, None)
+                if total is not None and total > floor:
+                    close(total, records + interval + 1, bank * rows_per_bank + row)
+                n = len(times)
+                victims = neighbors_get(row)
+                if victims is None:
+                    victims = neighbors_of[row] = geometry.neighbors(row)
+                for victim in victims:
+                    before = c.get(victim, 0)
+                    count = c[victim] = before + n
+                    if before < threshold <= count:
+                        # counts move in whole +1 steps: the crossing act
+                        # is computable; flips stay in record order
+                        # (several victims may cross inside one run)
+                        crossing = threshold - before - 1
+                        record = records + crossing
+                        held = flip_records[bank]
+                        place = len(held)
+                        while place and held[place - 1] > record:
+                            place -= 1
+                        held.insert(place, record)
+                        bank_flips[bank].insert(place, FlipEvent(
+                            bank=bank, row=victim, count=threshold,
+                            time_ns=times[crossing],
+                        ))
+                records += n
+                if is_attack:
+                    attacks += n
+    with section_of(profiler, "engine:drain"):
+        if not stopped:
+            advance_to(meta.total_intervals - 1)
+        # the drain the reference's ``controller.finish()`` applies
+        drain(records, current_interval + 1)
     end = records + len(ticks)
     for bank, c in enumerate(counters):
         base = bank * rows_per_bank
@@ -1066,215 +1056,48 @@ def _device_pass(
         tele.finish(records, attacks)
     device.records = records
     device.attacks = attacks
-    device.starts = array("q", accumulate(
-        map(len, map(itemgetter(0), segments)), initial=0
-    ))
     device.top = sorted(heap, reverse=True)
     device.truncated = truncated
     return device
 
 
-def _bank_runs(
-    segments: List[Segment], starts: array, ticks: array, num_banks: int
-) -> List[_BankRuns]:
-    """Split the segment list into per-bank run columns, once per grid.
-
-    *starts* are the segments' first records, *ticks* the records
-    before each refresh tick.
-    """
-    if num_banks == 1:
-        members: List[Optional[List[int]]] = [None]
-    else:
-        bank_of = list(map(itemgetter(1), segments))
-        order = sorted(range(len(segments)), key=bank_of.__getitem__)
-        members = []
-        for bank in range(num_banks):
-            members.append(order[:bank_of.count(bank)])
-            del order[:len(members[-1])]
-    banks = []
-    for indices in members:
-        runs = _BankRuns()
-        runs.lookups = None
-        if indices is None:
-            picked: Sequence[Segment] = segments
-            runs.starts = starts
-        else:
-            picked = list(map(segments.__getitem__, indices))
-            runs.starts = _column(map(starts.__getitem__, indices))
-        count = len(picked)
-        runs.rows = _column(map(itemgetter(2), picked))
-        runs.ends = _column(accumulate(
-            map(len, map(itemgetter(0), picked)), initial=0
-        ))
-        runs.chunks = {}
-        lo = 0
-        for interval in range(len(ticks)):
-            hi = bisect_left(
-                runs.starts, ticks[interval + 1], lo, count
-            ) if interval + 1 < len(ticks) else count
-            if hi > lo:
-                runs.chunks[interval] = (lo, hi)
-            lo = hi
-        attack = list(compress(range(count), map(itemgetter(3), picked)))
-        attack.reverse()  # so that a row's first attack run is kept
-        runs.attacks = dict(zip(
-            map(runs.rows.__getitem__, attack),
-            map(runs.starts.__getitem__, attack),
-        ))
-        banks.append(runs)
-    return banks
-
-
-#: the steps of a lane's schedule: a refresh tick the lane runs, a span
-#: of ticks it skips, an interval's chunk of runs
-_TICK, _SKIP, _CHUNK = range(3)
-
-
-def _schedule(active: List[int], last: int, trivial: bool, refint: int) -> List[Tuple]:
-    """The inline lane's refresh ticks and chunks, in order.
-
-    *active* lists the intervals with records, *last* is the final
-    tick.  Steps are ``(_TICK, j)``, ``(_SKIP, first, target,
-    boundary)`` -- the span is skipped in one step, as the inline
-    lane's ``advance_to`` does when every decider's refresh is
-    decision-free (*trivial*); *boundary* says a window boundary lies
-    inside it -- and ``(_CHUNK, interval)``.
-    """
-    steps: List[Tuple] = []
-    current = -1
-    for target, chunk in [(interval, True) for interval in active] + [(last, False)]:
-        if not trivial or target - current <= _SKIP_THRESHOLD:
-            while current < target:
-                current += 1
-                steps.append((_TICK, current))
-        else:
-            first = current + 1
-            boundary = target - current >= refint or (
-                first % refint > target % refint or first % refint == 0
-            )
-            steps.append((_SKIP, first, target, boundary))
-            current = target
-        if chunk:
-            steps.append((_CHUNK, target))
-    return steps
+# ---------------------------------------------------------------------------
+# the shared pass: one device pass, decider-only lanes, per-lane resolution
+# ---------------------------------------------------------------------------
 
 
 def _decide(
     plan: _Plan,
     policy: RefreshPolicy,
     banks: List[_BankRuns],
-    device: "_Device",
+    device: _Device,
     meta: TraceMeta,
     tele,
-) -> Tuple[SimResult, List[Tuple[int, int, int, int, Tuple[int, ...]]]]:
-    """Run one lane's deciders bank by bank and log its actions.
+) -> Tuple[SimResult, List[Tuple]]:
+    """Run one sharing lane's whole schedule and log its actions.
 
-    Deciders never read device state, and a bank's decider sees only
-    that bank's records and the refresh ticks, so a lane decides one
-    bank at a time: each tick with ``on_refresh`` (a skipped span with
-    ``clear_window``), each interval's runs with one ``decide_chunk``
-    call.  The actions are then merged in the order the inline lane
-    (:func:`_replay`) applies them, without applying them: each is
-    counted and logged at its drain position as ``(kb, tb, time_ns,
-    bank, rows)``, *rows* being the rows it activates.  A record's
-    actions drain before the next record, or at the next tick if that
-    comes first; a tick's actions right after that tick's refreshes.
-    The result's ``flips`` and ``max_disturbance`` are left for
-    :func:`_resolve`.
+    The actions are counted and logged at their drain positions (see
+    :meth:`_Lane.merge`) without being applied; the result's ``flips``
+    and ``max_disturbance`` are left for :func:`_resolve`.
     """
     started = time.perf_counter()
-    config = plan.config
-    geometry = policy.geometry
-    deciders = [
-        _make_decider(plan.factory(
-            config, bank, derive_seed(plan.seed, "mitigation", bank)
-        ))
-        for bank in range(geometry.num_banks)
-    ]
+    refint = policy.geometry.refint
+    lane = _Lane(plan, policy.geometry, tele)
+    # the ticks up to each interval with records, and its chunk
+    steps: List[Tuple] = []
+    current = -1
+    for interval in sorted(set().union(*(runs.chunks for runs in banks))):
+        steps += _advance(current, interval, lane.trivial, refint)
+        steps.append((_CHUNK, interval))
+        current = interval
+    steps += _advance(current, meta.total_intervals - 1, lane.trivial, refint)
+    queued = lane.decide(banks, steps, device.ticks, device.records, device.time_of)
+    log = lane.merge(queued, device.neighbors)
     if tele is not None:
-        for decider in deciders:
-            decider.attach_telemetry(tele)
-    ticks = device.ticks
-    records = device.records
-    steps = _schedule(
-        sorted(set().union(*(runs.chunks for runs in banks))),
-        meta.total_intervals - 1,
-        all(decider.trivial_refresh for decider in deciders),
-        geometry.refint,
-    )
-    occupancy: List[List] = [[] for _ in ticks] if tele is not None else []
-    #: ``(kb, tb, bank, queued at tick, time_ns, was_attack, action)``
-    queued: List[Tuple] = []
-    for bank, (decider, runs) in enumerate(zip(deciders, banks)):
-        attacks = runs.attacks
-        for step in steps:
-            kind = step[0]
-            if kind == _CHUNK:
-                interval = step[1]
-                chunk = runs.chunks.get(interval)
-                if chunk is None:
-                    continue
-                following = (
-                    ticks[interval + 1] if interval + 1 < len(ticks) else records
-                )
-                for record, actions in decider.decide_chunk(
-                    runs, chunk[0], chunk[1], interval
-                ):
-                    k = runs.record(record)
-                    time_ns = device.time_of(k + 1 if k + 1 < following else k)
-                    for action in actions:
-                        queued.append((
-                            k + 1, interval + 1, bank, interval + 1, time_ns,
-                            attacks.get(action.trigger_row, records) <= k, action,
-                        ))
-            elif kind == _TICK:
-                tick = step[1]
-                actions = decider.on_refresh(tick)
-                if actions:
-                    kb = ticks[tick]
-                    time_ns = device.time_of(kb - 1) if kb else 0
-                    for action in actions:
-                        queued.append((
-                            kb, tick + 1, bank, tick, time_ns,
-                            attacks.get(action.trigger_row, records) < kb, action,
-                        ))
-                if tele is not None:
-                    occupancy[tick].append(decider.table_occupancy)
-            elif step[3]:
-                decider.clear_window()
-    # drains in position order; a tick's drain takes the banks in order
-    queued.sort(key=itemgetter(0, 1, 2))
-
-    neighbors = device.neighbors
-    log: List[Tuple[int, int, int, int, Tuple[int, ...]]] = []
-    extra_activations = 0
-    fp_extra_activations = 0
-    max_occupancy = 0
-    drained = 0
-    position = None
-    for kb, tb, bank, _tick, time_ns, was_attack, action in queued:
-        if isinstance(action, ActivateNeighbors):
-            activated: Tuple[int, ...] = neighbors(action.row)
-        elif isinstance(action, RefreshRow):
-            activated = (action.row,)
-        elif isinstance(action, RecoveryRefresh):
-            activated = tuple(
-                row for aggressor in action.rows for row in neighbors(aggressor)
-            )
-        else:  # pragma: no cover - future action kinds
-            raise TypeError(f"unknown mitigation action {action!r}")
-        extra_activations += len(activated)
-        if not was_attack:
-            fp_extra_activations += len(activated)
-        log.append((kb, tb, time_ns, bank, activated))
-        # the pending queue's depth: the actions of one drain
-        drained = drained + 1 if (kb, tb) == position else 1
-        position = (kb, tb)
-        max_occupancy = max(max_occupancy, drained)
-    if tele is not None:
-        # the inline lane's calls: a tick's rollover counts the triggers
+        # the own pass's calls: a tick's rollover counts the triggers
         # queued since the previous rollover, and the queue order is
         # also the order of the ticks they were queued at
+        ticks = device.ticks
         at = 0
         for step in steps + [(_TICK, None)]:
             if step[0] != _TICK:
@@ -1294,25 +1117,10 @@ def _decide(
             if tick is not None:
                 tele.on_interval(
                     tick, tick * meta.interval_ns, ticks[tick],
-                    device.tick_attacks[tick], occupancy[tick],
+                    device.tick_attacks[tick], lane.occupancy.pop(tick, ()),
                 )
-        tele.finish(records, device.attacks)
-
-    result = SimResult(
-        technique=deciders[0].name, seed=plan.seed,
-        flip_threshold=config.flip_threshold,
-    )
-    result.normal_activations = records
-    result.attack_activations = device.attacks
-    result.extra_activations = extra_activations
-    result.fp_extra_activations = fp_extra_activations
-    result.mitigation_triggers = len(queued)
-    result.intervals_simulated = len(ticks)
-    if queued and queued[0][0] < records:
-        # the inline lane notes the first trigger after the next record
-        result.first_trigger_activation = queued[0][0] + 1
-    result.max_rh_buffer_occupancy = max_occupancy
-    result.table_bytes = deciders[0].table_bytes
+        tele.finish(device.records, device.attacks)
+    result = device.result(plan, lane)
     result.wall_seconds = time.perf_counter() - started
     return result, log
 
@@ -1322,13 +1130,13 @@ def _lane_ops(log, device: _Device) -> Dict[int, List[Tuple]]:
 
     Returns ``key -> [(kb, tb, time_ns, sequence, restores)]`` in
     application order: each extra activation restores its row
-    (``restores``) and then bumps each neighbour, as ``do_activation``.
+    (``restores``) and then bumps each neighbour.
     """
     rows_per_bank = device.policy.geometry.rows_per_bank
     neighbors = device.neighbors
     ops: Dict[int, List[Tuple]] = {}
     sequence = 0
-    for kb, tb, time_ns, bank, activated in log:
+    for kb, tb, time_ns, bank, activated, _action, _attack in log:
         base = bank * rows_per_bank
         for row in activated:
             ops.setdefault(base + row, []).append(
@@ -1451,24 +1259,24 @@ def _resolve(
     return touched if device.truncated else None
 
 
+
 def _shared_lanes(
     plans: List[_Plan],
     computed: List[int],
     policy: RefreshPolicy,
     stop_after_first_trigger: bool,
-    max_activations: Optional[int],
     tracer,
 ) -> List[int]:
     """The computed cells that share one device pass (empty = none do).
 
-    Runs that may stop early, traced runs, float (distance-2)
-    disturbance and asymmetric adjacency replay inline; so do lanes
-    whose flip threshold differs from the first sharing lane's.  A
-    lone mitigated lane has nothing to share and replays inline too.
+    Runs that stop at a lane's first drain, traced runs and asymmetric
+    adjacency take one own pass per cell; so do lanes whose flip
+    threshold differs from the first sharing lane's, and a lone
+    mitigated lane, which has nothing to share.  ``distance2_rate > 0``
+    cells run on the reference engine.
     """
     if (
         stop_after_first_trigger
-        or max_activations is not None
         or (tracer is not None and getattr(tracer, "enabled", True))
         or type(policy.geometry) not in _SYMMETRIC_GEOMETRIES
     ):
@@ -1477,13 +1285,12 @@ def _shared_lanes(
         index for index in computed
         if plans[index].config.distance2_rate == 0.0
     ]
-    if not lanes:
-        return []
-    threshold = plans[lanes[0]].config.flip_threshold
-    lanes = [
-        index for index in lanes
-        if plans[index].config.flip_threshold == threshold
-    ]
+    if lanes:
+        threshold = plans[lanes[0]].config.flip_threshold
+        lanes = [
+            index for index in lanes
+            if plans[index].config.flip_threshold == threshold
+        ]
     if len(lanes) == 1 and plans[lanes[0]].factory is not None:
         return []
     return lanes
@@ -1493,9 +1300,10 @@ def _run_shared(
     plans: List[_Plan],
     lanes: List[int],
     policy: RefreshPolicy,
+    intervals: List[List[Segment]],
     segments: List[Segment],
     meta: TraceMeta,
-    caches: Tuple[Dict, Dict, Dict],
+    caches: Tuple[Dict, Dict],
     metrics,
 ) -> Dict[int, SimResult]:
     """One device pass, decider-only lanes, then per-lane resolution.
@@ -1509,11 +1317,15 @@ def _run_shared(
         (index for index in lanes if plans[index].factory is None), None
     )
     device = _device_pass(
-        segments, policy, meta, caches,
+        intervals, policy, meta, caches,
         plans[lanes[0]].config.flip_threshold,
         EngineTelemetry.create(None, metrics) if baseline is not None else None,
         _TOP_EPOCHS,
     )
+    device.segments = segments
+    device.starts = array("q", accumulate(
+        map(len, map(itemgetter(0), segments)), initial=0
+    ))
     results: Dict[int, SimResult] = {}
     if baseline is not None:
         results[baseline] = device.result(plans[baseline])
@@ -1523,11 +1335,15 @@ def _run_shared(
     # the rows they touch are needed before every lane has decided
     logs: Dict[int, list] = {}
     keys = set()
-    rows_per_bank = policy.geometry.rows_per_bank
+    geometry = policy.geometry
+    rows_per_bank = geometry.rows_per_bank
     decided = [index for index in lanes if plans[index].factory is not None]
     started = time.perf_counter()
+    ticks = device.ticks
     banks = _bank_runs(
-        segments, device.starts, device.ticks, policy.geometry.num_banks
+        segments, device.starts,
+        zip(range(len(ticks)), chain(islice(ticks, 1, None), (device.records,))),
+        [_BankRuns() for _ in range(geometry.num_banks)],
     ) if decided else []
     shared_seconds += time.perf_counter() - started
     for index in decided:
@@ -1556,7 +1372,7 @@ def _run_shared(
         if touched is not None:
             # every kept epoch was touched: recount the best untouched one
             recount = _device_pass(
-                segments, policy, meta, caches, device.threshold, None, 1,
+                intervals, policy, meta, caches, device.threshold, None, 1,
                 exclude=touched,
             )
             result.max_disturbance = max(
@@ -1566,6 +1382,49 @@ def _run_shared(
     charged = baseline if baseline is not None else lanes[0]
     results[charged].wall_seconds += shared_seconds
     return results
+
+
+def _run_cell(
+    plan: _Plan,
+    policy: RefreshPolicy,
+    intervals: Iterable[List[Segment]],
+    meta: TraceMeta,
+    caches: Tuple[Dict, Dict],
+    stop_after_first_trigger: bool,
+    tracer,
+    metrics,
+    profiler,
+) -> SimResult:
+    """One computed cell on its own: its own pass, or -- for float
+    (``distance2_rate > 0``) disturbance -- the reference engine, which
+    is the specification, over the records rebuilt from *intervals*."""
+    if plan.config.distance2_rate > 0.0:
+        records = (
+            TraceRecord(time_ns, bank, row, attack)
+            for group in intervals
+            for times, bank, row, attack, _interval in group
+            for time_ns in times
+        )
+        return run_simulation(
+            plan.config, Trace(meta, records), plan.factory, seed=plan.seed,
+            refresh_policy=policy,
+            stop_after_first_trigger=stop_after_first_trigger,
+            tracer=tracer, metrics=metrics, profiler=profiler,
+        )
+    started = time.perf_counter()
+    tele = EngineTelemetry.create(tracer, metrics)
+    with section_of(profiler, "engine:setup"):
+        lane = (
+            _Lane(plan, policy.geometry, tele)
+            if plan.factory is not None else None
+        )
+    device = _device_pass(
+        intervals, policy, meta, caches, plan.config.flip_threshold, tele, 1,
+        lane=lane, stop=stop_after_first_trigger, profiler=profiler,
+    )
+    result = device.result(plan, lane)
+    result.wall_seconds = time.perf_counter() - started
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1578,8 +1437,10 @@ def _refresh_policy(
     plans: List[_Plan],
     refresh_policy: Optional[RefreshPolicy],
     tracer,
+    max_activations: Optional[int],
 ) -> RefreshPolicy:
-    """Validate a call's plans; return the refresh policy every lane follows."""
+    """Validate a call; return the refresh policy every lane follows."""
+    check_max_activations(max_activations)
     geometry = config.geometry
     policy = (
         refresh_policy if refresh_policy is not None
@@ -1635,15 +1496,16 @@ def run_simulation_grid(
     to the unmitigated cell, or else the first sharing lane) and a
     deduplicated replica's is 0.0, so the cells never sum to more than
     the call.  See the module docstring for when cells share the pass.
-    The whole trace is decoded exactly once, even for an empty grid, so
-    lazy traces are safe; the *seed* axis only re-seeds the mitigations
-    -- callers whose traces vary per seed must issue one grid call per
-    trace.
+    The trace is decoded exactly once -- up to *max_activations*
+    records, else whole, even for an empty grid -- so lazy traces are
+    safe; the *seed* axis only re-seeds the mitigations -- callers
+    whose traces vary per seed must issue one grid call per trace.
     """
     plans = [_plan_cell(cell, config) for cell in cells]
-    policy = _refresh_policy(config, plans, refresh_policy, tracer)
+    policy = _refresh_policy(config, plans, refresh_policy, tracer, max_activations)
     with section_of(profiler, "engine:decode"):
-        segments = list(_segments(trace))
+        intervals = list(_intervals(trace, max_activations))
+        segments = list(chain.from_iterable(intervals))
     owners: Dict[Tuple, int] = {}
     for index, plan in enumerate(plans):
         if plan.key is not None:
@@ -1654,20 +1516,20 @@ def run_simulation_grid(
         len(segments), sum(len(segment[0]) for segment in segments),
     )
 
-    caches: Tuple[Dict, Dict, Dict] = ({}, {}, {})
+    caches: Tuple[Dict, Dict] = ({}, {})
     computed = [
         index for index, plan in enumerate(plans)
         if plan.key is None or owners[plan.key] == index
     ]
     lanes = _shared_lanes(
-        plans, computed, policy, stop_after_first_trigger, max_activations,
-        tracer,
+        plans, computed, policy, stop_after_first_trigger, tracer
     )
     solved: Dict[int, SimResult] = {}
     if lanes:
         with section_of(profiler, "engine:replay"):
             solved = _run_shared(
-                plans, lanes, policy, segments, trace.meta, caches, metrics
+                plans, lanes, policy, intervals, segments, trace.meta,
+                caches, metrics,
             )
     results: List[SimResult] = []
     for index, plan in enumerate(plans):
@@ -1683,14 +1545,11 @@ def run_simulation_grid(
         if index in solved:
             results.append(solved[index])
             continue
-        tele = EngineTelemetry.create(
-            tracer if len(plans) == 1 else None, metrics
-        )
-        result, _ = _replay(
-            plan, policy, segments, trace.meta, caches,
-            stop_after_first_trigger, max_activations, tele, profiler,
-        )
-        results.append(result)
+        results.append(_run_cell(
+            plan, policy, intervals, trace.meta, caches,
+            stop_after_first_trigger, tracer if len(plans) == 1 else None,
+            metrics, profiler,
+        ))
     return results
 
 
@@ -1709,24 +1568,31 @@ def run_simulation_fused(
     """Single-cell run -- the ``--engine fused`` (and ``fast``) entry point.
 
     Drop-in compatible with :func:`repro.sim.engine.run_simulation`.
-    The lane reads its segments straight from the trace, so an early
-    stop (``stop_after_first_trigger``, ``max_activations``) stops
-    decoding too, and only the live segment is held in memory.  The
-    ``fused.records`` counter counts the records replayed (the whole
-    trace unless the run stops early).  Accepts arbitrary mitigation
-    factories (unknown
-    techniques replay per-record through the real ``Mitigation``
-    object).  The telemetry event stream legitimately differs from the
-    reference engine's (batched rollovers, rng-block events); only the
-    ``SimResult`` is pinned identical.
+    The cell's own pass reads the trace an interval at a time, so only
+    the live interval is held in memory, and an early stop
+    (``stop_after_first_trigger``, ``max_activations``) stops decoding
+    too.  The ``fused.records`` counter counts the records replayed
+    (the whole trace unless the run stops early).  Accepts arbitrary
+    mitigation factories (unknown techniques decide through the real
+    ``Mitigation`` object).  The telemetry event stream legitimately
+    differs from the reference engine's (batched rollovers, rng-block
+    events); only the ``SimResult`` is pinned identical.
     """
     plan = _Plan(mitigation_factory, seed, config, None)
-    policy = _refresh_policy(config, [plan], refresh_policy, tracer)
-    tele = EngineTelemetry.create(tracer, metrics)
-    result, segments = _replay(
-        plan, policy, _segments(trace), trace.meta,
-        ({}, {}, {}), stop_after_first_trigger, max_activations, tele,
-        profiler,
+    policy = _refresh_policy(config, [plan], refresh_policy, tracer, max_activations)
+    intervals = _intervals(trace, max_activations)
+    segments = 0
+    if metrics is not None:
+        def counted(groups):
+            nonlocal segments
+            for group in groups:
+                segments += len(group)
+                yield group
+
+        intervals = counted(intervals)
+    result = _run_cell(
+        plan, policy, intervals, trace.meta, ({}, {}),
+        stop_after_first_trigger, tracer, metrics, profiler,
     )
     _count_work(metrics, 1, 1, segments, result.normal_activations)
     return result

@@ -247,8 +247,8 @@ def activation_runs(draw):
 def test_observe_run_matches_per_record_path(name, runs, seed):
     """The run-batched observation path must replay exactly like the
     per-record ``on_activation`` loop: same actions at the same
-    activation index, run after run.  This is the ``decide_run``
-    contract the fast/fused engines rely on for exactness."""
+    activation index, run after run.  This is the ``observe_run``
+    contract the fused engine relies on for exactness."""
     batched = make_mitigation(name, CONFIG, bank=0, seed=seed)
     scalar = make_mitigation(name, CONFIG, bank=0, seed=seed)
     for row, count, interval in runs:

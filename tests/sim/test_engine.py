@@ -132,6 +132,17 @@ class TestEarlyStop:
         )
         assert result.normal_activations == 50
 
+    @pytest.mark.parametrize("engine", ["reference", "fused"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_activations_below_one_rejected(self, engine, limit):
+        from repro.sim.engine import get_engine
+
+        config = small_test_config()
+        with pytest.raises(ValueError, match=f"max_activations.*{limit}"):
+            get_engine(engine)(
+                config, attack_trace(config), None, max_activations=limit
+            )
+
 
 class TestBookkeeping:
     def test_table_bytes_copied_from_mitigation(self):

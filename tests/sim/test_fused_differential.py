@@ -20,6 +20,7 @@ import pytest
 from repro.config import SimConfig, ddr4_paper_config, small_test_config
 from repro.mitigations.registry import (
     MODERN_TECHNIQUES,
+    make_factory,
     technique_class,
     technique_names,
 )
@@ -244,6 +245,32 @@ def test_max_activations_grid(limit):
     assert all(result.normal_activations <= limit for result in results)
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_max_activations_below_one_rejected(limit):
+    """A record limit below one names itself instead of replaying a
+    record anyway."""
+    cells = grid_cells(["PARA", None], (0,), config=CONFIG)
+    with pytest.raises(ValueError, match=f"max_activations.*{limit}"):
+        run_simulation_grid(CONFIG, _mixed(0)(), cells, max_activations=limit)
+
+
+def test_distance2_cell_in_a_grid():
+    """A grid mixing a ``distance2_rate > 0`` cell (float increments,
+    run on the reference engine over the grid's segments) with ordinary
+    cells that share the device pass: every cell equals its solo
+    reference run."""
+    config = small_test_config(num_banks=2, flip_threshold=500)
+    distance2 = config.scaled(distance2_rate=0.25)
+    cells = grid_cells(["LiPRoMi", "PARA", None], (0,), config=config) + [
+        GridCell(technique="LiPRoMi", seed=0, config=distance2),
+        GridCell(technique=None, seed=1, config=distance2),
+    ]
+    results = assert_grid_equivalent(
+        config, _attack_grid(config, "double-sided"), cells
+    )
+    assert results[3].as_dict() != results[0].as_dict()
+
+
 def test_multi_bank_grid_equivalence(two_bank_config):
     cells = grid_cells(
         ["LoLiPRoMi", "PARA", "MRLoc", "CaPRoMi"], (0, 1),
@@ -373,43 +400,60 @@ def test_best_untouched_epoch_recount(monkeypatch):
 
 
 def test_grid_shares_one_device_pass(monkeypatch):
-    """A grid replays the device once: no computed cell runs the inline
-    lane, and lanes that may stop early still do."""
+    """A grid replays the device once, with or without a record limit;
+    a grid that stops at each lane's first drain runs one own pass per
+    computed lane."""
     import repro.sim.fused_engine as fused
 
-    calls = {"device": 0, "inline": 0}
-    device_pass, replay = fused._device_pass, fused._replay
+    calls = []
+    device_pass = fused._device_pass
 
-    def counted(name, function):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return function(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lane"))
+        return device_pass(*args, **kwargs)
 
-    monkeypatch.setattr(fused, "_device_pass", counted("device", device_pass))
-    monkeypatch.setattr(fused, "_replay", counted("inline", replay))
+    monkeypatch.setattr(fused, "_device_pass", counted)
     trace = _mixed(0)().materialize()
     cells = grid_cells(TECHNIQUES, (0,), config=CONFIG)
     run_simulation_grid(CONFIG, trace, cells)
-    assert calls == {"device": 1, "inline": 0}
+    assert calls == [None]
     run_simulation_grid(CONFIG, trace, cells, max_activations=500)
-    assert calls == {"device": 1, "inline": len(cells)}
+    assert calls == [None, None]
+    del calls[:]
+    run_simulation_grid(CONFIG, trace, cells, stop_after_first_trigger=True)
+    assert len(calls) == len(cells)
+    assert sum(lane is not None for lane in calls) == len(cells) - 1
 
 
-def test_shared_pass_metrics_match_inline_lanes():
-    """Grid lanes emit the same metrics with or without the shared
-    device pass (campaign checkpoints store them)."""
+def test_shared_pass_metrics_match_own_passes():
+    """Grid lanes emit the same metrics under the shared device pass as
+    the same cells' own passes (campaign checkpoints store them)."""
+    from repro.sim.fused_engine import _plan_cell, run_simulation_fused
+
     config = small_test_config(num_banks=2, flip_threshold=500)
     trace = _attack_grid(config, "n-aggressor")().materialize()
     cells = grid_cells(SHARED_PASS_TECHNIQUES, (0, 1), config=config)
-    shared, inline = MetricsRegistry(), MetricsRegistry()
+    shared, own = MetricsRegistry(), MetricsRegistry()
     run_simulation_grid(config, trace, cells, metrics=shared)
-    # a limit past the end changes nothing but keeps every lane inline
-    run_simulation_grid(
-        config, trace, cells, metrics=inline,
-        max_activations=trace.count() + 1,
-    )
-    assert shared.as_dict() == inline.as_dict()
+    computed = set()
+    for cell in cells:
+        key = _plan_cell(cell, config).key
+        if key in computed:
+            continue  # a deduplicated replica replays nothing
+        computed.add(key)
+        factory = make_factory(cell.technique) if cell.technique else None
+        run_simulation_fused(config, trace, factory, seed=cell.seed, metrics=own)
+
+    def lanes(registry):
+        # the fused.* work counters count calls, not lanes
+        state = registry.as_dict()
+        state["counters"] = {
+            name: value for name, value in state["counters"].items()
+            if not name.startswith("fused.")
+        }
+        return state
+
+    assert lanes(shared) == lanes(own)
 
 
 def test_mismatched_cell_geometry_rejected():
@@ -469,9 +513,10 @@ def test_cell_wall_seconds_sum_within_the_grid_call():
 
 
 def test_single_cell_early_stop_stops_decoding():
-    """A streamed single-cell run stops pulling records inside the
-    segment where its first trigger fired (plus the one record that
-    closes that segment), instead of decoding the whole trace."""
+    """A streamed single-cell run stops pulling records at the end of
+    the interval it stops in (plus the one record that closes that
+    interval; its decisions are made an interval at a time), instead of
+    decoding the whole trace."""
     from repro.mitigations.registry import make_factory
     from repro.sim.fused_engine import run_simulation_fused
     from repro.traces.record import Trace
@@ -499,12 +544,11 @@ def test_single_cell_early_stop_stops_decoding():
     last = result.first_trigger_activation - 1  # index of the last act run
     interval_ns = source.meta.interval_ns
 
-    def key(index):
-        record = records[index]
-        return record[1:], record.time_ns // interval_ns
+    def interval(index):
+        return records[index].time_ns // interval_ns
 
     end = last + 1
-    while end < len(records) and key(end) == key(last):
+    while end < len(records) and interval(end) == interval(last):
         end += 1
     assert pulled <= end + 1 < len(records)
 
@@ -525,6 +569,28 @@ def test_streamed_run_memory_does_not_grow_with_the_trace():
     finally:
         tracemalloc.stop()
     assert result.normal_activations > 50_000
+    assert peak < 8 * result.normal_activations
+
+
+@pytest.mark.parametrize("technique", ["MRLoc", "LiPRoMi"])
+def test_streamed_mitigated_run_memory_does_not_grow_with_the_trace(technique):
+    """A mitigated single cell's own pass holds one interval of the lazy
+    trace, its decisions and their drains: the same bound as the
+    unmitigated run."""
+    import tracemalloc
+
+    from repro.mitigations.registry import make_factory
+    from repro.sim.fused_engine import run_simulation_fused
+
+    trace = paper_mixed_workload(CONFIG, total_intervals=600, seed=0)
+    tracemalloc.start()
+    try:
+        result = run_simulation_fused(CONFIG, trace, make_factory(technique))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.normal_activations > 50_000
+    assert result.mitigation_triggers > 0
     assert peak < 8 * result.normal_activations
 
 

@@ -14,15 +14,17 @@ bit-exact differential suite cannot name individually:
   TWiCe lifetime counters stay strictly below the trigger threshold;
 * cell slicing -- any cell of a fused grid equals a solo reference
   run with the same (technique, seed, pbase);
-* chunk kernels -- a decider's ``decide_chunk`` (the shared grid
-  path, which jumps between the draws below its probability ceiling)
-  fires the same actions at the same records, draws the same random
-  blocks and leaves the same decision state as stepping the chunk
-  record by record with ``on_activation``, with and without numpy.
+* chunk kernels -- a decider's ``decide_chunk`` (which jumps between
+  the draws below its probability ceiling) fires the same actions at
+  the same records, consumes the same random draws and leaves the same
+  decision state as stepping the chunk record by record through the
+  reference mitigation object's ``on_activation``, with and without
+  numpy.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from contextlib import contextmanager
 from itertools import accumulate
@@ -36,7 +38,14 @@ from repro.mitigations.registry import (
     technique_names,
 )
 import repro.sim.deciders as deciders
+from repro.core.capromi import CaPRoMi
+from repro.core.tivapromi import TiVaPRoMiBase
+from repro.mitigations.cra import CRA
+from repro.mitigations.mrloc import MRLoc
+from repro.mitigations.prohit import ProHit
+from repro.mitigations.twice import TWiCe
 from repro.sim.deciders import (
+    _BankRuns,
     _CaPRoMiDecider,
     _TiVaPRoMiDecider,
     _TWiCeDecider,
@@ -67,12 +76,14 @@ tiva_techniques = st.sampled_from(["LiPRoMi", "LoPRoMi", "LoLiPRoMi"])
 
 
 def _drive(decider, stream):
-    """Feed a Hypothesis run stream; yield after every decision."""
-    interval = 0
-    for row, step, count in stream:
-        interval += step
-        decider.decide_run(row, interval, count)
-        yield interval
+    """Feed a Hypothesis run stream, one ``decide_chunk`` call per run;
+    yield after every decision."""
+    runs = _columns(stream)
+    for interval in sorted(runs.chunks):
+        lo, hi = runs.chunks[interval]
+        for run in range(lo, hi):
+            decider.decide_chunk(runs, run, run + 1, interval)
+            yield interval
 
 
 @settings(max_examples=40, deadline=None,
@@ -239,75 +250,115 @@ def _columns(stream):
     starts = array("q", accumulate(
         (len(segment[0]) for segment in segments), initial=0
     ))
-    ticks = array("q")
-    for index, segment in enumerate(segments):
-        while len(ticks) <= segment[4]:
-            ticks.append(starts[index])
-    [runs] = _bank_runs(segments, starts, ticks, 1)
+    bounds = [
+        (segment[4], starts[index + 1])
+        for index, segment in enumerate(segments)
+        if index + 1 == len(segments) or segments[index + 1][4] != segment[4]
+    ]
+    [runs] = _bank_runs(segments, starts, bounds, [_BankRuns()])
     return runs
 
 
-def _state(decider):
-    """What a decider's next decisions depend on (ProHit's ``_trigger``
-    is read only for table entries)."""
-    m = decider.mitigation
-    draws = (getattr(decider, "_pos", None), list(getattr(decider, "_buf", ())))
-    if isinstance(decider, deciders._TiVaPRoMiDecider):
-        return draws, list(decider.table.items())
-    if isinstance(decider, deciders._PARADecider):
-        return draws, decider._rng.getstate()
-    if isinstance(decider, deciders._MRLocDecider):
-        return draws, list(m._queue)
-    if isinstance(decider, deciders._ProHitDecider):
+def _generator(mitigation):
+    """A mitigation's random stream (CaPRoMi's is its counter table's),
+    or None."""
+    holder = getattr(mitigation, "counters", mitigation)
+    return getattr(holder, "_rng", None)
+
+
+def _draws(decider, mitigation):
+    """The decider's pre-drawn draws not yet consumed and where its
+    generator then stands, and the reference *mitigation*'s generator
+    advanced by as many draws: equal iff both consumed the same draws."""
+    generator = _generator(mitigation)
+    if generator is None:
+        return ([], None), ([], None)
+    pending = list(getattr(decider, "_buf", ()))[getattr(decider, "_pos", 0):]
+    expected = random.Random()
+    expected.setstate(generator.getstate())
+    ahead = [expected.random() for _ in pending]
+    return (pending, _generator(decider.mitigation).getstate()), (
+        ahead, expected.getstate()
+    )
+
+
+def _state(m):
+    """What a mitigation's next decisions depend on (ProHit's
+    ``_trigger`` is read only for table entries)."""
+    if isinstance(m, TiVaPRoMiBase):
+        return [(entry.row, entry.interval) for entry in m.history._entries]
+    if isinstance(m, MRLoc):
+        return list(m._queue)
+    if isinstance(m, ProHit):
         return (
-            draws, list(m._hot), list(m._cold),
+            list(m._hot), list(m._cold),
             {victim: m._trigger[victim] for victim in m._hot + m._cold},
         )
-    if isinstance(decider, deciders._TWiCeDecider):
+    if isinstance(m, TWiCe):
         table = {row: (e.count, e.life) for row, e in m._table.items()}
         return table, m.max_occupancy
-    if isinstance(decider, deciders._CRADecider):
+    if isinstance(m, CRA):
         return dict(m._counters)
-    counters = m.counters
-    return (
-        [(e.row, e.count, e.locked, e.history_link) for e in counters.entries()],
-        counters.dropped, counters._rng.getstate(),
-    )
+    if isinstance(m, CaPRoMi):
+        counters = m.counters
+        return (
+            [(e.row, e.count, e.locked, e.history_link) for e in counters.entries()],
+            counters.dropped,
+        )
+    return None  # PARA: its generator is its only state
+
+
+def _kernel_state(decider):
+    """A decider's decision state, as its reference mitigation holds it."""
+    if isinstance(decider, deciders._TiVaPRoMiDecider):
+        return list(decider.table.items())
+    return _state(decider.mitigation)
+
+
+def _without_rng(registry):
+    """A registry's content but the decider-only block accounting."""
+    state = registry.as_dict()
+    state["counters"] = {
+        name: value for name, value in state["counters"].items()
+        if not name.startswith("rng_")
+    }
+    return state
 
 
 def _assert_kernel_matches(technique, config, seed, stream, numpy, **kwargs):
-    """``decide_chunk`` per interval == ``on_activation`` per record,
-    with the same refresh ticks between intervals."""
+    """``decide_chunk`` per interval == the reference mitigation's
+    ``on_activation`` per record, with the same refresh ticks between
+    intervals."""
     runs = _columns(stream)
     registries = MetricsRegistry(), MetricsRegistry()
-    kernel, stepped = (
-        deciders._make_decider(
-            make_mitigation(technique, config, bank=0, seed=seed, **kwargs)
-        )
-        for _ in registries
+    kernel = deciders._make_decider(
+        make_mitigation(technique, config, bank=0, seed=seed, **kwargs)
     )
-    for decider, registry in zip((kernel, stepped), registries):
-        decider.attach_telemetry(EngineTelemetry.create(None, registry))
+    reference = make_mitigation(technique, config, bank=0, seed=seed, **kwargs)
+    kernel.attach_telemetry(EngineTelemetry.create(None, registries[0]))
+    reference.telemetry = EngineTelemetry.create(None, registries[1])
     done = -1
     with _numpy(numpy):
         for interval in sorted(runs.chunks):
             for tick in range(done + 1, interval + 1):
-                assert kernel.on_refresh(tick) == stepped.on_refresh(tick)
+                assert kernel.on_refresh(tick) == reference.on_refresh(tick)
             done = interval
             lo, hi = runs.chunks[interval]
             expected = [
                 (record, action)
                 for run in range(lo, hi)
                 for record in range(runs.ends[run], runs.ends[run + 1])
-                for action in stepped.on_activation(runs.rows[run], interval)
+                for action in reference.on_activation(runs.rows[run], interval)
             ]
             fired = kernel.decide_chunk(runs, lo, hi, interval)
             assert [
                 (record, action) for record, actions in fired
                 for action in actions
             ] == expected
-            assert _state(kernel) == _state(stepped)
-    assert registries[0].as_dict() == registries[1].as_dict()
+            assert _kernel_state(kernel) == _state(reference)
+            drawn, reference_drawn = _draws(kernel, reference)
+            assert drawn == reference_drawn
+    assert _without_rng(registries[0]) == _without_rng(registries[1])
 
 
 KERNEL_SETTINGS = settings(

@@ -359,6 +359,19 @@ def render_manifest_diff(
     return f"{len(rows)} difference(s):\n\n{table}"
 
 
+def render_timing(rows: Sequence[Mapping]) -> str:
+    """A span tree's :meth:`~repro.telemetry.spans.SpanTracer.timing_report`
+    as the indented ``--profile`` table, shares of the root rows' wall."""
+    table = render_table(("span", "seconds", "calls", "share"), [
+        ("  " * row["depth"] + row["label"].rsplit("/", 1)[-1],
+         f"{row['wall_seconds']:.3f}", str(row["count"]),
+         f"{row['share_pct']:.1f}%")
+        for row in rows
+    ])
+    total = sum(row["wall_seconds"] for row in rows if not row["depth"])
+    return f"{table}\ntotal {total:.3f}s"
+
+
 def render_campaign_failures(failures: Sequence) -> str:
     """Degraded-shard table for a fault-tolerant campaign."""
     rows = [

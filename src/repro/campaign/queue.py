@@ -732,7 +732,6 @@ class QueueExecutor(Executor):
 
     name: ClassVar[str] = "queue"
     supports_blocks: ClassVar[bool] = True
-    profile_section: ClassVar[str] = "campaign:queue"
 
     def __init__(
         self,

@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.config import SimConfig
 from repro.mitigations.registry import technique_names
 from repro.sim.parallel import (
+    CAMPAIGN_PHASES,
     CampaignResult,
     JobOutcome,
     ProgressCallback,
@@ -70,7 +71,6 @@ def run_durable_campaign(
     on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics: Optional[MetricsRegistry] = None,
-    profiler=None,
     spans: Optional[SpanTracer] = None,
     status: Optional[StatusBus] = None,
     publish_status: bool = True,
@@ -111,9 +111,11 @@ def run_durable_campaign(
     snapshot, which is what ``campaign-status --follow`` reads.
     ``stale_after`` tunes hung-shard detection (defaults to just under
     ``retry.shard_timeout`` when one is set, so staleness surfaces
-    before the kill).  ``spans`` receives the campaign span tree:
-    shard spans are checkpointed with each shard and re-adopted from
-    the store in canonical order, so a resumed campaign's span
+    before the kill).  ``spans`` receives the campaign span tree: this
+    invocation's ``campaign`` span with its ``traces`` and ``dispatch``
+    phases (once each, empty when nothing is pending) and the shard
+    spans, which are checkpointed with each shard and re-adopted from
+    the store in canonical order -- so a resumed campaign's span
     *summary* is bit-identical to an uninterrupted one's.  Neither the
     status directory nor any span/heartbeat state enters the campaign
     spec or its config hash -- toggling observability can never
@@ -225,7 +227,6 @@ def run_durable_campaign(
             on_event=on_event,
             tracer=tracer,
             metrics=scratch,
-            profiler=profiler,
             spans=scratch_spans,
             status=status,
             # already-checkpointed shards count toward the live view:
@@ -269,18 +270,33 @@ def run_durable_campaign(
         if degraded:
             metrics.counter("campaign.shards_degraded").add(degraded)
     if spans is not None and spans.enabled:
-        # same canonical rebuild as metrics: the caller's span tree is
-        # re-adopted straight from the store in shard-key order, so its
-        # summary is a pure function of the stored shards -- identical
-        # whether or not this campaign was ever interrupted
-        root = spans.start(
-            "campaign", engine=engine, shards=len(spec.shard_keys())
-        )
+        # same canonical rebuild as metrics: this invocation's campaign
+        # span and its phases, then the shard trees re-adopted straight
+        # from the store in shard-key order, so the summary is a pure
+        # function of the stored shards -- identical whether or not this
+        # campaign was ever interrupted.  Shards an earlier invocation
+        # ran keep their structure but not their clock readings, which
+        # belong to that invocation's timing.
+        ran = {(name or "none", seed) for name, seed in pending}
+        mark = len(spans)
+        if pending:
+            own = {"campaign", *(f"campaign/{phase}" for phase in CAMPAIGN_PHASES)}
+            spans.adopt({"spans": [
+                span.as_dict() for span in scratch_spans.spans if span.path in own
+            ]})
+        else:
+            with spans.span("campaign", engine=engine, shards=len(spec.shard_keys())):
+                for phase in CAMPAIGN_PHASES:
+                    with spans.span(phase):
+                        pass
         for key in spec.shard_keys():
             record = shards.get(key)
             if record is not None and record.spans:
-                spans.adopt(record.spans, parent=root)
-        spans.finish()
+                tree = record.spans if key in ran else {"spans": [
+                    dict(entry, started_mono=None, ended_mono=None, cpu_seconds=None)
+                    for entry in record.spans["spans"]
+                ]}
+                spans.adopt(tree, parent=spans.spans[mark])
     if status is not None and not pending:
         # resume of an already-complete campaign: refresh the snapshot
         # so a follower sees the store's truth, not a stale mid-run view

@@ -37,7 +37,8 @@ observability flags (see docs/observability.md):
     --trace-events FILE    stream telemetry events as JSON lines
     --manifest FILE        write a reproducibility manifest (config
                            hash, seeds, git rev, results, metrics)
-    --profile              print a wall-clock phase breakdown
+    --profile              print the run's span tree with wall-clock
+                           seconds and shares
 
     python -m repro manifest-diff A.json B.json   # compare two runs
 
@@ -135,7 +136,8 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="print a wall-clock phase breakdown after the run",
+        help="print the run's span tree (wall-clock seconds per phase, "
+             "technique lane and shard) after the run",
     )
     _add_metrics_out_arg(parser)
 
@@ -149,38 +151,37 @@ def _add_metrics_out_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _telemetry_from_args(args):
-    """Build (tracer, metrics, profiler) from the CLI flags, or Nones."""
-    from repro.telemetry import JsonlTracer, MetricsRegistry, Profiler
+def _telemetry_from_args(args, config):
+    """Build (tracer, metrics, spans) from the CLI flags, or Nones.
+
+    The span tree is recorded for ``--profile`` (which prints it) and
+    ``--metrics-out`` (which exports its summary); span ids derive from
+    the config hash.
+    """
+    from repro.telemetry import JsonlTracer, MetricsRegistry, SpanTracer, config_digest
 
     tracer = JsonlTracer(args.trace_events) if args.trace_events else None
+    metrics_out = getattr(args, "metrics_out", None)
     # the manifest embeds the metrics snapshot and --metrics-out exports
     # it, so both imply metrics collection (interval-granular, near-free)
     metrics = (
         MetricsRegistry()
-        if (args.manifest or args.trace_events
-            or getattr(args, "metrics_out", None))
+        if (args.manifest or args.trace_events or metrics_out)
         else None
     )
-    profiler = Profiler() if args.profile else None
-    return tracer, metrics, profiler
-
-
-def _spans_from_args(args, config):
-    """A :class:`SpanTracer` when ``--metrics-out`` wants a summary."""
-    if not getattr(args, "metrics_out", None):
-        return None
-    from repro.telemetry import SpanTracer, config_digest
-
-    return SpanTracer(id_seed=config_digest(config))
+    spans = (
+        SpanTracer(id_seed=config_digest(config))
+        if args.profile or metrics_out else None
+    )
+    return tracer, metrics, spans
 
 
 def _finish_telemetry(
-    args, config, tracer, metrics, profiler,
+    args, config, tracer, metrics, spans,
     comparison=None, total_intervals=None, extra=None, failures=None,
-    spans=None,
 ) -> None:
     """Close the tracer, export metrics, write the manifest and profile."""
+    from repro.analysis.report import render_timing
     from repro.telemetry import build_manifest
 
     if tracer is not None:
@@ -209,15 +210,15 @@ def _finish_telemetry(
             seeds=tuple(range(args.seeds)) if hasattr(args, "seeds") else (),
             comparison=comparison,
             metrics=metrics,
-            profiler=profiler,
+            spans=spans,
             total_intervals=total_intervals,
             extra=extra,
             failures=failures,
         )
         print(f"wrote manifest to {manifest.write(args.manifest)}",
               file=sys.stderr)
-    if profiler is not None:
-        print("\n" + profiler.report())
+    if args.profile:
+        print("\n" + render_timing(spans.timing_report()))
 
 
 def _add_ingest_args(
@@ -280,7 +281,7 @@ def _add_ingest_cache_arg(parser: argparse.ArgumentParser) -> None:
 _MARK_ATTACKS = {"auto": None, "yes": True, "no": False}
 
 
-def _ingest_from_args(args, config, metrics=None):
+def _ingest_from_args(args, config, metrics=None, spans=None):
     """Run the ingest pipeline for ``--trace-file``-style flags."""
     from repro.traces.ingest import IngestCache, ingest_trace
 
@@ -296,6 +297,7 @@ def _ingest_from_args(args, config, metrics=None):
         cache=cache,
         use_cache=not args.no_ingest_cache,
         metrics=metrics,
+        spans=spans,
     )
 
 
@@ -337,19 +339,18 @@ def _cmd_techniques(args) -> int:
     return 0
 
 
-def _comparison(args, tracer=None, metrics=None, profiler=None):
+def _comparison(args, config, tracer=None, metrics=None, spans=None):
     from repro.mitigations.registry import technique_names
     from repro.sim.experiment import compare_techniques, default_trace_factory
 
-    config = SimConfig()
     factory = default_trace_factory(config, total_intervals=args.intervals)
     techniques = None
     if getattr(args, "include_modern", False):
         techniques = technique_names(include_modern=True)
-    return config, compare_techniques(
+    return compare_techniques(
         config, factory, techniques=techniques, seeds=tuple(range(args.seeds)),
         include_unmitigated=True, engine=args.engine,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics, spans=spans,
     )
 
 
@@ -357,15 +358,16 @@ def _cmd_table3(args) -> int:
     from repro.analysis.area import table3_resources
     from repro.analysis.report import render_table3
 
-    tracer, metrics, profiler = _telemetry_from_args(args)
-    config, comparison = _comparison(args, tracer, metrics, profiler)
+    config = SimConfig()
+    tracer, metrics, spans = _telemetry_from_args(args, config)
+    comparison = _comparison(args, config, tracer, metrics, spans)
     full_comparison = dict(comparison)
     unmitigated = comparison.pop("none")
     print(f"unmitigated flips: {unmitigated.total_flips}\n")
     resources = table3_resources(config, include_modern=args.include_modern)
     print(render_table3(config, comparison, resources))
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison=full_comparison, total_intervals=args.intervals,
         extra={"command": "table3"},
     )
@@ -376,14 +378,15 @@ def _cmd_fig4(args) -> int:
     from repro.analysis.area import fig4_points
     from repro.analysis.report import render_fig4
 
-    tracer, metrics, profiler = _telemetry_from_args(args)
-    config, comparison = _comparison(args, tracer, metrics, profiler)
+    config = SimConfig()
+    tracer, metrics, spans = _telemetry_from_args(args, config)
+    comparison = _comparison(args, config, tracer, metrics, spans)
     full_comparison = dict(comparison)
     comparison.pop("none")
     overheads = {name: agg.overhead_mean for name, agg in comparison.items()}
     print(render_fig4(fig4_points(config, overheads)))
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison=full_comparison, total_intervals=args.intervals,
         extra={"command": "fig4"},
     )
@@ -415,8 +418,8 @@ def _cmd_policies(args) -> int:
     from repro.sim.experiment import default_trace_factory, run_technique
 
     args.technique = _technique(args.technique)
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
+    tracer, metrics, spans = _telemetry_from_args(args, config)
     factory = default_trace_factory(config, total_intervals=args.intervals)
     rows = []
     comparison = {}
@@ -426,7 +429,7 @@ def _cmd_policies(args) -> int:
             seeds=tuple(range(args.seeds)),
             policy_factory=lambda seed, p=policy: p,
             engine=args.engine,
-            tracer=tracer, metrics=metrics, profiler=profiler,
+            tracer=tracer, metrics=metrics, spans=spans,
         )
         comparison[f"{args.technique}@{policy.name}"] = aggregate
         rows.append(
@@ -435,7 +438,7 @@ def _cmd_policies(args) -> int:
         )
     print(render_table(("policy", "overhead", "flips"), rows))
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison=comparison, total_intervals=args.intervals,
         extra={"command": "policies", "technique": args.technique},
     )
@@ -463,16 +466,16 @@ def _cmd_ingest(args) -> int:
     from repro.traces.trace_io import save_trace_npz
 
     _input_file(args.trace_file, "trace file")
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
-    result = _ingest_from_args(args, config, metrics)
+    tracer, metrics, spans = _telemetry_from_args(args, config)
+    result = _ingest_from_args(args, config, metrics, spans)
     print(render_ingest(result))
     if args.out:
         count = save_trace_npz(result.trace, args.out)
         print(f"wrote {count:,} records to {args.out}", file=sys.stderr)
     args.seeds = 0  # no simulation seeds in an ingest-only manifest
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         extra={"command": "ingest", "ingest": result.provenance},
     )
     return 0
@@ -484,11 +487,11 @@ def _cmd_compare(args) -> int:
 
     args.techniques = _techniques(args.techniques)
     _input_file(args.trace_file, "trace file")
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
+    tracer, metrics, spans = _telemetry_from_args(args, config)
     extra = {"command": "compare"}
     if args.trace_file:
-        result = _ingest_from_args(args, config, metrics)
+        result = _ingest_from_args(args, config, metrics, spans)
         print(render_ingest(result))
         print()
         trace = result.trace.materialize()
@@ -502,11 +505,11 @@ def _cmd_compare(args) -> int:
         seeds=tuple(range(args.seeds)),
         include_unmitigated=args.include_unmitigated,
         engine=args.engine,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics, spans=spans,
     )
     print(render_comparison(comparison))
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison=comparison, total_intervals=args.intervals,
         extra=extra,
     )
@@ -527,11 +530,11 @@ def _cmd_run(args) -> int:
         args.technique = _technique(args.technique)
     _input_file(args.trace, "trace")
     _input_file(args.trace_file, "trace file")
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
+    tracer, metrics, spans = _telemetry_from_args(args, config)
     ingest_provenance = None
     if args.trace_file:
-        ingested = _ingest_from_args(args, config, metrics)
+        ingested = _ingest_from_args(args, config, metrics, spans)
         trace = ingested.trace
         ingest_provenance = ingested.provenance
     else:
@@ -539,7 +542,7 @@ def _cmd_run(args) -> int:
     factory = make_factory(args.technique) if args.technique != "none" else None
     result = get_engine(args.engine)(
         config, trace, factory, seed=args.seed,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics, spans=spans,
     )
     print(result.summary())
     aggregate = TechniqueAggregate(technique=args.technique)
@@ -553,7 +556,7 @@ def _cmd_run(args) -> int:
     if ingest_provenance is not None:
         extra["ingest"] = ingest_provenance
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison={args.technique: aggregate},
         extra=extra,
     )
@@ -568,9 +571,8 @@ def _cmd_campaign(args) -> int:
     # checked here, not in a pool worker after the campaign started
     args.techniques = _techniques(args.techniques)
     _input_file(args.trace_file, "trace file")
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig()
-    spans = _spans_from_args(args, config)
+    tracer, metrics, spans = _telemetry_from_args(args, config)
     retry = None
     if (
         args.max_retries
@@ -605,7 +607,7 @@ def _cmd_campaign(args) -> int:
 
         from repro.traces.trace_io import save_trace_npz
 
-        ingested = _ingest_from_args(args, config, metrics)
+        ingested = _ingest_from_args(args, config, metrics, spans)
         extra["ingest"] = ingested.provenance
         trace_digest = "{}:{}".format(
             ingested.provenance["source_digest"],
@@ -640,7 +642,6 @@ def _cmd_campaign(args) -> int:
             fault_injector=FaultInjector.from_env(),
             tracer=tracer,
             metrics=metrics,
-            profiler=profiler,
             spans=spans,
             trace_path=trace_path,
             trace_digest=trace_digest,
@@ -654,9 +655,9 @@ def _cmd_campaign(args) -> int:
                 pass
     print(render_campaign(aggregates, aggregates.failures))
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         comparison=aggregates, total_intervals=total_intervals,
-        extra=extra, failures=aggregates.failures, spans=spans,
+        extra=extra, failures=aggregates.failures,
     )
     return 1 if aggregates.failures else 0
 
@@ -691,7 +692,6 @@ def _cmd_campaign_worker(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    import time
     from dataclasses import replace
 
     from repro.adversary import SearchSettings, run_search
@@ -700,11 +700,10 @@ def _cmd_adversary(args) -> int:
 
     args.technique = _technique(args.technique)
     args.trace_events = None  # search fans out; no per-event stream
-    tracer, metrics, profiler = _telemetry_from_args(args)
     config = SimConfig() if args.preset == "paper" else small_test_config()
     if args.pbase_exp is not None:
         config = replace(config, pbase=2.0 ** -args.pbase_exp)
-    spans = _spans_from_args(args, config)
+    tracer, metrics, spans = _telemetry_from_args(args, config)
     settings = SearchSettings(
         technique=args.technique,
         strategy=args.strategy,
@@ -721,7 +720,6 @@ def _cmd_adversary(args) -> int:
         print(f"adversary: {evaluations}/{budget} evaluations",
               file=sys.stderr)
 
-    started = time.perf_counter()
     outcome = run_search(
         config,
         settings,
@@ -732,8 +730,6 @@ def _cmd_adversary(args) -> int:
         progress=progress,
         spans=spans,
     )
-    if profiler is not None:
-        profiler.add("adversary.search", time.perf_counter() - started)
     print(render_adversary(outcome))
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as stream:
@@ -741,7 +737,7 @@ def _cmd_adversary(args) -> int:
         print(f"wrote frontier to {args.frontier_out}", file=sys.stderr)
     args.seeds = settings.eval_seeds  # manifest seed range
     _finish_telemetry(
-        args, config, tracer, metrics, profiler,
+        args, config, tracer, metrics, spans,
         total_intervals=config.geometry.refint * settings.windows,
         extra={
             "command": "adversary",
@@ -754,7 +750,6 @@ def _cmd_adversary(args) -> int:
             "corpus_best_fitness": outcome.corpus_best.fitness,
             "improvement": outcome.improvement,
         },
-        spans=spans,
     )
     return 0
 
@@ -1235,7 +1230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adversary.add_argument(
         "--profile", action="store_true",
-        help="print a wall-clock phase breakdown after the run",
+        help="print the search's span tree (wall-clock seconds per "
+             "generation and evaluation) after the run",
     )
     _add_metrics_out_arg(adversary)
 

@@ -637,7 +637,7 @@ class ServeServer:
                 if is_grid_engine(engine):
                     results = run_simulation_grid(
                         self.config, trace, session.cells,
-                        metrics=session.registry,
+                        metrics=session.registry, spans=spans,
                     )
                     for index, sim in enumerate(results):
                         emit(self._verdict_frame(session, index, sim))

@@ -11,7 +11,6 @@ this module is the last stage of that pipeline.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.config import SimConfig
@@ -19,7 +18,7 @@ from repro.controller.controller import MemoryController, MitigationFactory
 from repro.dram.refresh import RefreshPolicy
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
-from repro.telemetry.profiler import section_of
+from repro.telemetry.spans import SpanTracer
 from repro.traces.record import Trace
 
 
@@ -49,7 +48,7 @@ def run_simulation(
     max_activations: Optional[int] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
 ) -> SimResult:
     """Run one technique (or no mitigation) over *trace*.
 
@@ -60,14 +59,17 @@ def run_simulation(
     activation count up to that point); ``max_activations`` (at least
     1) ends it after that many records.
 
-    ``tracer`` / ``metrics`` / ``profiler`` enable the observability
-    layer (see :mod:`repro.telemetry`); all three default to off and
-    none of them can alter the returned :class:`SimResult`.
+    ``tracer`` / ``metrics`` enable the observability layer (see
+    :mod:`repro.telemetry`); neither can alter the returned
+    :class:`SimResult`.  The run records ``setup``/``replay``/``drain``
+    spans into *spans* (a private tracer when ``None``), and
+    ``wall_seconds`` is their sum.
     """
     check_max_activations(max_activations)
-    started = time.perf_counter()
+    if spans is None or not spans.enabled:
+        spans = SpanTracer()
     tele = EngineTelemetry.create(tracer, metrics)
-    with section_of(profiler, "engine:setup"):
+    with spans.span("setup") as setup:
         controller = MemoryController(
             config=config,
             mitigation_factory=mitigation_factory,
@@ -86,7 +88,7 @@ def run_simulation(
     current_interval = -1
     activation_index = 0
 
-    with section_of(profiler, "engine:replay"):
+    with spans.span("replay") as replay:
         for record in trace:
             record_interval = record.time_ns // interval_ns
             while current_interval < record_interval:
@@ -118,7 +120,7 @@ def run_simulation(
             if max_activations is not None and activation_index >= max_activations:
                 break
 
-    with section_of(profiler, "engine:drain"):
+    with spans.span("drain") as drain:
         if not (stop_after_first_trigger and result.first_trigger_activation):
             while current_interval < total_intervals - 1:
                 current_interval += 1
@@ -145,7 +147,9 @@ def run_simulation(
     result.max_rh_buffer_occupancy = controller.max_buffer_occupancy
     if controller.mitigations:
         result.table_bytes = controller.mitigations[0].table_bytes
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = (
+        setup.wall_seconds + replay.wall_seconds + drain.wall_seconds
+    )
     return result
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
@@ -438,6 +438,19 @@ def _fault_kind(exc: BaseException) -> str:
     return getattr(exc, "shard_fault_kind", "error")
 
 
+def _submit(pool: ProcessPoolExecutor, fn: Callable, arg: Any) -> Future:
+    """``pool.submit(fn, arg)``, or -- when a crash broke the pool while
+    work was still being submitted -- a future already failed with that
+    :class:`BrokenProcessPool`, so the item fails like the ones in
+    flight instead of aborting the whole dispatch."""
+    try:
+        return pool.submit(fn, arg)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def _kill_workers(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting for hung workers.
 
@@ -517,14 +530,12 @@ class Executor(ABC):
     * ``supports_tracer`` -- whether an *enabled* event tracer can be
       threaded into shards (only in-process execution can);
     * ``supports_blocks`` -- whether :meth:`execute_blocks` accepts
-      fused cell-blocks (the one-replay-per-seed fast path);
-    * ``profile_section`` -- the profiler label for the dispatch phase.
+      fused cell-blocks (the one-replay-per-seed fast path).
     """
 
     name: ClassVar[str] = "abstract"
     supports_tracer: ClassVar[bool] = False
     supports_blocks: ClassVar[bool] = False
-    profile_section: ClassVar[str] = "campaign:dispatch"
 
     @abstractmethod
     def execute(
@@ -571,7 +582,6 @@ class SerialExecutor(Executor):
     name: ClassVar[str] = "serial"
     supports_tracer: ClassVar[bool] = True
     supports_blocks: ClassVar[bool] = True
-    profile_section: ClassVar[str] = "campaign:inline"
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
@@ -634,7 +644,6 @@ class PoolExecutor(Executor):
 
     name: ClassVar[str] = "pool"
     supports_blocks: ClassVar[bool] = True
-    profile_section: ClassVar[str] = "campaign:pool"
 
     def __init__(
         self,
@@ -701,8 +710,9 @@ class PoolExecutor(Executor):
             failed: Dict[int, BaseException] = {}
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 futures = {
-                    pool.submit(
-                        _run_job, replace(jobs[index], attempt=attempts[index])
+                    _submit(
+                        pool, _run_job,
+                        replace(jobs[index], attempt=attempts[index]),
                     ): index
                     for index in pending
                 }
@@ -764,7 +774,7 @@ class PoolExecutor(Executor):
     def execute_blocks(self, blocks, place, ctx) -> None:
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             block_futures = [
-                pool.submit(_run_block, block) for block in blocks
+                _submit(pool, _run_block, block) for block in blocks
             ]
             for future in as_completed(block_futures):
                 place(future.result())

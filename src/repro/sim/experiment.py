@@ -17,7 +17,7 @@ from repro.mitigations.registry import make_factory, technique_names
 from repro.rng import derive_seed
 from repro.sim.engine import get_engine, is_grid_engine
 from repro.sim.metrics import SimResult
-from repro.telemetry.profiler import section_of
+from repro.telemetry.spans import SpanTracer, span_of
 from repro.traces.mixer import paper_mixed_workload
 from repro.traces.record import Trace
 
@@ -125,7 +125,7 @@ def run_technique(
     engine: str = "reference",
     tracer=None,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
     **technique_kwargs,
 ) -> TechniqueAggregate:
     """Run *technique* (or ``None`` for no mitigation) over all seeds.
@@ -133,9 +133,11 @@ def run_technique(
     ``engine`` selects the simulation engine by name (see
     :data:`repro.sim.engine.ENGINE_NAMES`); both engines produce
     identical results, pinned by the differential test harness.
-    ``tracer`` / ``metrics`` / ``profiler`` are handed to every per-seed
+    ``tracer`` / ``metrics`` / ``spans`` are handed to every per-seed
     engine run (all seeds share them, so metric counters aggregate
-    across the whole technique); they never change any result.
+    across the whole technique); they never change any result.  Each
+    seed records a ``trace`` and a ``simulate`` span carrying the
+    technique, the engine's spans nested in the latter.
     """
     run = get_engine(engine)
     mitigation_factory = (
@@ -144,10 +146,10 @@ def run_technique(
     aggregate = TechniqueAggregate(technique=technique or "none")
     label = technique or "none"
     for seed in seeds:
-        with section_of(profiler, f"trace:{label}"):
+        with span_of(spans, "trace", technique=label, seed=seed):
             trace = trace_factory(derive_seed(seed, "trace"))
         policy = policy_factory(seed) if policy_factory else None
-        with section_of(profiler, f"technique:{label}"):
+        with span_of(spans, "simulate", technique=label, seed=seed):
             result = run(
                 config,
                 trace,
@@ -156,6 +158,7 @@ def run_technique(
                 refresh_policy=policy,
                 tracer=tracer,
                 metrics=metrics,
+                spans=spans,
             )
         aggregate.results.append(result)
     return aggregate
@@ -170,7 +173,7 @@ def compare_techniques(
     engine: str = "reference",
     tracer=None,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
 ) -> Dict[str, TechniqueAggregate]:
     """Run every technique over the same per-seed traces.
 
@@ -189,14 +192,14 @@ def compare_techniques(
         return trace
 
     comparison: Dict[str, TechniqueAggregate] = {}
-    telemetry_kwargs = dict(tracer=tracer, metrics=metrics, profiler=profiler)
+    telemetry_kwargs = dict(tracer=tracer, metrics=metrics, spans=spans)
     if is_grid_engine(engine) and tracer is None:
         # Grid path: every technique rides one decode+replay of the
         # per-seed trace.  Per-engine tracers are single-cell only, so
         # a tracer falls through to the per-cell loop below.
         return _compare_fused(
             config, cached_factory, names, seeds, include_unmitigated,
-            metrics=metrics, profiler=profiler,
+            metrics=metrics, spans=spans,
         )
     if include_unmitigated:
         comparison["none"] = run_technique(
@@ -218,7 +221,7 @@ def _compare_fused(
     seeds: Sequence[int],
     include_unmitigated: bool,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
 ) -> Dict[str, TechniqueAggregate]:
     """Fused-engine comparison: one grid call per trace seed.
 
@@ -226,7 +229,9 @@ def _compare_fused(
     trace) maps exactly onto one fused cell grid per seed: the trace
     varies with the seed, so the seed axis cannot share a decode, but
     the whole technique axis can.  Results are bit-identical to the
-    per-cell path -- the differential suite pins it.
+    per-cell path -- the differential suite pins it.  Each seed
+    records a ``trace`` span and a ``grid`` span holding the grid's
+    lane spans.
     """
     from repro.sim.fused_engine import grid_cells, run_simulation_grid
 
@@ -239,12 +244,12 @@ def _compare_fused(
             technique=technique or "none"
         )
     for seed in seeds:
-        with section_of(profiler, "trace:grid"):
+        with span_of(spans, "trace", seed=seed):
             trace = trace_factory(derive_seed(seed, "trace"))
         cells = grid_cells(techniques, (seed,), config=config)
-        with section_of(profiler, "technique:grid"):
+        with span_of(spans, "grid", seed=seed):
             results = run_simulation_grid(
-                config, trace, cells, metrics=metrics, profiler=profiler
+                config, trace, cells, metrics=metrics, spans=spans
             )
         for cell, result in zip(cells, results):
             comparison[cell.technique or "none"].results.append(result)

@@ -80,7 +80,6 @@ reduced throughput).
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -109,7 +108,7 @@ from repro.sim.deciders import _BankRuns, _column, _make_decider
 from repro.sim.engine import check_max_activations, run_simulation
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
-from repro.telemetry.profiler import section_of
+from repro.telemetry.spans import SpanTracer
 from repro.traces.record import Trace, TraceMeta, TraceRecord
 
 #: minimum number of empty intervals before the span short-circuit is
@@ -196,6 +195,16 @@ class _Plan:
     seed: int
     config: SimConfig
     key: Optional[Tuple]  # None = never deduplicated
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        """The attributes of this cell's lane spans."""
+        technique = (
+            getattr(self.factory, "technique_name", "unknown")
+            if self.factory is not None else "none"
+        )
+        return {"technique": technique, "seed": self.seed,
+                "pbase": self.config.pbase}
 
 
 def _plan_cell(cell: GridCell, base_config: SimConfig) -> _Plan:
@@ -767,7 +776,6 @@ def _device_pass(
     exclude: Optional[set] = None,
     lane: Optional[_Lane] = None,
     stop: bool = False,
-    profiler=None,
 ) -> _Device:
     """Replay the disturbance model once over *intervals* (segment
     groups, as :func:`_intervals` yields them).
@@ -1004,48 +1012,46 @@ def _device_pass(
     if lane is not None:
         intervals = decided(intervals)
     neighbors_get = neighbors_of.get
-    with section_of(profiler, "engine:replay"):
-        for group in intervals:
-            interval = group[0][4]
-            if interval > current_interval:
-                advance_to(interval)
-            for times, bank, row, is_attack, interval in group:
-                if next_kb == records:
-                    drain(records, interval + 1)
-                c = counters[bank]
-                total = c.pop(row, None)
-                if total is not None and total > floor:
-                    close(total, records + interval + 1, bank * rows_per_bank + row)
-                n = len(times)
-                victims = neighbors_get(row)
-                if victims is None:
-                    victims = neighbors_of[row] = geometry.neighbors(row)
-                for victim in victims:
-                    before = c.get(victim, 0)
-                    count = c[victim] = before + n
-                    if before < threshold <= count:
-                        # counts move in whole +1 steps: the crossing act
-                        # is computable; flips stay in record order
-                        # (several victims may cross inside one run)
-                        crossing = threshold - before - 1
-                        record = records + crossing
-                        held = flip_records[bank]
-                        place = len(held)
-                        while place and held[place - 1] > record:
-                            place -= 1
-                        held.insert(place, record)
-                        bank_flips[bank].insert(place, FlipEvent(
-                            bank=bank, row=victim, count=threshold,
-                            time_ns=times[crossing],
-                        ))
-                records += n
-                if is_attack:
-                    attacks += n
-    with section_of(profiler, "engine:drain"):
-        if not stopped:
-            advance_to(meta.total_intervals - 1)
-        # the drain the reference's ``controller.finish()`` applies
-        drain(records, current_interval + 1)
+    for group in intervals:
+        interval = group[0][4]
+        if interval > current_interval:
+            advance_to(interval)
+        for times, bank, row, is_attack, interval in group:
+            if next_kb == records:
+                drain(records, interval + 1)
+            c = counters[bank]
+            total = c.pop(row, None)
+            if total is not None and total > floor:
+                close(total, records + interval + 1, bank * rows_per_bank + row)
+            n = len(times)
+            victims = neighbors_get(row)
+            if victims is None:
+                victims = neighbors_of[row] = geometry.neighbors(row)
+            for victim in victims:
+                before = c.get(victim, 0)
+                count = c[victim] = before + n
+                if before < threshold <= count:
+                    # counts move in whole +1 steps: the crossing act
+                    # is computable; flips stay in record order
+                    # (several victims may cross inside one run)
+                    crossing = threshold - before - 1
+                    record = records + crossing
+                    held = flip_records[bank]
+                    place = len(held)
+                    while place and held[place - 1] > record:
+                        place -= 1
+                    held.insert(place, record)
+                    bank_flips[bank].insert(place, FlipEvent(
+                        bank=bank, row=victim, count=threshold,
+                        time_ns=times[crossing],
+                    ))
+            records += n
+            if is_attack:
+                attacks += n
+    if not stopped:
+        advance_to(meta.total_intervals - 1)
+    # the drain the reference's ``controller.finish()`` applies
+    drain(records, current_interval + 1)
     end = records + len(ticks)
     for bank, c in enumerate(counters):
         base = bank * rows_per_bank
@@ -1080,7 +1086,6 @@ def _decide(
     :meth:`_Lane.merge`) without being applied; the result's ``flips``
     and ``max_disturbance`` are left for :func:`_resolve`.
     """
-    started = time.perf_counter()
     refint = policy.geometry.refint
     lane = _Lane(plan, policy.geometry, tele)
     # the ticks up to each interval with records, and its chunk
@@ -1120,9 +1125,7 @@ def _decide(
                     device.tick_attacks[tick], lane.occupancy.pop(tick, ()),
                 )
         tele.finish(device.records, device.attacks)
-    result = device.result(plan, lane)
-    result.wall_seconds = time.perf_counter() - started
-    return result, log
+    return device.result(plan, lane), log
 
 
 def _lane_ops(log, device: _Device) -> Dict[int, List[Tuple]]:
@@ -1305,81 +1308,81 @@ def _run_shared(
     meta: TraceMeta,
     caches: Tuple[Dict, Dict],
     metrics,
+    spans: SpanTracer,
 ) -> Dict[int, SimResult]:
     """One device pass, decider-only lanes, then per-lane resolution.
 
-    Returns the result of every cell in *lanes*.  The unmitigated cell
-    (or, without one, the first lane) is charged the device pass and
-    the index scan; every other lane its own decisions and resolution.
+    Returns the result of every cell in *lanes*, each timed by its
+    spans: the unmitigated cell (or, without one, the first lane) is
+    charged the ``device`` pass and the ``index`` scan; every other
+    lane its own ``decide`` and ``resolve`` spans.
     """
-    started = time.perf_counter()
     baseline = next(
         (index for index in lanes if plans[index].factory is None), None
     )
-    device = _device_pass(
-        intervals, policy, meta, caches,
-        plans[lanes[0]].config.flip_threshold,
-        EngineTelemetry.create(None, metrics) if baseline is not None else None,
-        _TOP_EPOCHS,
-    )
-    device.segments = segments
-    device.starts = array("q", accumulate(
-        map(len, map(itemgetter(0), segments)), initial=0
-    ))
+    charged = baseline if baseline is not None else lanes[0]
+    geometry = policy.geometry
+    decided = [index for index in lanes if plans[index].factory is not None]
     results: Dict[int, SimResult] = {}
-    if baseline is not None:
-        results[baseline] = device.result(plans[baseline])
-    shared_seconds = time.perf_counter() - started
+    with spans.span("device", **plans[charged].attributes) as shared:
+        device = _device_pass(
+            intervals, policy, meta, caches,
+            plans[lanes[0]].config.flip_threshold,
+            EngineTelemetry.create(None, metrics) if baseline is not None else None,
+            _TOP_EPOCHS,
+        )
+        device.segments = segments
+        device.starts = array("q", accumulate(
+            map(len, map(itemgetter(0), segments)), initial=0
+        ))
+        if baseline is not None:
+            results[baseline] = device.result(plans[baseline])
+        ticks = device.ticks
+        banks = _bank_runs(
+            segments, device.starts,
+            zip(range(len(ticks)), chain(islice(ticks, 1, None), (device.records,))),
+            [_BankRuns() for _ in range(geometry.num_banks)],
+        ) if decided else []
+    shared_seconds = shared.wall_seconds
 
     # keep each lane's compact log, not its expanded operations: only
     # the rows they touch are needed before every lane has decided
     logs: Dict[int, list] = {}
     keys = set()
-    geometry = policy.geometry
     rows_per_bank = geometry.rows_per_bank
-    decided = [index for index in lanes if plans[index].factory is not None]
-    started = time.perf_counter()
-    ticks = device.ticks
-    banks = _bank_runs(
-        segments, device.starts,
-        zip(range(len(ticks)), chain(islice(ticks, 1, None), (device.records,))),
-        [_BankRuns() for _ in range(geometry.num_banks)],
-    ) if decided else []
-    shared_seconds += time.perf_counter() - started
     for index in decided:
-        result, logs[index] = _decide(
-            plans[index], policy, banks, device, meta,
-            EngineTelemetry.create(None, metrics),
-        )
+        with spans.span("decide", **plans[index].attributes) as span:
+            result, logs[index] = _decide(
+                plans[index], policy, banks, device, meta,
+                EngineTelemetry.create(None, metrics),
+            )
+            for key in _lane_ops(logs[index], device):
+                keys.add(key)
+                bank, row = divmod(key, rows_per_bank)
+                keys.update(bank * rows_per_bank + u for u in device.neighbors(row))
+        result.wall_seconds = span.wall_seconds
         results[index] = result
-        started = time.perf_counter()
-        for key in _lane_ops(logs[index], device):
-            keys.add(key)
-            bank, row = divmod(key, rows_per_bank)
-            keys.update(bank * rows_per_bank + u for u in device.neighbors(row))
-        result.wall_seconds += time.perf_counter() - started
     del banks
 
-    started = time.perf_counter()
     if keys:
-        device.index(keys)
-    shared_seconds += time.perf_counter() - started
+        with spans.span("index", **plans[charged].attributes) as span:
+            device.index(keys)
+        shared_seconds += span.wall_seconds
 
     for index, log in logs.items():
-        started = time.perf_counter()
         result = results[index]
-        touched = _resolve(result, _lane_ops(log, device), device)
-        if touched is not None:
-            # every kept epoch was touched: recount the best untouched one
-            recount = _device_pass(
-                intervals, policy, meta, caches, device.threshold, None, 1,
-                exclude=touched,
-            )
-            result.max_disturbance = max(
-                result.max_disturbance, recount.max_disturbance
-            )
-        result.wall_seconds += time.perf_counter() - started
-    charged = baseline if baseline is not None else lanes[0]
+        with spans.span("resolve", **plans[index].attributes) as span:
+            touched = _resolve(result, _lane_ops(log, device), device)
+            if touched is not None:
+                # every kept epoch was touched: recount the best untouched one
+                recount = _device_pass(
+                    intervals, policy, meta, caches, device.threshold, None, 1,
+                    exclude=touched,
+                )
+                result.max_disturbance = max(
+                    result.max_disturbance, recount.max_disturbance
+                )
+        result.wall_seconds += span.wall_seconds
     results[charged].wall_seconds += shared_seconds
     return results
 
@@ -1393,37 +1396,38 @@ def _run_cell(
     stop_after_first_trigger: bool,
     tracer,
     metrics,
-    profiler,
+    spans: SpanTracer,
 ) -> SimResult:
-    """One computed cell on its own: its own pass, or -- for float
-    (``distance2_rate > 0``) disturbance -- the reference engine, which
-    is the specification, over the records rebuilt from *intervals*."""
-    if plan.config.distance2_rate > 0.0:
-        records = (
-            TraceRecord(time_ns, bank, row, attack)
-            for group in intervals
-            for times, bank, row, attack, _interval in group
-            for time_ns in times
-        )
-        return run_simulation(
-            plan.config, Trace(meta, records), plan.factory, seed=plan.seed,
-            refresh_policy=policy,
-            stop_after_first_trigger=stop_after_first_trigger,
-            tracer=tracer, metrics=metrics, profiler=profiler,
-        )
-    started = time.perf_counter()
-    tele = EngineTelemetry.create(tracer, metrics)
-    with section_of(profiler, "engine:setup"):
-        lane = (
-            _Lane(plan, policy.geometry, tele)
-            if plan.factory is not None else None
-        )
-    device = _device_pass(
-        intervals, policy, meta, caches, plan.config.flip_threshold, tele, 1,
-        lane=lane, stop=stop_after_first_trigger, profiler=profiler,
-    )
-    result = device.result(plan, lane)
-    result.wall_seconds = time.perf_counter() - started
+    """One computed cell on its own, timed by its ``device`` span: its
+    own pass, or -- for float (``distance2_rate > 0``) disturbance --
+    the reference engine, which is the specification, over the records
+    rebuilt from *intervals*."""
+    with spans.span("device", **plan.attributes) as span:
+        if plan.config.distance2_rate > 0.0:
+            records = (
+                TraceRecord(time_ns, bank, row, attack)
+                for group in intervals
+                for times, bank, row, attack, _interval in group
+                for time_ns in times
+            )
+            result = run_simulation(
+                plan.config, Trace(meta, records), plan.factory, seed=plan.seed,
+                refresh_policy=policy,
+                stop_after_first_trigger=stop_after_first_trigger,
+                tracer=tracer, metrics=metrics, spans=spans,
+            )
+        else:
+            tele = EngineTelemetry.create(tracer, metrics)
+            lane = (
+                _Lane(plan, policy.geometry, tele)
+                if plan.factory is not None else None
+            )
+            device = _device_pass(
+                intervals, policy, meta, caches, plan.config.flip_threshold,
+                tele, 1, lane=lane, stop=stop_after_first_trigger,
+            )
+            result = device.result(plan, lane)
+    result.wall_seconds = span.wall_seconds
     return result
 
 
@@ -1484,26 +1488,31 @@ def run_simulation_grid(
     max_activations: Optional[int] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
 ) -> List[SimResult]:
     """Evaluate every grid *cell* in a single decode of *trace*.
 
     Returns one :class:`SimResult` per cell, in cell order, each
     bit-identical (except ``wall_seconds``) to a solo
-    :func:`repro.sim.engine.run_simulation` of that cell.  A computed
-    cell's ``wall_seconds`` is its own lane's time (decisions plus
-    resolution under a shared device pass; the pass itself is charged
-    to the unmitigated cell, or else the first sharing lane) and a
-    deduplicated replica's is 0.0, so the cells never sum to more than
-    the call.  See the module docstring for when cells share the pass.
-    The trace is decoded exactly once -- up to *max_activations*
+    :func:`repro.sim.engine.run_simulation` of that cell.  The call
+    records its ``decode`` span and every lane's spans (``device``,
+    ``decide``, ``index``, ``resolve``, each carrying the cell's
+    ``technique``, ``seed`` and ``pbase``) into *spans*, a private
+    tracer when ``None``.  A computed cell's ``wall_seconds`` is the
+    sum of its lane spans (decisions plus resolution under a shared
+    device pass; the pass itself is charged to the unmitigated cell,
+    or else the first sharing lane) and a deduplicated replica's is
+    0.0, so the cells never sum to more than the call.  See the module
+    docstring for when cells share the pass.  The trace is decoded exactly once -- up to *max_activations*
     records, else whole, even for an empty grid -- so lazy traces are
     safe; the *seed* axis only re-seeds the mitigations -- callers
     whose traces vary per seed must issue one grid call per trace.
     """
     plans = [_plan_cell(cell, config) for cell in cells]
     policy = _refresh_policy(config, plans, refresh_policy, tracer, max_activations)
-    with section_of(profiler, "engine:decode"):
+    if spans is None or not spans.enabled:
+        spans = SpanTracer()
+    with spans.span("decode"):
         intervals = list(_intervals(trace, max_activations))
         segments = list(chain.from_iterable(intervals))
     owners: Dict[Tuple, int] = {}
@@ -1526,11 +1535,10 @@ def run_simulation_grid(
     )
     solved: Dict[int, SimResult] = {}
     if lanes:
-        with section_of(profiler, "engine:replay"):
-            solved = _run_shared(
-                plans, lanes, policy, intervals, segments, trace.meta,
-                caches, metrics,
-            )
+        solved = _run_shared(
+            plans, lanes, policy, intervals, segments, trace.meta,
+            caches, metrics, spans,
+        )
     results: List[SimResult] = []
     for index, plan in enumerate(plans):
         owner = owners[plan.key] if plan.key is not None else index
@@ -1548,7 +1556,7 @@ def run_simulation_grid(
         results.append(_run_cell(
             plan, policy, intervals, trace.meta, caches,
             stop_after_first_trigger, tracer if len(plans) == 1 else None,
-            metrics, profiler,
+            metrics, spans,
         ))
     return results
 
@@ -1563,7 +1571,7 @@ def run_simulation_fused(
     max_activations: Optional[int] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
+    spans: Optional[SpanTracer] = None,
 ) -> SimResult:
     """Single-cell run -- the ``--engine fused`` (and ``fast``) entry point.
 
@@ -1574,7 +1582,9 @@ def run_simulation_fused(
     too.  The ``fused.records`` counter counts the records replayed
     (the whole trace unless the run stops early).  Accepts arbitrary
     mitigation factories (unknown techniques decide through the real
-    ``Mitigation`` object).  The telemetry event stream legitimately
+    ``Mitigation`` object).  The run is one ``device`` span in *spans*
+    (a private tracer when ``None``), which is its ``wall_seconds``.
+    The telemetry event stream legitimately
     differs from the reference engine's (batched rollovers, rng-block
     events); only the ``SimResult`` is pinned identical.
     """
@@ -1590,9 +1600,11 @@ def run_simulation_fused(
                 yield group
 
         intervals = counted(intervals)
+    if spans is None or not spans.enabled:
+        spans = SpanTracer()
     result = _run_cell(
         plan, policy, intervals, trace.meta, ({}, {}),
-        stop_after_first_trigger, tracer, metrics, profiler,
+        stop_after_first_trigger, tracer, metrics, spans,
     )
     _count_work(metrics, 1, 1, segments, result.normal_activations)
     return result

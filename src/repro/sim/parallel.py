@@ -58,12 +58,15 @@ from repro.sim.executors import (
     get_executor,
 )
 from repro.sim.experiment import TechniqueAggregate
-from repro.telemetry.profiler import section_of
 from repro.telemetry.progress import ProgressDispatcher, ProgressListener
 from repro.telemetry.spans import SpanTracer, span_of
 from repro.telemetry.statusbus import CampaignSnapshot, StatusBus
 from repro.traces.mixer import paper_mixed_workload
 from repro.traces.trace_io import save_trace_npz
+
+
+#: the phase spans :func:`run_campaign` opens under its root, once each
+CAMPAIGN_PHASES = ("traces", "dispatch")
 
 
 class CampaignResult(Dict[str, TechniqueAggregate]):
@@ -184,7 +187,6 @@ def run_campaign(
     on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics=None,
-    profiler=None,
     spans: Optional[SpanTracer] = None,
     status: Optional[StatusBus] = None,
     status_done_base: int = 0,
@@ -220,14 +222,17 @@ def run_campaign(
     ``metrics`` works in every mode: pool workers collect their own
     registry and the shards are merged into the caller's on return.
     ``tracer`` streams cannot cross a process boundary, so an *enabled*
-    tracer requires ``workers=0``; ``profiler`` likewise only times the
-    coarse campaign phases in pool mode.
+    tracer requires ``workers=0``.
 
-    ``spans`` works in every mode like ``metrics``: each shard records
-    a local ``shard -> trace/simulate`` span tree (also under fused
-    block dispatch, where every cell's records span the shared replay
-    window) and ships it back for re-parenting under the campaign root
-    span.  ``status`` turns on the live status bus: workers publish
+    ``spans`` works in every mode like ``metrics``: the campaign root
+    span holds one ``traces`` span (trace generation, opened even when
+    there is none) and one ``dispatch`` span (the executor run), and
+    each shard records a local ``shard -> trace/simulate`` span tree
+    (also under fused block dispatch, where every cell's records span
+    the shared replay window) and ships it back for re-parenting under
+    the campaign root span.
+
+    ``status`` turns on the live status bus: workers publish
     per-shard heartbeats into its directory, the runner publishes a
     rolling :class:`~repro.telemetry.statusbus.CampaignSnapshot` at
     every progress tick, and shards whose heartbeat goes quiet for
@@ -329,14 +334,14 @@ def run_campaign(
     tmpdir: Optional[str] = None
     try:
         trace_paths: Dict[int, str] = {}
-        if trace_path is not None:
-            trace_paths = {
-                seed: str(trace_path)
-                for seed in dict.fromkeys(seed for _, seed in pair_list)
-            }
-        elif memoize_traces:
-            tmpdir = tempfile.mkdtemp(prefix="repro-campaign-")
-            with section_of(profiler, "campaign:traces"):
+        with span_of(spans, "traces"):
+            if trace_path is not None:
+                trace_paths = {
+                    seed: str(trace_path)
+                    for seed in dict.fromkeys(seed for _, seed in pair_list)
+                }
+            elif memoize_traces:
+                tmpdir = tempfile.mkdtemp(prefix="repro-campaign-")
                 for seed in dict.fromkeys(seed for _, seed in pair_list):
                     trace = paper_mixed_workload(
                         config,
@@ -424,10 +429,10 @@ def run_campaign(
                 if progress_cb is not None:
                     progress_cb(done, total)
 
-            with section_of(profiler, runner.profile_section):
+            with span_of(spans, "dispatch"):
                 runner.execute_blocks(blocks, place, ctx)
         else:
-            with section_of(profiler, runner.profile_section):
+            with span_of(spans, "dispatch"):
                 outcomes = runner.execute(jobs, ctx)
     finally:
         if tmpdir is not None:

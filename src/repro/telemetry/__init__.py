@@ -1,9 +1,13 @@
-"""Observability layer: event tracing, run metrics, manifests, profiling.
+"""Observability layer: event tracing, run metrics, manifests, span timing.
 
 Zero-cost when disabled: every entry point of the simulation stack
-accepts ``tracer=None`` / ``metrics=None`` / ``profiler=None`` and the
-engines skip the whole layer behind a single ``None`` check (pinned by
-the overhead guard in ``benchmarks/bench_fused_engine.py``).  Enabling
+accepts ``tracer=None`` / ``metrics=None`` / ``spans=None`` and the
+engines skip the event and metric hooks behind a single ``None`` check
+(pinned by the overhead guard in ``benchmarks/bench_fused_engine.py``).
+Timing has one mechanism: :class:`SpanTracer` trees.  The engines time
+their phases and lanes with spans (into a private tracer when the
+caller passes none, which is where ``SimResult.wall_seconds`` comes
+from) and ``--profile`` prints :meth:`SpanTracer.timing_report`.  Enabling
 it never changes simulation results -- the differential harness proves
 both engines produce bit-identical :class:`~repro.sim.metrics.SimResult`
 objects with telemetry on and off.
@@ -27,7 +31,6 @@ from repro.telemetry.manifest import (
     diff_manifests,
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
-from repro.telemetry.profiler import Profiler, section_of
 from repro.telemetry.progress import (
     ProgressDispatcher,
     ProgressEvent,
@@ -59,8 +62,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
-    "section_of",
     "Span",
     "SpanTracer",
     "span_id_for",

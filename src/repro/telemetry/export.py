@@ -40,8 +40,6 @@ _FAMILIES = (
     ("repro_histogram_count", "gauge", "Number of histogram observations."),
     ("repro_histogram_min", "gauge", "Smallest observation."),
     ("repro_histogram_max", "gauge", "Largest observation."),
-    ("repro_timer_seconds_total", "counter", "Accumulated phase seconds."),
-    ("repro_timer_calls_total", "counter", "Accumulated phase calls."),
     ("repro_span_count", "gauge", "Occurrences of a span path."),
 )
 
@@ -138,16 +136,6 @@ def to_prometheus(
                     f"repro_histogram_{edge}{label} "
                     f"{_format_number(entry[edge])}"
                 )
-    for name, entry in (data.get("timers") or {}).items():
-        label = _labels(name=name)
-        lines.append(
-            f"repro_timer_seconds_total{label} "
-            f"{_format_number(entry['seconds'])}"
-        )
-        lines.append(
-            f"repro_timer_calls_total{label} "
-            f"{_format_number(entry['calls'])}"
-        )
     for path, entry in ((span_summary or {}).get("paths") or {}).items():
         label = _labels(path=path)
         lines.append(
@@ -186,14 +174,15 @@ def _parse_sample(line: str):
 def parse_prometheus(text: str) -> Dict[str, Any]:
     """Invert :func:`to_prometheus` into an ``as_dict``-shaped mapping.
 
-    Returns ``{"counters": ..., "histograms": ..., "timers": ...,
-    "span_paths": {path: count}}``; feed the first three to
+    Returns ``{"counters": ..., "histograms": ..., "span_paths":
+    {path: count}}``; feed the first two to
     :meth:`MetricsRegistry.from_dict` (or use
-    :func:`registry_from_prometheus`).
+    :func:`registry_from_prometheus`).  Families it does not know --
+    such as the ``repro_timer_*`` lines of older exports -- are
+    skipped.
     """
     counters: Dict[str, Dict[str, Any]] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
-    timers: Dict[str, Dict[str, Any]] = {}
     span_paths: Dict[str, int] = {}
     # bucket samples keyed by histogram name, in emission order
     buckets: Dict[str, List[Any]] = {}
@@ -225,10 +214,6 @@ def parse_prometheus(text: str) -> Dict[str, Any]:
             histograms.setdefault(name, {})["min"] = _parse_number(value_text)
         elif family == "repro_histogram_max":
             histograms.setdefault(name, {})["max"] = _parse_number(value_text)
-        elif family == "repro_timer_seconds_total":
-            timers.setdefault(name, {})["seconds"] = _parse_number(value_text)
-        elif family == "repro_timer_calls_total":
-            timers.setdefault(name, {})["calls"] = _parse_number(value_text)
         elif family == "repro_span_count":
             span_paths[labels.get("path", "")] = int(value_text)
     for name, samples in buckets.items():
@@ -254,7 +239,6 @@ def parse_prometheus(text: str) -> Dict[str, Any]:
     return {
         "counters": counters,
         "histograms": histograms,
-        "timers": timers,
         "span_paths": span_paths,
     }
 
@@ -268,12 +252,12 @@ def to_jsonl(
     registry: Optional[MetricsRegistry],
     span_summary: Optional[Dict[str, Any]] = None,
 ) -> str:
-    """One JSON record per line: meta, counters, histograms, timers, spans."""
+    """One JSON record per line: meta, counters, histograms, spans."""
     records: List[Dict[str, Any]] = [
         {"record": "meta", "schema_version": EXPORT_SCHEMA_VERSION}
     ]
     data = registry.as_dict() if registry is not None else {}
-    for kind in ("counters", "histograms", "timers"):
+    for kind in ("counters", "histograms"):
         for name, entry in (data.get(kind) or {}).items():
             records.append({"record": kind[:-1], "name": name, **entry})
     for path, entry in ((span_summary or {}).get("paths") or {}).items():
@@ -284,10 +268,11 @@ def to_jsonl(
 
 
 def parse_jsonl(text: str) -> Dict[str, Any]:
-    """Invert :func:`to_jsonl` into the same shape as :func:`parse_prometheus`."""
+    """Invert :func:`to_jsonl` into the same shape as :func:`parse_prometheus`
+    (unknown record kinds, such as older exports' ``timer``, are
+    skipped)."""
     counters: Dict[str, Dict[str, Any]] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
-    timers: Dict[str, Dict[str, Any]] = {}
     span_paths: Dict[str, int] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -299,14 +284,11 @@ def parse_jsonl(text: str) -> Dict[str, Any]:
             counters[record.pop("name")] = record
         elif kind == "histogram":
             histograms[record.pop("name")] = record
-        elif kind == "timer":
-            timers[record.pop("name")] = record
         elif kind == "span_path":
             span_paths[record["path"]] = int(record.get("count", 0))
     return {
         "counters": counters,
         "histograms": histograms,
-        "timers": timers,
         "span_paths": span_paths,
     }
 

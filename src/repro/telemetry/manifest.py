@@ -5,7 +5,7 @@ output that records *everything needed to reproduce and compare* a
 run: the full configuration (plus a stable hash of it), the seeds, the
 engine, the git revision of the code, the host's Python/platform, the
 per-technique result summaries, the metrics registry snapshot, and the
-profiler's phase timings.
+span tree's timing report.
 
 Two manifests can be compared with :func:`diff_manifests`, which
 returns the leaf-level differences (ignoring fields that legitimately
@@ -122,8 +122,8 @@ class RunManifest:
     #: shards a fault-tolerant campaign skipped after exhausting their
     #: retries (``ShardFailure.as_dict`` entries; empty = healthy run)
     degraded: List[Dict[str, Any]] = field(default_factory=list)
-    #: profiler phase breakdown (may be empty)
-    timings: Dict[str, Any] = field(default_factory=dict)
+    #: :meth:`SpanTracer.timing_report` rows of the run (may be empty)
+    timings: List[Dict[str, Any]] = field(default_factory=list)
     #: caller-supplied context (CLI args, workload knobs, ...)
     extra: Dict[str, Any] = field(default_factory=dict)
 
@@ -174,7 +174,7 @@ def build_manifest(
     seeds: Sequence[int],
     comparison: Optional[Mapping[str, Any]] = None,
     metrics=None,
-    profiler=None,
+    spans=None,
     total_intervals: Optional[int] = None,
     extra: Optional[Mapping[str, Any]] = None,
     failures: Optional[Sequence[Any]] = None,
@@ -183,8 +183,10 @@ def build_manifest(
 
     *comparison* is a ``{technique: TechniqueAggregate}`` mapping as
     returned by ``compare_techniques``/``run_campaign``; *metrics* a
-    :class:`~repro.telemetry.metrics.MetricsRegistry`; *profiler* a
-    :class:`~repro.telemetry.profiler.Profiler`; *failures* the
+    :class:`~repro.telemetry.metrics.MetricsRegistry`; *spans* the
+    run's :class:`~repro.telemetry.spans.SpanTracer`, whose
+    :meth:`~repro.telemetry.spans.SpanTracer.timing_report` becomes
+    ``timings``; *failures* the
     degraded-shard records of a fault-tolerant campaign
     (:class:`~repro.sim.parallel.ShardFailure`).
     """
@@ -205,7 +207,7 @@ def build_manifest(
         },
         metrics=metrics.as_dict() if metrics is not None else {},
         degraded=[failure.as_dict() for failure in failures or []],
-        timings=profiler.as_dict() if profiler is not None else {},
+        timings=spans.timing_report() if spans is not None else [],
         extra=dict(extra) if extra else {},
     )
 

@@ -1,4 +1,4 @@
-"""Cheap run metrics: counters, histograms and phase timers.
+"""Cheap run metrics: counters and histograms.
 
 A :class:`MetricsRegistry` is a bag of named instruments the engines
 (and the campaign runner) update at interval/trigger granularity --
@@ -116,12 +116,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, histograms and accumulated phase timings."""
+    """Named counters and histograms."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.timers: Dict[str, Dict[str, float]] = {}
 
     def counter(self, name: str, limit: Optional[int] = None) -> Counter:
         counter = self.counters.get(name)
@@ -146,11 +145,6 @@ class MetricsRegistry:
                 f"{histogram.bounds}, requested {tuple(bounds)}"
             )
         return histogram
-
-    def add_time(self, name: str, seconds: float) -> None:
-        entry = self.timers.setdefault(name, {"seconds": 0.0, "calls": 0})
-        entry["seconds"] += seconds
-        entry["calls"] += 1
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold *other* into this registry (campaign shard aggregation)."""
@@ -177,10 +171,6 @@ class MetricsRegistry:
                 else:
                     pick = min if edge == "min" else max
                     setattr(mine, edge, pick(ours, theirs))
-        for name, entry in other.timers.items():
-            mine_t = self.timers.setdefault(name, {"seconds": 0.0, "calls": 0})
-            mine_t["seconds"] += entry["seconds"]
-            mine_t["calls"] += entry["calls"]
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
@@ -204,11 +194,6 @@ class MetricsRegistry:
             histogram.total = entry.get("total", 0.0)
             histogram.min = entry.get("min")
             histogram.max = entry.get("max")
-        for name, entry in (data.get("timers") or {}).items():
-            registry.timers[name] = {
-                "seconds": entry.get("seconds", 0.0),
-                "calls": entry.get("calls", 0),
-            }
         return registry
 
     def as_dict(self) -> Dict[str, Any]:
@@ -220,8 +205,5 @@ class MetricsRegistry:
             "histograms": {
                 name: histogram.as_dict()
                 for name, histogram in sorted(self.histograms.items())
-            },
-            "timers": {
-                name: dict(entry) for name, entry in sorted(self.timers.items())
             },
         }

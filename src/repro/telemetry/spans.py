@@ -274,33 +274,51 @@ class SpanTracer:
         }
 
     def timing_report(self) -> List[Dict[str, Any]]:
-        """Per-path wall/CPU totals (volatile; for humans, not resume)."""
-        totals: Dict[str, Dict[str, float]] = {}
+        """Wall/CPU totals per tree row (volatile; for humans, not resume).
+
+        A row aggregates the finished spans of one *label*: the span
+        path with each span's ``technique`` attribute appended to its
+        name (``grid/decide[PARA]``), so per-technique lanes and shards
+        get rows of their own.  Rows come depth-first, siblings in
+        order of first appearance; ``share_pct`` is the row's wall as a
+        share of the root rows' total wall.
+        """
+        labels: Dict[Optional[str], str] = {}
+        rows: Dict[str, Dict[str, Any]] = {}
         for span in self.spans:
-            wall = span.wall_seconds
-            if wall is None:
-                continue
-            entry = totals.setdefault(
-                span.path, {"count": 0, "wall_seconds": 0.0, "cpu_seconds": 0.0}
-            )
-            entry["count"] += 1
-            entry["wall_seconds"] += wall
-            entry["cpu_seconds"] += span.cpu_seconds or 0.0
-        return [
-            {"path": path, **entry} for path, entry in sorted(totals.items())
-        ]
+            technique = span.attributes.get("technique")
+            name = span.name if technique is None else f"{span.name}[{technique}]"
+            parent = labels.get(span.parent_id)
+            label = labels[span.span_id] = f"{parent}/{name}" if parent else name
+            row = rows.setdefault(label, {
+                "path": span.path, "label": label, "depth": label.count("/"),
+                "count": 0, "wall_seconds": 0.0, "cpu_seconds": 0.0,
+            })
+            if span.wall_seconds is not None:
+                row["count"] += 1
+                row["wall_seconds"] += span.wall_seconds
+                row["cpu_seconds"] += span.cpu_seconds or 0.0
+        first = {label: index for index, label in enumerate(rows)}
+
+        def tree_order(label: str) -> List[int]:
+            parts = label.split("/")
+            return [first["/".join(parts[:end])] for end in range(1, len(parts) + 1)]
+
+        root_wall = sum(
+            row["wall_seconds"] for row in rows.values() if not row["depth"]
+        )
+        report = [rows[label] for label in sorted(rows, key=tree_order)]
+        for row in report:
+            row["share_pct"] = 100.0 * row["wall_seconds"] / root_wall if root_wall else 0.0
+        return [row for row in report if row["count"]]
 
     def __len__(self) -> int:
         return len(self.spans)
 
 
 def span_of(spans: Optional[SpanTracer], name: str, **attributes: Any):
-    """``spans.span(name, ...)`` or a free no-op context.
-
-    The spans counterpart of
-    :func:`repro.telemetry.profiler.section_of`: call sites never
-    branch on whether span tracing is enabled.
-    """
+    """``spans.span(name, ...)`` or a free no-op context, so call
+    sites never branch on whether span tracing is enabled."""
     if spans is None or not spans.enabled:
         return nullcontext()
     return spans.span(name, **attributes)

@@ -219,3 +219,61 @@ class TestGetExecutor:
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="positive worker count"):
             get_executor("pool", workers=0)
+
+
+class TestPoolSubmitRace:
+    """A crash can break the pool while jobs are still being submitted:
+    the submit that raises fails its own job, not the whole dispatch."""
+
+    @staticmethod
+    def break_second_submit(monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def flaky(self, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("pool broke mid-submit")
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", flaky)
+        return calls
+
+    def test_round_retries_the_job_whose_submit_raised(
+        self, monkeypatch, tmp_path, baseline
+    ):
+        calls = self.break_second_submit(monkeypatch)
+        metrics = MetricsRegistry()
+        healed = campaign(
+            small_test_config(num_banks=2), "pool", tmp_path,
+            retry=RetryPolicy(max_retries=1, backoff_base=0),
+            sleep=lambda seconds: None, metrics=metrics,
+        )
+        assert canonical(healed) == baseline
+        assert not healed.failures
+        # one round of four submits, then one retry round of one
+        assert len(calls) == TOTAL_SHARDS + 1
+        counters = metrics.as_dict()["counters"]
+        assert counters["campaign.shard_crashes"]["value"] == 1
+        assert counters["campaign.shard_retries"]["value"] == 1
+
+    def test_block_whose_submit_raised_fails_like_a_crash(
+        self, monkeypatch, tmp_path, baseline
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        config = small_test_config(num_banks=2)
+        kwargs = dict(
+            techniques=TECHNIQUES, seeds=SEEDS, workers=2, engine="fast",
+            executor="pool", publish_status=False,
+        )
+        ckpt = tmp_path / "ckpt"
+        with monkeypatch.context() as patch:
+            self.break_second_submit(patch)
+            with pytest.raises(BrokenProcessPool):
+                run_durable_campaign(config, 8, ckpt, **kwargs)
+        resumed = run_durable_campaign(config, 8, ckpt, resume=True, **kwargs)
+        assert canonical(resumed) == baseline

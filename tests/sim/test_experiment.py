@@ -192,6 +192,34 @@ class TestCompare:
         assert fast[0] == 2
         assert fast == replay("fused")
 
+    def test_reference_cells_record_engine_spans_per_technique(self):
+        """The per-cell path hands its tracer to every engine run: each
+        technique's seeds get trace/simulate spans, and the reference
+        engine's setup/replay/drain spans nest under every simulate."""
+        from repro.telemetry.spans import SpanTracer
+
+        config = small_test_config()
+        spans = SpanTracer()
+        comparison = compare_techniques(
+            config, trace_factory(config, intervals=8),
+            techniques=("PARA", "TWiCe"), seeds=(0, 1),
+            include_unmitigated=True, spans=spans,
+        )
+        rows = {row["label"]: row for row in spans.timing_report()}
+        for technique in ("none", "PARA", "TWiCe"):
+            assert rows[f"trace[{technique}]"]["count"] == 2
+            simulate = f"simulate[{technique}]"
+            assert rows[simulate]["count"] == 2
+            for phase in ("setup", "replay", "drain"):
+                assert rows[f"{simulate}/{phase}"]["count"] == 2
+            # each run's wall_seconds is its own engine spans
+            engine_wall = sum(
+                rows[f"{simulate}/{phase}"]["wall_seconds"]
+                for phase in ("setup", "replay", "drain")
+            )
+            assert comparison[technique].wall_seconds == \
+                pytest.approx(engine_wall)
+
 
 class TestDefaultFactory:
     def test_builds_paper_workload(self):

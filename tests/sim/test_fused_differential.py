@@ -512,6 +512,41 @@ def test_cell_wall_seconds_sum_within_the_grid_call():
     assert sum(result.wall_seconds for result in results) <= elapsed
 
 
+def test_cell_wall_seconds_is_the_sum_of_its_lane_spans():
+    """Every lane span carries its cell's technique, seed and pbase; a
+    computed cell's ``wall_seconds`` is the sum of its lane spans (the
+    shared device pass and index scan included for the unmitigated
+    cell) and a deduplicated replica, which has none, gets 0.0."""
+    from repro.telemetry.spans import SpanTracer
+
+    trace = _mixed(0)().materialize()
+    cells = grid_cells(
+        ["PARA", "TWiCe", "LiPRoMi", None], SEEDS,
+        pbase_scales=PBASE_SCALES, config=CONFIG,
+    )
+    spans = SpanTracer()
+    results = run_simulation_grid(CONFIG, trace, cells, spans=spans)
+    names = {span.name for span in spans.spans}
+    assert names == {"decode", "device", "decide", "index", "resolve"}
+    lanes = {}
+    for span in spans.spans:
+        if span.name == "decode":
+            continue
+        key = (
+            span.attributes["technique"], span.attributes["seed"],
+            span.attributes["pbase"],
+        )
+        lanes.setdefault(key, []).append(span)
+    computed = 0
+    for cell, result in zip(cells, results):
+        own = lanes.get((cell.technique or "none", cell.seed, cell.config.pbase), [])
+        assert result.wall_seconds == sum(span.wall_seconds for span in own)
+        computed += bool(own)
+    # one lane per computed cell: baseline, TWiCe once, PARA per seed,
+    # LiPRoMi per seed and pbase
+    assert computed == len(lanes) == 1 + 1 + len(SEEDS) + len(SEEDS) * len(PBASE_SCALES)
+
+
 def test_single_cell_early_stop_stops_decoding():
     """A streamed single-cell run stops pulling records at the end of
     the interval it stops in (plus the one record that closes that

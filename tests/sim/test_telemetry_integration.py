@@ -24,7 +24,7 @@ from repro.sim.engine import get_engine
 from repro.telemetry import (
     EVENT_KINDS,
     NullTracer,
-    Profiler,
+    SpanTracer,
 )
 from repro.traces.attacker import AttackSpec
 from repro.traces.mixer import build_trace, paper_mixed_workload
@@ -146,13 +146,17 @@ def test_null_tracer_is_equivalent_to_no_tracer():
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_profiler_sections_cover_the_run(engine):
-    profiler = Profiler()
+    """The run's spans are its whole engine time: the reference engine
+    records setup/replay/drain, the fused one its cell's device pass."""
+    spans = SpanTracer()
     run = get_engine(engine)
-    run(CONFIG, _mixed(0)(), make_factory("PARA"), seed=0, profiler=profiler)
-    assert set(profiler.sections) == {
-        "engine:setup", "engine:replay", "engine:drain"
-    }
-    assert profiler.total_seconds > 0.0
+    result = run(CONFIG, _mixed(0)(), make_factory("PARA"), seed=0, spans=spans)
+    expected = (
+        {"setup", "replay", "drain"} if engine == "reference" else {"device"}
+    )
+    assert {span.name for span in spans.spans} == expected
+    assert result.wall_seconds == sum(span.wall_seconds for span in spans.spans)
+    assert result.wall_seconds > 0.0
 
 
 def test_history_events_fire_under_pressure():

@@ -32,9 +32,6 @@ def sample_registry():
     for value in (0, 3, 3, 9, 100):
         histogram.record(value)
     registry.histogram("empty", bounds=(0.5, 2.5))
-    registry.add_time("simulate", 1.25)
-    registry.add_time("simulate", 0.75)
-    registry.add_time("trace", 0.5)
     return registry
 
 
@@ -91,13 +88,40 @@ class TestJsonlRoundTrip:
         registry = sample_registry()
         parsed = parse_jsonl(to_jsonl(registry))
         assert MetricsRegistry.from_dict(
-            {k: parsed[k] for k in ("counters", "histograms", "timers")}
+            {k: parsed[k] for k in ("counters", "histograms")}
         ).as_dict() == registry.as_dict()
 
     def test_span_paths_match_prometheus(self):
         registry, summary = sample_registry(), sample_summary()
         assert parse_jsonl(to_jsonl(registry, summary))["span_paths"] == \
             parse_prometheus(to_prometheus(registry, summary))["span_paths"]
+
+
+class TestOlderExports:
+    """Exports written before phase timers were dropped from the
+    registry still parse: their timer families are skipped."""
+
+    def test_prometheus_timer_lines_are_skipped(self):
+        text = to_prometheus(sample_registry()) + (
+            "# HELP repro_timer_seconds_total Accumulated phase seconds.\n"
+            "# TYPE repro_timer_seconds_total counter\n"
+            'repro_timer_seconds_total{name="simulate"} 2.0\n'
+            'repro_timer_calls_total{name="simulate"} 2\n'
+        )
+        assert "timers" not in parse_prometheus(text)
+        assert registry_from_prometheus(text).as_dict() == \
+            sample_registry().as_dict()
+
+    def test_jsonl_timer_records_are_skipped(self):
+        text = to_jsonl(sample_registry(), sample_summary()) + (
+            '{"calls": 2, "name": "simulate", "record": "timer", '
+            '"seconds": 2.0}\n'
+        )
+        parsed = parse_jsonl(text)
+        assert "timers" not in parsed
+        assert parsed["span_paths"] == {"campaign": 1, "campaign/shard": 2}
+        assert MetricsRegistry.from_dict(parsed).as_dict() == \
+            sample_registry().as_dict()
 
 
 class TestWriteMetricsExport:
@@ -144,13 +168,7 @@ histograms = st.lists(
     max_size=4, unique_by=lambda h: h[0],
 )
 
-timers = st.lists(
-    st.tuples(metric_names, st.floats(0, 10**4, allow_nan=False)),
-    max_size=4, unique_by=lambda t: t[0],
-)
-
-
-def build_registry(counter_specs, histogram_specs, timer_specs):
+def build_registry(counter_specs, histogram_specs):
     registry = MetricsRegistry()
     for name, value, limit in counter_specs:
         registry.counter(name, limit=limit).add(value)
@@ -158,31 +176,23 @@ def build_registry(counter_specs, histogram_specs, timer_specs):
         histogram = registry.histogram(name, bounds=histogram_bounds)
         for value in observations:
             histogram.record(value)
-    for name, seconds in timer_specs:
-        registry.add_time(name, seconds)
     return registry
 
 
 @settings(max_examples=60, deadline=None)
-@given(counter_specs=counters, histogram_specs=histograms,
-       timer_specs=timers)
-def test_prometheus_round_trip_property(
-    counter_specs, histogram_specs, timer_specs
-):
-    registry = build_registry(counter_specs, histogram_specs, timer_specs)
+@given(counter_specs=counters, histogram_specs=histograms)
+def test_prometheus_round_trip_property(counter_specs, histogram_specs):
+    registry = build_registry(counter_specs, histogram_specs)
     back = registry_from_prometheus(to_prometheus(registry))
     assert back.as_dict() == registry.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
-@given(counter_specs=counters, histogram_specs=histograms,
-       timer_specs=timers)
-def test_jsonl_round_trip_property(
-    counter_specs, histogram_specs, timer_specs
-):
-    registry = build_registry(counter_specs, histogram_specs, timer_specs)
+@given(counter_specs=counters, histogram_specs=histograms)
+def test_jsonl_round_trip_property(counter_specs, histogram_specs):
+    registry = build_registry(counter_specs, histogram_specs)
     parsed = parse_jsonl(to_jsonl(registry))
     back = MetricsRegistry.from_dict(
-        {k: parsed[k] for k in ("counters", "histograms", "timers")}
+        {k: parsed[k] for k in ("counters", "histograms")}
     )
     assert back.as_dict() == registry.as_dict()

@@ -11,7 +11,7 @@ from repro.telemetry.manifest import (
     technique_summary,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import Profiler
+from repro.telemetry.spans import SpanTracer
 
 
 def _aggregate(technique="PARA", seeds=(0, 1)):
@@ -62,12 +62,15 @@ class TestRoundTrip:
         assert manifest.git_rev is not None
 
     def test_profiler_timings_embedded(self):
-        profiler = Profiler()
-        profiler.add("engine:replay", 1.5)
+        spans = SpanTracer()
+        with spans.span("replay"):
+            pass
         manifest = build_manifest(
-            small_test_config(), engine="fast", seeds=(0,), profiler=profiler
+            small_test_config(), engine="fast", seeds=(0,), spans=spans
         )
-        assert manifest.timings["engine:replay"]["seconds"] == 1.5
+        assert manifest.timings == spans.timing_report()
+        assert manifest.timings[0]["label"] == "replay"
+        assert manifest.timings[0]["wall_seconds"] == spans.spans[0].wall_seconds
 
 
 class TestTechniqueSummary:

@@ -125,7 +125,7 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             registry.histogram("h", (1, 2, 3))
 
-    def test_merge_folds_counters_histograms_and_timers(self):
+    def test_merge_folds_counters_and_histograms(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
         a.counter("n").add(2)
@@ -133,15 +133,25 @@ class TestMetricsRegistry:
         b.counter("only_b").add(1)
         a.histogram("h", (1, 2)).record(1)
         b.histogram("h", (1, 2)).record(5)
-        a.add_time("phase", 1.0)
-        b.add_time("phase", 2.0)
         a.merge(b)
         assert a.counters["n"].value == 5
         assert a.counters["only_b"].value == 1
         assert a.histograms["h"].counts == [1, 0, 1]
         assert a.histograms["h"].min == 1
         assert a.histograms["h"].max == 5
-        assert a.timers["phase"] == {"seconds": 3.0, "calls": 2}
+
+    def test_from_dict_ignores_older_timers(self):
+        """Checkpoints written while the registry still kept phase
+        timers restore without them."""
+        snapshot = {
+            "counters": {"n": {"value": 2}},
+            "histograms": {},
+            "timers": {"phase": {"seconds": 1.0, "calls": 1}},
+        }
+        registry = MetricsRegistry.from_dict(snapshot)
+        assert registry.as_dict() == {
+            "counters": {"n": {"value": 2}}, "histograms": {},
+        }
 
     def test_merge_into_empty_registry(self):
         a = MetricsRegistry()
@@ -158,7 +168,6 @@ class TestMetricsRegistry:
         registry.counter("z").add(1)
         registry.counter("a").add(2)
         registry.histogram("h", (1,)).record(1)
-        registry.add_time("t", 0.5)
         snapshot = registry.as_dict()
         assert list(snapshot["counters"]) == ["a", "z"]
         json.dumps(snapshot)  # must not raise

@@ -339,6 +339,100 @@ class TestObservabilityCli:
         assert parsed["span_paths"].get("search/generation", 0) >= 1
 
 
+def profile_rows(out):
+    """The ``--profile`` table printed at the end of *out*:
+    ``[(depth, name, seconds, calls, share_pct)]`` in print order."""
+    import re
+
+    lines = out.splitlines()
+    start = max(i for i, line in enumerate(lines) if line.startswith("span "))
+    rows = []
+    for line in lines[start + 2:]:
+        if line.startswith("total"):
+            break
+        indent, name, seconds, calls, share = re.match(
+            r"( *)(\S+) +(\S+) +(\d+) +(\S+)%$", line.rstrip()
+        ).groups()
+        rows.append((
+            len(indent) // 2, name, float(seconds), int(calls), float(share),
+        ))
+    return rows
+
+
+class TestProfileCli:
+    """``--profile`` prints the run's span tree: per-technique lanes and
+    shards get rows of their own, and the root rows' shares -- each of
+    the total root wall -- add up to 100% (within print rounding)."""
+
+    @staticmethod
+    def profile(capsys, argv):
+        assert main(argv + ["--profile"]) in (0, 1)
+        rows = profile_rows(capsys.readouterr().out)
+        roots = [row for row in rows if row[0] == 0]
+        assert roots
+        assert sum(row[4] for row in roots) <= 100.0 + 0.05 * len(roots)
+        return {name for _, name, _, _, _ in rows}, rows
+
+    def test_run_reference_rows(self, capsys):
+        names, rows = self.profile(capsys, [
+            "run", "--technique", "PARA",
+            "--trace", "tests/fixtures/golden_trace.txt",
+        ])
+        assert names == {"setup", "replay", "drain"}
+
+    def test_compare_fused_has_per_technique_lane_rows(self, capsys):
+        techniques = ["PARA", "TWiCe", "LiPRoMi"]
+        names, rows = self.profile(capsys, [
+            "compare", "--engine", "fused", "--intervals", "16",
+            "--seeds", "2", "--include-unmitigated",
+            "--techniques", *techniques,
+        ])
+        for technique in techniques:
+            assert f"decide[{technique}]" in names
+            assert f"resolve[{technique}]" in names
+        assert {"trace", "grid", "decode", "device[none]"} <= names
+        lanes = [row for row in rows if row[1] == "decide[PARA]"]
+        assert lanes[0][0] == 1 and lanes[0][3] == 2  # under grid, per seed
+
+    def test_campaign_rows(self, capsys, tmp_path):
+        names, rows = self.profile(capsys, [
+            "campaign", "--intervals", "8", "--seeds", "2",
+            "--techniques", "PARA", "TWiCe", "--workers", "0",
+            "--engine", "fused", "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ])
+        assert [row[1] for row in rows if row[0] == 0] == ["campaign"]
+        assert {"traces", "dispatch", "shard[PARA]", "shard[TWiCe]"} <= names
+        depth = {(row[0], row[1]) for row in rows}
+        assert (2, "trace") in depth and (2, "simulate") in depth
+
+    def test_resumed_campaign_times_only_this_invocation(self, capsys, tmp_path):
+        """Shards an earlier invocation ran stay in the span summary but
+        carry no clock readings, so the profile covers this run only."""
+        from repro.telemetry.export import parse_jsonl
+
+        argv = [
+            "campaign", "--intervals", "8", "--seeds", "2",
+            "--techniques", "PARA", "--workers", "0", "--engine", "fused",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]
+        assert main(argv) == 0
+        export = tmp_path / "resumed.jsonl"
+        names, rows = self.profile(
+            capsys, argv + ["--resume", "--metrics-out", str(export)]
+        )
+        assert names == {"campaign", "traces", "dispatch"}
+        paths = parse_jsonl(export.read_text(encoding="utf-8"))["span_paths"]
+        assert paths["campaign/shard"] == 2
+
+    def test_adversary_rows(self, capsys):
+        names, rows = self.profile(capsys, [
+            "adversary", "--technique", "lipromi", "--preset", "small",
+            "--budget", "4", "--eval-seeds", "1", "--workers", "0",
+        ])
+        assert rows[0][:2] == (0, "search[LiPRoMi]")
+        assert "generation" in names
+
+
 class TestServeCli:
     def test_serve_and_submit_parse(self):
         parser = build_parser()

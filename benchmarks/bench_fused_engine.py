@@ -260,32 +260,40 @@ NULL_TRACER_OVERHEAD_RATIO = 1.02
 NULL_TRACER_OVERHEAD_EPSILON_S = 0.05
 
 
+def best_of_interleaved(runs, plain, instrumented):
+    """Best-of-*runs* ``(seconds, result)`` of each of two variants, run
+    interleaved (plain, instrumented, plain, ...) so that host drift
+    over the measurement lands on both sides alike."""
+    best = [None, None]
+    for _ in range(runs):
+        for side, run in enumerate((plain, instrumented)):
+            started = time.perf_counter()
+            result = run()
+            elapsed = time.perf_counter() - started
+            if best[side] is None or elapsed < best[side][0]:
+                best[side] = (elapsed, result)
+    return tuple(best)
+
+
 def test_fused_null_tracer_overhead(benchmark, paper_config):
     """Disabled telemetry must not regress the fused engine.
 
     ``NullTracer`` collapses to ``telemetry=None`` at engine entry, so a
-    single-cell run with one costs nothing beyond the collapse.  Best-of-3 timings keep the
-    comparison robust against scheduler noise.
+    single-cell run with one costs nothing beyond the collapse.  Best-of-3
+    timings, interleaved between the two sides, keep the comparison
+    robust against scheduler noise and host drift.
     """
     trace = _flooding_trace(paper_config)
 
-    def best_of(runs, **kwargs):
-        best = None
-        for _ in range(runs):
-            started = time.perf_counter()
-            result = run_simulation_fused(
-                paper_config, trace, make_factory("LoLiPRoMi"), seed=3,
-                **kwargs,
-            )
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best[0]:
-                best = (elapsed, result)
-        return best
+    def run(**kwargs):
+        return run_simulation_fused(
+            paper_config, trace, make_factory("LoLiPRoMi"), seed=3, **kwargs,
+        )
 
     def compute():
-        plain = best_of(3)
-        nulled = best_of(3, tracer=NullTracer())
-        return plain, nulled
+        return best_of_interleaved(
+            3, run, lambda: run(tracer=NullTracer())
+        )
 
     (plain_s, plain_result), (null_s, null_result) = run_once(
         benchmark, compute
@@ -311,7 +319,8 @@ def test_campaign_disabled_observability_overhead(benchmark, paper_config):
     ``NullTracer`` guard's sibling) pins the disabled-path cost: a
     campaign handed a disabled :class:`SpanTracer` and no
     :class:`StatusBus` must run as fast as one with no observability
-    arguments at all, and produce identical aggregates.
+    arguments at all, and produce identical aggregates.  Like its
+    sibling, it interleaves the two sides' best-of-3 runs.
     """
     from repro.sim.parallel import run_campaign
     from repro.telemetry import SpanTracer
@@ -325,20 +334,15 @@ def test_campaign_disabled_observability_overhead(benchmark, paper_config):
         engine="fused",
     )
 
-    def best_of(runs, **extra):
-        best = None
-        for _ in range(runs):
-            started = time.perf_counter()
-            result = run_campaign(paper_config, **kwargs, **extra)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best[0]:
-                best = (elapsed, result)
-        return best
-
     def compute():
-        plain = best_of(3)
-        disabled = best_of(3, spans=SpanTracer(enabled=False), status=None)
-        return plain, disabled
+        return best_of_interleaved(
+            3,
+            lambda: run_campaign(paper_config, **kwargs),
+            lambda: run_campaign(
+                paper_config, **kwargs, spans=SpanTracer(enabled=False),
+                status=None,
+            ),
+        )
 
     (plain_s, plain_result), (off_s, off_result) = run_once(
         benchmark, compute

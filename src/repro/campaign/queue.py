@@ -27,21 +27,20 @@ shared directory::
         status/           # a plain StatusBus: worker heartbeats + snapshot
         stop              # sentinel: workers drain and exit when it appears
 
-Tickets come in two sizes.  A campaign that the serial and pool lanes
-would run as fused blocks -- the fused engine (``fused`` or its alias
-``fast``), no retry policy, no fault injector, no tracer -- publishes
-one *block ticket* per seed (``block__s<seed>``): the worker loads the
-seed's trace once and runs every technique of it in one grid replay
-(:func:`~repro.sim.executors._run_block`).  Every other campaign
-publishes one ticket per shard (``<technique>__s<seed>``), run by
-:func:`~repro.sim.executors._run_job`.  Either way the worker writes
-one result per shard, so checkpointing and progress stay per shard.
-The lease, its expiry and self-heal cover a whole ticket: a worker
-killed mid-block loses the whole block, and since block tickets only
-run without a retry policy, the campaign then raises
-:class:`~repro.sim.executors.ShardTimeout` naming the block's shards.
-Tickets carry :data:`QUEUE_SCHEMA_VERSION`; a worker refuses a ticket
-of another version with a failure report naming both versions.
+A ticket is one campaign work unit (:class:`~repro.sim.executors.CampaignJob`):
+a seed and its technique list, run by the same
+:func:`~repro.sim.executors._run_job` every lane uses.  A fused-engine
+campaign without a retry policy, fault injector or tracer publishes one
+ticket per seed (``block__s<seed>``): the worker loads the seed's trace
+once and runs every technique of it in one grid replay.  Every other
+campaign publishes one ticket per shard (``<technique>__s<seed>``).
+Either way the worker writes one result per shard, so checkpointing and
+progress stay per shard.  The lease, its expiry and self-heal cover a
+whole ticket: a worker killed mid-block loses the whole block, and
+since block tickets only run without a retry policy, the campaign then
+raises :class:`~repro.sim.executors.ShardTimeout` naming the block's
+shards.  Tickets carry :data:`QUEUE_SCHEMA_VERSION`; a worker refuses a
+ticket of another version with a failure report naming both versions.
 
 Lease protocol: claiming is ``os.rename(tickets/X, leases/X)`` --
 atomic on POSIX, so exactly one worker wins a ticket and a ticket is
@@ -93,19 +92,20 @@ from typing import (
 
 from repro.campaign.faults import FaultInjector
 from repro.sim.executors import (
-    FAULT_COUNTERS,
     CampaignJob,
     ExecutionContext,
     Executor,
     JobOutcome,
     ShardOutcome,
     ShardTimeout,
+    _charge,
     _count,
-    _exhaust,
-    _FusedBlock,
-    _run_block,
+    _describe,
+    _land,
     _run_job,
     _shard_id,
+    _shards,
+    _unit_id,
 )
 from repro.telemetry.manifest import config_as_dict, config_from_dict
 from repro.telemetry.statusbus import (
@@ -116,8 +116,9 @@ from repro.telemetry.statusbus import (
 )
 
 #: bump when the on-disk queue layout changes incompatibly
-#: (2: block tickets, which carry a fused block's technique list)
-QUEUE_SCHEMA_VERSION = 2
+#: (2: block tickets, which carry a fused block's technique list;
+#: 3: one ticket kind, every ticket carries its technique list)
+QUEUE_SCHEMA_VERSION = 3
 
 BANNER_FILENAME = "queue.json"
 TICKETS_DIRNAME = "tickets"
@@ -144,34 +145,26 @@ class TicketSchemaError(ValueError):
     """A ticket written for a queue schema version this code does not run."""
 
 
-def _block_id(seed: int) -> str:
-    """The ticket id of a seed's fused block (shard ids are
-    ``<technique>__s<seed>``; no technique is named ``block``)."""
-    return f"block__s{seed}"
-
-
 @dataclass
 class ShardTicket:
-    """One shard (or fused block) attempt as a self-contained JSON work order.
+    """One work-unit attempt as a self-contained JSON work order.
 
-    Everything a worker on another host needs to run the shard: the
+    Everything a worker on another host needs to run the unit: the
     full simulation config (as the nested plain dict
     :func:`~repro.telemetry.manifest.config_as_dict` produces), the
-    grid coordinates, the engine, the workload knobs or the queue-local
-    trace filename, and the serialised fault-injection spec for tests.
-    Status-bus paths deliberately do **not** travel in tickets: workers
-    heartbeat into the queue's own ``status/`` directory (the only
-    path guaranteed shared), and the runner relays those records into
-    the campaign's bus.
+    seed and its technique list, the engine, the workload knobs or the
+    queue-local trace filename, and the serialised fault-injection spec
+    for tests.  Status-bus paths deliberately do **not** travel in
+    tickets: workers heartbeat into the queue's own ``status/``
+    directory (the only path guaranteed shared), and the runner relays
+    those records into the campaign's bus.
 
-    A *block ticket* (``techniques`` set, ``shard`` = ``block__s<seed>``)
-    carries a whole fused block -- every technique of one seed -- and
-    the worker runs it with one grid replay, writing one result per
-    member shard.  ``technique`` is None on a block ticket.
+    ``shard`` is the ticket id: the shard id of a one-technique unit,
+    ``block__s<seed>`` for a seed's whole technique list.
     """
 
     shard: str
-    technique: Optional[str]
+    techniques: List[Optional[str]]
     seed: int
     #: retry attempt this ticket represents (0 = first try); stamped by
     #: the runner on publish and re-publish, consumed by fault matching
@@ -188,15 +181,11 @@ class ShardTicket:
     span_seed: str = ""
     #: :meth:`FaultInjector.spec` JSON, or None (production campaigns)
     fault_spec: Optional[str] = None
-    #: a block ticket's technique list (None = one-shard ticket)
-    techniques: Optional[List[Optional[str]]] = None
     schema_version: int = QUEUE_SCHEMA_VERSION
 
     @property
     def shards(self) -> List[str]:
         """The shard ids this ticket produces results for."""
-        if self.techniques is None:
-            return [self.shard]
         return [_shard_id(name, self.seed) for name in self.techniques]
 
     @classmethod
@@ -207,8 +196,8 @@ class ShardTicket:
         attempt: Optional[int] = None,
     ) -> "ShardTicket":
         return cls(
-            shard=_shard_id(job.technique, job.seed),
-            technique=job.technique,
+            shard=_unit_id(job.techniques, job.seed),
+            techniques=list(job.techniques),
             seed=job.seed,
             attempt=job.attempt if attempt is None else attempt,
             engine=job.engine,
@@ -225,63 +214,20 @@ class ShardTicket:
             ),
         )
 
-    @classmethod
-    def from_block(
-        cls, block: _FusedBlock, trace: Optional[str] = None
-    ) -> "ShardTicket":
-        return cls(
-            shard=_block_id(block.seed),
-            technique=None,
-            seed=block.seed,
-            attempt=0,
-            engine=block.engine,
-            total_intervals=block.total_intervals,
-            config=config_as_dict(block.config),
-            workload_kwargs=[list(pair) for pair in block.workload_kwargs],
-            trace=trace,
-            collect_metrics=block.collect_metrics,
-            collect_spans=block.collect_spans,
-            span_seed=block.span_seed,
-            techniques=list(block.techniques),
-        )
-
-    def _trace_path(self, queue_root) -> Optional[str]:
-        if not self.trace:
-            return None
-        return str(Path(queue_root) / TRACES_DIRNAME / self.trace)
-
-    def to_block(self, queue_root) -> _FusedBlock:
-        """Rehydrate a block ticket's runnable block on the worker side."""
-        return _FusedBlock(
-            config=config_from_dict(self.config),
-            techniques=tuple(self.techniques or ()),
-            seed=self.seed,
-            total_intervals=self.total_intervals,
-            workload_kwargs=tuple(
-                (key, value) for key, value in self.workload_kwargs
-            ),
-            trace_path=self._trace_path(queue_root),
-            engine=self.engine,
-            collect_metrics=self.collect_metrics,
-            collect_spans=self.collect_spans,
-            span_seed=self.span_seed,
-            # the worker's Heartbeater keeps every member shard's
-            # heartbeat fresh on the queue bus, as for one-shard tickets
-            status_dir=None,
-        )
-
     def to_job(self, queue_root) -> CampaignJob:
-        """Rehydrate the runnable job on the worker side."""
-        trace_path = self._trace_path(queue_root)
+        """Rehydrate the runnable unit on the worker side."""
         return CampaignJob(
             config=config_from_dict(self.config),
-            technique=self.technique,
+            techniques=tuple(self.techniques),
             seed=self.seed,
             total_intervals=self.total_intervals,
             workload_kwargs=tuple(
                 (key, value) for key, value in self.workload_kwargs
             ),
-            trace_path=trace_path,
+            trace_path=(
+                str(Path(queue_root) / TRACES_DIRNAME / self.trace)
+                if self.trace else None
+            ),
             engine=self.engine,
             collect_metrics=self.collect_metrics,
             attempt=self.attempt,
@@ -291,14 +237,16 @@ class ShardTicket:
             ),
             collect_spans=self.collect_spans,
             span_seed=self.span_seed,
-            status_dir=None,  # workers own their heartbeats (queue bus)
+            # the worker's Heartbeater keeps every member shard's
+            # heartbeat fresh on the queue bus
+            status_dir=None,
         )
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "schema_version": self.schema_version,
             "shard": self.shard,
-            "technique": self.technique,
+            "techniques": self.techniques,
             "seed": self.seed,
             "attempt": self.attempt,
             "engine": self.engine,
@@ -310,7 +258,6 @@ class ShardTicket:
             "collect_spans": self.collect_spans,
             "span_seed": self.span_seed,
             "fault_spec": self.fault_spec,
-            "techniques": self.techniques,
         }
 
     @classmethod
@@ -325,10 +272,9 @@ class ShardTicket:
                 f"{QUEUE_SCHEMA_VERSION}; run campaign-worker from the "
                 "same release as the campaign"
             )
-        techniques = data.get("techniques")
         return cls(
             shard=data["shard"],
-            technique=data.get("technique"),
+            techniques=list(data["techniques"]),
             seed=int(data["seed"]),
             attempt=int(data.get("attempt", 0)),
             engine=data["engine"],
@@ -342,7 +288,6 @@ class ShardTicket:
             collect_spans=bool(data.get("collect_spans", False)),
             span_seed=data.get("span_seed", ""),
             fault_spec=data.get("fault_spec"),
-            techniques=list(techniques) if techniques is not None else None,
             schema_version=version,
         )
 
@@ -612,7 +557,7 @@ class WorkQueue:
         write_json_atomic(path, {
             "schema_version": QUEUE_SCHEMA_VERSION,
             "shard": ticket["shard"],
-            "technique": ticket.get("technique"),
+            "techniques": ticket.get("techniques"),
             "seed": ticket.get("seed"),
             "attempt": ticket.get("attempt", 0),
             "kind": kind,
@@ -686,11 +631,11 @@ class WorkQueue:
 
 @dataclass
 class _Unit:
-    """Runner-side state of one ticket: a single shard or a fused block."""
+    """Runner-side state of one ticket (one work unit)."""
 
     #: the attempt-0 ticket; re-publishing stamps the current attempt
     ticket: ShardTicket
-    #: position of the job (or block) in the executor's input
+    #: position of the unit in the executor's input
     index: int
     attempts: int = 0
     resolved: bool = False
@@ -698,29 +643,23 @@ class _Unit:
     landed: Dict[str, JobOutcome] = field(default_factory=dict)
 
     def describe(self) -> str:
-        if self.ticket.techniques is None:
-            return f"shard {self.ticket.shard}"
-        return (
-            f"block {self.ticket.shard} (shards "
-            f"{', '.join(self.ticket.shards)})"
-        )
+        return _describe(self.ticket.techniques, self.ticket.seed)
 
 
 class QueueExecutor(Executor):
     """Campaign execution over a shared filesystem work queue.
 
     The runner side of the queue protocol: publishes one ticket per
-    shard (:meth:`execute`) or per fused block (:meth:`execute_blocks`),
-    optionally spawns ``workers`` local ``campaign-worker`` subprocesses
+    work unit, optionally spawns ``workers`` local ``campaign-worker`` subprocesses
     against the queue, then polls -- ingesting results as they land
     (checkpointing and progress fire per shard, like every executor),
     consuming worker failure reports and reclaiming expired leases under
     the campaign's retry policy, re-publishing lost tickets, and
     relaying worker heartbeats from the queue's status bus into the
     campaign's.  On completion (or failure) it raises the ``stop``
-    sentinel so attached workers drain and exit.  Both entry points
-    drive the same polling loop; a block ticket is one unit of several
-    shards, so its lease, retry and self-heal cover the whole block.
+    sentinel so attached workers drain and exit.  A ticket of several
+    shards is one unit, so its lease, retry and self-heal cover all of
+    them.
 
     ``workers=0`` publishes work and waits for *external* workers --
     the multi-host mode: start ``repro campaign-worker <queue-dir>`` on
@@ -731,7 +670,6 @@ class QueueExecutor(Executor):
     """
 
     name: ClassVar[str] = "queue"
-    supports_blocks: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -819,69 +757,20 @@ class QueueExecutor(Executor):
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
+    ) -> List[Optional[List[JobOutcome]]]:
+        """Publish every unit's ticket, then poll until each unit has
+        delivered its member outcomes or been exhausted."""
         wq, trace_names = self._open(
-            jobs[0].engine if jobs else None, len(jobs),
+            jobs[0].engine if jobs else None, _shards(jobs),
             [job.trace_path for job in jobs],
         )
         units = [
-            _Unit(
-                ShardTicket.from_job(
-                    job, trace=trace_names.get(job.trace_path), attempt=0,
-                ),
-                index,
-            )
+            _Unit(ShardTicket.from_job(
+                job, trace=trace_names.get(job.trace_path), attempt=0,
+            ), index)
             for index, job in enumerate(jobs)
         ]
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-
-        def deliver(unit: _Unit, landed: List[JobOutcome]) -> None:
-            outcomes[unit.index] = landed[0]
-            if ctx.shard_callback is not None:
-                ctx.shard_callback(landed[0], unit.attempts + 1)
-
-        self._drive(wq, units, ctx, deliver)
-        return outcomes
-
-    def execute_blocks(
-        self,
-        blocks: Sequence[_FusedBlock],
-        place: Callable[[List[JobOutcome]], None],
-        ctx: ExecutionContext,
-    ) -> None:
-        """One ticket per fused block: one lease, one trace load and one
-        grid replay per seed.  *place* receives a block's outcomes once
-        every one of its shards has landed."""
-        total = sum(len(block.techniques) for block in blocks)
-        wq, trace_names = self._open(
-            blocks[0].engine if blocks else None, total,
-            [block.trace_path for block in blocks],
-        )
-        units = [
-            _Unit(
-                ShardTicket.from_block(
-                    block, trace=trace_names.get(block.trace_path)
-                ),
-                index,
-            )
-            for index, block in enumerate(blocks)
-        ]
-        # place reports progress itself, once per block
-        self._drive(
-            wq, units, replace(ctx, progress=None),
-            lambda unit, landed: place(landed),
-        )
-
-    def _drive(
-        self,
-        wq: WorkQueue,
-        units: List[_Unit],
-        ctx: ExecutionContext,
-        deliver: Callable[[_Unit, List[JobOutcome]], None],
-    ) -> None:
-        """The polling loop behind :meth:`execute` and
-        :meth:`execute_blocks`: publish every unit's ticket, then poll
-        until each unit has delivered its outcomes or been exhausted."""
+        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
         policy = ctx.policy
         total = sum(len(unit.ticket.shards) for unit in units)
         by_ticket = {unit.ticket.shard: unit for unit in units}
@@ -909,29 +798,17 @@ class QueueExecutor(Executor):
             if ctx.progress is not None:
                 ctx.progress(done + len(ctx.failures), total)
 
-        def charge_failure(
-            unit: _Unit, exc: BaseException, kind: str
-        ) -> None:
+        def charge_failure(unit: _Unit, exc: BaseException) -> None:
             """One failed attempt: count, then retry or exhaust."""
             unit.attempts += 1
-            _count(ctx.metrics,
-                   FAULT_COUNTERS.get(kind, FAULT_COUNTERS["error"]))
-            if unit.attempts > policy.max_retries:
-                # blocks only run without a retry policy, so a block
-                # exhausts by raising; under "skip" every member degrades
-                ticket = unit.ticket
-                for name in ticket.techniques or [ticket.technique]:
-                    _exhaust(
-                        name, ticket.seed, unit.attempts, exc, policy,
-                        ctx.failures, ctx.metrics,
-                    )
-                resolve(unit)
-            else:
-                _count(ctx.metrics, "campaign.shard_retries")
+            ticket = unit.ticket
+            if _charge(ctx, ticket.techniques, ticket.seed, unit.attempts, exc):
                 delay = policy.delay(unit.attempts)
                 if delay > 0:
                     ctx.sleep(delay)
                 publish(unit)
+            else:
+                resolve(unit)
 
         for unit in units:
             publish(unit)
@@ -968,7 +845,9 @@ class QueueExecutor(Executor):
                     members = unit.ticket.shards
                     if len(unit.landed) == len(members):
                         done += len(members)
-                        deliver(unit, [unit.landed[m] for m in members])
+                        landed = [unit.landed[m] for m in members]
+                        outcomes[unit.index] = landed
+                        _land(ctx, landed, unit.attempts + 1)
                         resolve(unit)
                         progressed = True
                 swept = wq.sweep(torn)
@@ -987,7 +866,7 @@ class QueueExecutor(Executor):
                         f"{report.get('attempt', 0)}: "
                         f"{report.get('error', '')}",
                         kind=kind,
-                    ), kind)
+                    ))
                     progressed = True
 
                 # 4. reclaim leases whose holder has gone quiet
@@ -999,7 +878,7 @@ class QueueExecutor(Executor):
                     charge_failure(unit, ShardTimeout(
                         f"queue {unit.describe()} lease expired after "
                         f"{self.lease_timeout}s on attempt {unit.attempts}"
-                    ), "timeout")
+                    ))
                     progressed = True
 
                 # 5. self-heal: re-publish unresolved units lost from
@@ -1049,6 +928,7 @@ class QueueExecutor(Executor):
             if self.stop_workers:
                 wq.request_stop()
             self._reap_workers(procs)
+        return outcomes
 
 
 def run_worker(
@@ -1063,11 +943,9 @@ def run_worker(
     """The ``repro campaign-worker`` loop: lease, run, push, repeat.
 
     Polls *queue_dir* every ``poll_interval`` seconds for tickets,
-    leases one at a time (atomic rename), runs it through the same
-    shard functions every other executor uses --
-    :func:`~repro.sim.executors._run_job` for a one-shard ticket,
-    :func:`~repro.sim.executors._run_block` for a block ticket -- and
-    pushes one result per shard (or one failure report per ticket)
+    leases one at a time (atomic rename), runs its unit through the
+    same :func:`~repro.sim.executors._run_job` every other executor
+    uses, and pushes one result per shard (or one failure report per ticket)
     back.  While a ticket runs, a background
     :class:`~repro.telemetry.statusbus.Heartbeater` refreshes the lease
     mtime and publishes a status-bus heartbeat for each of its shards
@@ -1118,10 +996,7 @@ def run_worker(
         )
         try:
             with beater:
-                if ticket.techniques is not None:
-                    outcomes = _run_block(ticket.to_block(wq.root))
-                else:
-                    outcomes = [_run_job(ticket.to_job(wq.root))]
+                outcomes = _run_job(ticket.to_job(wq.root))
         except Exception as exc:
             kind = getattr(exc, "shard_fault_kind", "error")
             wq.write_failure(

@@ -10,10 +10,10 @@ up:
   round-robin to one of ``shards`` worker lanes; each lane owns a
   single-thread executor, so one session's cells evaluate in order on
   one shard while the event loop keeps every other connection live.
-  The evaluation itself is the fused grid engine
-  (:func:`~repro.sim.fused_engine.run_simulation_grid`) by default --
-  one trace decode serves the whole cell grid -- with ``fast`` /
-  ``reference`` per-cell fallbacks that stream verdicts as they finish.
+  The evaluation is :func:`~repro.sim.engine.run_cells`, the cell-list
+  evaluator campaign units use too: on the fused engine (the default)
+  one trace decode serves the whole cell grid; on ``reference`` each
+  cell runs on its own and its verdict streams as it finishes.
 * **Shared ingest cache.**  Uploads are spooled byte-for-byte, so the
   content digest (and therefore the PR5
   :class:`~repro.traces.ingest.cache.IngestCache` key) is identical to
@@ -32,10 +32,11 @@ up:
   histogram on every enqueue.
 * **Observability plane.**  Each session records a
   :class:`~repro.telemetry.spans.SpanTracer` tree and its own
-  :class:`~repro.telemetry.metrics.MetricsRegistry`; both fold into
-  the service-level registry when the session ends (the same
-  adopt/merge discipline as campaign shards).  With ``--status-dir``
-  the server publishes per-session
+  :class:`~repro.telemetry.metrics.MetricsRegistry`; when the session
+  ends its registry merges into the service-level one and its span
+  tree folds into the service's per-path span summary (counts and
+  attribute keys, no clocks), so neither grows with uptime.  With
+  ``--status-dir`` the server publishes per-session
   :class:`~repro.telemetry.statusbus.WorkerHeartbeat` records and a
   rolling :class:`~repro.telemetry.statusbus.CampaignSnapshot` under
   ``<status_dir>/status``, so ``repro campaign-status <status_dir>
@@ -64,7 +65,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SimConfig
-from repro.mitigations.registry import make_factory, resolve_technique
+from repro.mitigations.registry import resolve_technique
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -74,8 +75,8 @@ from repro.serve.protocol import (
     encode_frame,
     error_frame,
 )
-from repro.sim.engine import ENGINE_NAMES, get_engine, is_grid_engine
-from repro.sim.fused_engine import GridCell, run_simulation_grid
+from repro.sim.engine import ENGINE_NAMES, run_cells
+from repro.sim.fused_engine import GridCell
 from repro.telemetry.export import write_metrics_export
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer
@@ -206,7 +207,11 @@ class ServeServer:
         self.settings = settings if settings is not None else ServeSettings()
         self.port: Optional[int] = None
         self.metrics = MetricsRegistry()
+        #: the service's own spans: its root only, so it stays bounded
         self.spans = SpanTracer(id_seed="repro-serve")
+        #: per-path span count and attribute keys of every finished
+        #: session, folded from its clock-free summary
+        self._session_paths: Dict[str, Tuple[int, set]] = {}
         self.bus: Optional[StatusBus] = (
             StatusBus.for_checkpoint(self.settings.status_dir)
             if self.settings.status_dir
@@ -634,28 +639,14 @@ class ServeServer:
             trace = result.trace.materialize()
             engine = self.settings.engine
             with spans.span("evaluate", engine=engine, cells=len(session.cells)):
-                if is_grid_engine(engine):
-                    results = run_simulation_grid(
-                        self.config, trace, session.cells,
-                        metrics=session.registry, spans=spans,
-                    )
-                    for index, sim in enumerate(results):
-                        emit(self._verdict_frame(session, index, sim))
-                else:
-                    run = get_engine(engine)
-                    for index, cell in enumerate(session.cells):
-                        if session.shed:
-                            break
-                        factory = (
-                            make_factory(cell.technique)
-                            if cell.technique is not None
-                            else None
-                        )
-                        sim = run(
-                            self.config, trace, factory, seed=cell.seed,
-                            metrics=session.registry,
-                        )
-                        emit(self._verdict_frame(session, index, sim))
+                results = run_cells(
+                    self.config, trace, session.cells, engine,
+                    metrics=session.registry, spans=spans,
+                )
+                for index, sim in enumerate(results):
+                    if session.shed:
+                        break
+                    emit(self._verdict_frame(session, index, sim))
             emit({
                 "type": "metrics",
                 "session": {
@@ -770,7 +761,11 @@ class ServeServer:
         while session.spans.current is not None:
             session.spans.finish()
         self.metrics.merge(session.registry)
-        self.spans.adopt(session.spans.as_dict(), parent=self._root_span)
+        prefix = f"{self._root_span.path}/" if self._root_span is not None else ""
+        for path, entry in session.spans.summary()["paths"].items():
+            count, keys = self._session_paths.get(prefix + path, (0, set()))
+            keys.update(entry["attribute_keys"])
+            self._session_paths[prefix + path] = (count + entry["count"], keys)
         self._beat(
             session, phase="done" if outcome == "done" else "failed"
         )
@@ -807,6 +802,9 @@ class ServeServer:
     def _export_metrics(self) -> None:
         if not self.settings.metrics_out:
             return
-        write_metrics_export(
-            self.settings.metrics_out, self.metrics, self.spans.summary()
-        )
+        summary = self.spans.summary()
+        paths = dict(summary["paths"])
+        for path, (count, keys) in self._session_paths.items():
+            paths[path] = {"count": count, "attribute_keys": sorted(keys)}
+        summary["paths"] = dict(sorted(paths.items()))
+        write_metrics_export(self.settings.metrics_out, self.metrics, summary)

@@ -11,15 +11,19 @@ this module is the last stage of that pipeline.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.controller.controller import MemoryController, MitigationFactory
 from repro.dram.refresh import RefreshPolicy
+from repro.mitigations.registry import make_factory
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.spans import SpanTracer
 from repro.traces.record import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - the grid engine imports this module
+    from repro.sim.fused_engine import GridCell
 
 
 def check_max_activations(max_activations: Optional[int]) -> None:
@@ -185,8 +189,51 @@ def is_grid_engine(name: str) -> bool:
 
     Only that engine has a grid form
     (:func:`repro.sim.fused_engine.run_simulation_grid`), so callers that
-    batch a whole cell grid into one replay -- campaign block dispatch,
-    serve sessions -- ask this rather than compare names: every alias of
-    the fused engine (``"fast"``) takes the grid path too.
+    batch a whole cell grid into one replay -- :func:`run_cells`, the
+    campaign's unit composition -- ask this rather than compare names:
+    every alias of the fused engine (``"fast"``) takes the grid path too.
     """
     return get_engine(name) is get_engine("fused")
+
+
+def run_cells(
+    config: SimConfig,
+    trace: Trace,
+    cells: Sequence["GridCell"],
+    engine: str,
+    tracer=None,
+    metrics=None,
+    spans: Optional[SpanTracer] = None,
+) -> Iterator[SimResult]:
+    """Yield each :class:`~repro.sim.fused_engine.GridCell`'s result on
+    *engine*, in cell order.
+
+    The one cell-list evaluator behind campaign work units and serve
+    sessions.  On the grid engine (:func:`is_grid_engine`) a list of
+    several cells is one :func:`~repro.sim.fused_engine.run_simulation_grid`
+    call -- one trace decode for every cell.  Otherwise each cell is
+    one run of :func:`get_engine`'s entry point, which passes *tracer*
+    through; a lone fused cell thus streams the trace an interval at a
+    time instead of holding its decoded segments, and on ``reference``
+    results stream as cells finish (over *trace* materialized first
+    when the list holds more than one cell).
+    """
+    if is_grid_engine(engine) and len(cells) > 1:
+        from repro.sim.fused_engine import run_simulation_grid
+
+        yield from run_simulation_grid(
+            config, trace, cells, tracer=tracer, metrics=metrics, spans=spans
+        )
+        return
+    run = get_engine(engine)
+    if len(cells) > 1:
+        trace = trace.materialize()
+    for cell in cells:
+        factory = (
+            make_factory(cell.technique, **dict(cell.kwargs))
+            if cell.technique else None
+        )
+        yield run(
+            cell.config or config, trace, factory, seed=cell.seed,
+            tracer=tracer, metrics=metrics, spans=spans,
+        )

@@ -1,28 +1,30 @@
 """The pluggable executor contract behind :func:`run_campaign`.
 
-A campaign is a list of :class:`CampaignJob` shards -- pure
-(technique, seed) work units -- and an :class:`Executor` is *how* they
-run: inline in this process, over a local process pool, or leased from
-a shared filesystem work queue by workers on other hosts (see
-:class:`repro.campaign.queue.QueueExecutor`).  The contract every
+A campaign is a list of :class:`CampaignJob` work units -- one seed and
+the techniques that share its trace -- and an :class:`Executor` is
+*how* they run: inline in this process, over a local process pool, or
+leased from a shared filesystem work queue by workers on other hosts
+(see :class:`repro.campaign.queue.QueueExecutor`).  Every lane runs a
+unit with the same :func:`_run_job`, and every technique of a unit is a
+*member* shard with an outcome of its own.  The contract every
 implementation owes its caller:
 
 * **Ordering** -- :meth:`Executor.execute` returns one slot per input
-  job, in input order, regardless of completion order.  A slot is a
-  :data:`JobOutcome` for a completed shard or ``None`` for a shard
-  degraded under ``on_failure="skip"``.
-* **Streaming** -- ``ctx.shard_callback(outcome, attempts)`` fires as
-  each shard lands (the durable runner checkpoints from it) and
-  ``ctx.progress(done, total)`` after every resolved shard, so
-  completion order is observable even though the return value is
-  canonical.
+  unit, in input order, regardless of completion order.  A slot is the
+  list of the unit's member :data:`JobOutcome` records, or ``None`` for
+  a unit degraded under ``on_failure="skip"``.
+* **Streaming** -- ``ctx.shard_callback(outcome, attempts)`` fires for
+  each member as its unit lands (the durable runner checkpoints from
+  it) and ``ctx.progress(done, total)``, counting shards, after every
+  resolved unit, so completion order is observable even though the
+  return value is canonical.
 * **Retry / timeout / degradation** -- ``ctx.retry`` (a
-  :class:`RetryPolicy`) governs every implementation alike: each
-  failed attempt is counted under the ``campaign.*`` metrics, retried
-  with backoff up to ``max_retries`` extra attempts, and exhaustion
-  either re-raises (``on_failure="raise"``) or appends a
-  :class:`ShardFailure` to ``ctx.failures`` and leaves the slot
-  ``None`` (``"skip"``).  Hung shards must be bounded where the
+  :class:`RetryPolicy`) governs every implementation alike, per unit:
+  each failed attempt is counted under the ``campaign.*`` metrics,
+  retried with backoff up to ``max_retries`` extra attempts, and
+  exhaustion either re-raises (``on_failure="raise"``) or appends one
+  :class:`ShardFailure` per member to ``ctx.failures`` and leaves the
+  slot ``None`` (``"skip"``).  Hung units must be bounded where the
   implementation can observe them (pool round timeouts, queue lease
   expiry); the serial executor is exempt by construction and documents
   it.
@@ -58,9 +60,9 @@ from typing import (
 )
 
 from repro.config import SimConfig
-from repro.mitigations.registry import make_factory
 from repro.rng import derive_seed
-from repro.sim.engine import get_engine
+from repro.sim.engine import run_cells
+from repro.sim.fused_engine import GridCell
 from repro.sim.metrics import SimResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, span_of
@@ -68,7 +70,7 @@ from repro.telemetry.statusbus import StatusBus
 from repro.traces.mixer import paper_mixed_workload
 from repro.traces.trace_io import load_trace_npz
 
-#: called as ``progress(completed_jobs, total_jobs)`` after each chunk
+#: called as ``progress(completed_shards, total_shards)`` as units resolve
 ProgressCallback = Callable[[int, int], None]
 
 #: shard failure policies accepted by :class:`RetryPolicy`
@@ -172,10 +174,17 @@ class ShardFailure:
 
 @dataclass(frozen=True)
 class CampaignJob:
-    """One (technique, seed) unit of work; fully picklable."""
+    """One campaign work unit: a seed's technique list; fully picklable.
+
+    The paper evaluates every technique on the same trace for each seed,
+    so a unit is one seed and a list of techniques that share its trace:
+    a single (technique, seed) shard, or a whole seed when the engine has
+    a grid form (:func:`repro.sim.parallel.run_campaign` decides).  Each
+    technique of the list is a *member* shard with an outcome of its own.
+    """
 
     config: SimConfig
-    technique: Optional[str]
+    techniques: Tuple[Optional[str], ...]
     seed: int
     total_intervals: int
     workload_kwargs: tuple = ()  # sorted (key, value) pairs
@@ -183,7 +192,7 @@ class CampaignJob:
     #: ``None`` regenerates the trace from the workload knobs instead
     trace_path: Optional[str] = None
     engine: str = "reference"
-    #: collect a per-job :class:`MetricsRegistry` in the worker and ship
+    #: collect a per-unit :class:`MetricsRegistry` in the worker and ship
     #: it back for merging (tracers cannot cross process boundaries, but
     #: metric counters merge exactly)
     collect_metrics: bool = False
@@ -191,8 +200,9 @@ class CampaignJob:
     attempt: int = 0
     #: test-only deterministic fault hook (see :mod:`repro.campaign.faults`)
     fault_injector: Optional[Any] = None
-    #: record a worker-local span tree (shard -> trace/simulate) and ship
-    #: it back serialised for re-parenting, like the metrics registry
+    #: record a worker-local span tree (shard -> trace/simulate) per
+    #: member and ship it back serialised for re-parenting, like the
+    #: metrics registry
     collect_spans: bool = False
     #: deterministic id seed shared by the campaign's tracers
     span_seed: str = ""
@@ -200,7 +210,7 @@ class CampaignJob:
     status_dir: Optional[str] = None
 
 
-#: (technique, seed, result, per-job metrics or None, serialised spans or None)
+#: (technique, seed, result, per-unit metrics or None, serialised spans or None)
 JobOutcome = Tuple[
     str, int, SimResult, Optional[MetricsRegistry], Optional[Dict[str, Any]]
 ]
@@ -286,24 +296,68 @@ def _shard_id(technique: Optional[str], seed: int) -> str:
     return f"{technique or 'none'}__s{seed}"
 
 
-def _run_job(job: CampaignJob, tracer=None, in_worker: bool = True) -> JobOutcome:
+def _unit_id(techniques: Sequence[Optional[str]], seed: int) -> str:
+    """A unit's identity (its queue ticket id): the shard id of a
+    one-member unit, ``block__s<seed>`` otherwise (no technique is named
+    ``block``)."""
+    if len(techniques) == 1:
+        return _shard_id(techniques[0], seed)
+    return f"block__s{seed}"
+
+
+def _describe(techniques: Sequence[Optional[str]], seed: int) -> str:
+    """A unit as failure messages name it."""
+    if len(techniques) == 1:
+        return f"shard {_shard_id(techniques[0], seed)}"
+    shards = ", ".join(_shard_id(name, seed) for name in techniques)
+    return f"block {_unit_id(techniques, seed)} (shards {shards})"
+
+
+def _each(tracers: Sequence[Optional[SpanTracer]], name: str) -> ExitStack:
+    """A *name* span open in every member's tracer."""
+    stack = ExitStack()
+    for spans in tracers:
+        stack.enter_context(span_of(spans, name))
+    return stack
+
+
+def _run_job(
+    job: CampaignJob, tracer=None, in_worker: bool = True
+) -> List[JobOutcome]:
+    """Run one unit: read the seed's trace once, evaluate every member
+    on it with :func:`~repro.sim.engine.run_cells`, and return the
+    members' outcomes in technique order.
+
+    Each member gets its fault-injection check, its heartbeats and its
+    own ``shard -> trace/simulate`` span tree spanning the shared
+    window, so a span summary is the same however members are grouped
+    into units (the grouping changes on ``--resume``).  The unit's
+    metrics registry ships on the first outcome only, so it merges once.
+    """
+    names = [name or "none" for name in job.techniques]
     if job.fault_injector is not None:
-        job.fault_injector.fire(
-            job.technique or "none", job.seed, job.attempt, in_worker=in_worker
-        )
-    shard = _shard_id(job.technique, job.seed)
+        for name in names:
+            job.fault_injector.fire(
+                name, job.seed, job.attempt, in_worker=in_worker
+            )
+    shards = [_shard_id(name, job.seed) for name in names]
     bus = StatusBus(job.status_dir) if job.status_dir else None
     if bus is not None:
-        bus.beat(shard, 0, 1, retries=job.attempt)
-    spans = (
+        for shard in shards:
+            bus.beat(shard, 0, 1, retries=job.attempt)
+    tracers = [
         SpanTracer(id_seed=f"{job.span_seed}|{shard}")
         if job.collect_spans else None
-    )
-    with span_of(
-        spans, "shard",
-        technique=job.technique or "none", seed=job.seed, engine=job.engine,
-    ):
-        with span_of(spans, "trace"):
+        for shard in shards
+    ]
+    metrics = MetricsRegistry() if job.collect_metrics else None
+    with ExitStack() as shard_spans:
+        for name, spans in zip(names, tracers):
+            shard_spans.enter_context(span_of(
+                spans, "shard", technique=name, seed=job.seed,
+                engine=job.engine,
+            ))
+        with _each(tracers, "trace"):
             if job.trace_path is not None:
                 trace = load_trace_npz(job.trace_path)
             else:
@@ -313,110 +367,27 @@ def _run_job(job: CampaignJob, tracer=None, in_worker: bool = True) -> JobOutcom
                     seed=derive_seed(job.seed, "trace"),
                     **dict(job.workload_kwargs),
                 )
-        factory = make_factory(job.technique) if job.technique else None
-        run = get_engine(job.engine)
-        metrics = MetricsRegistry() if job.collect_metrics else None
-        with span_of(spans, "simulate"):
-            result = run(
-                job.config, trace, factory, seed=job.seed, tracer=tracer,
+        cells = [GridCell(technique=name, seed=job.seed) for name in job.techniques]
+        with _each(tracers, "simulate"):
+            results = list(run_cells(
+                job.config, trace, cells, job.engine, tracer=tracer,
                 metrics=metrics,
-            )
-    if bus is not None:
-        bus.beat(shard, 1, 1, retries=job.attempt, phase="done")
-    return (
-        job.technique or "none", job.seed, result, metrics,
-        spans.as_dict() if spans is not None else None,
-    )
-
-
-def _run_chunk(chunk: List[CampaignJob]) -> List[JobOutcome]:
-    return [_run_job(job) for job in chunk]
-
-
-@dataclass(frozen=True)
-class _FusedBlock:
-    """One fused cell-block: every technique of one seed, one replay.
-
-    The fused engine's sharding unit -- the trace axis stays per seed
-    (each seed has its own trace), while the whole technique axis of
-    that seed rides a single decode+replay.  Picklable for the pool.
-    """
-
-    config: SimConfig
-    techniques: Tuple[Optional[str], ...]
-    seed: int
-    total_intervals: int
-    workload_kwargs: tuple = ()
-    trace_path: Optional[str] = None
-    #: requested engine name, recorded in span attributes only: every
-    #: name :func:`~repro.sim.engine.is_grid_engine` accepts runs the grid
-    engine: str = "fused"
-    collect_metrics: bool = False
-    collect_spans: bool = False
-    span_seed: str = ""
-    status_dir: Optional[str] = None
-
-
-def _run_block(block: _FusedBlock) -> List[JobOutcome]:
-    from repro.sim.fused_engine import GridCell, run_simulation_grid
-
-    shards = [_shard_id(name, block.seed) for name in block.techniques]
-    bus = StatusBus(block.status_dir) if block.status_dir else None
-    if bus is not None:
-        for shard in shards:
-            bus.beat(shard, 0, 1)
-    # One tracer per cell, all spanning the shared decode+replay window:
-    # the per-shard span records a fused block ships are structurally
-    # identical to per-cell dispatch (same paths, same attribute keys),
-    # so block composition -- which changes on --resume -- can never
-    # leak into a span summary.
-    tracers: List[Optional[SpanTracer]] = [
-        SpanTracer(id_seed=f"{block.span_seed}|{shard}")
-        if block.collect_spans else None
-        for shard in shards
-    ]
-    with ExitStack() as shard_stack:
-        for name, tracer in zip(block.techniques, tracers):
-            shard_stack.enter_context(span_of(
-                tracer, "shard",
-                technique=name or "none", seed=block.seed, engine=block.engine,
             ))
-        with ExitStack() as trace_stack:
-            for tracer in tracers:
-                trace_stack.enter_context(span_of(tracer, "trace"))
-            if block.trace_path is not None:
-                trace = load_trace_npz(block.trace_path)
-            else:
-                trace = paper_mixed_workload(
-                    block.config,
-                    total_intervals=block.total_intervals,
-                    seed=derive_seed(block.seed, "trace"),
-                    **dict(block.workload_kwargs),
-                )
-        metrics = MetricsRegistry() if block.collect_metrics else None
-        cells = [
-            GridCell(technique=name, seed=block.seed)
-            for name in block.techniques
-        ]
-        with ExitStack() as simulate_stack:
-            for tracer in tracers:
-                simulate_stack.enter_context(span_of(tracer, "simulate"))
-            results = run_simulation_grid(
-                block.config, trace, cells, metrics=metrics
-            )
     if bus is not None:
         for shard in shards:
-            bus.beat(shard, 1, 1, phase="done")
+            bus.beat(shard, 1, 1, retries=job.attempt, phase="done")
     outcomes: List[JobOutcome] = []
-    for cell, result, tracer in zip(cells, results, tracers):
+    for name, result, spans in zip(names, results, tracers):
         outcomes.append((
-            cell.technique or "none", block.seed, result, metrics,
-            tracer.as_dict() if tracer is not None else None,
+            name, job.seed, result, metrics,
+            spans.as_dict() if spans is not None else None,
         ))
-        # the block shares one engine replay, so its registry ships on
-        # the first outcome only -- merging it once, not per cell
         metrics = None
     return outcomes
+
+
+def _run_chunk(chunk: List[CampaignJob]) -> List[List[JobOutcome]]:
+    return [_run_job(job) for job in chunk]
 
 
 def _count(metrics: Optional[MetricsRegistry], name: str, amount: int = 1) -> None:
@@ -468,27 +439,50 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _exhaust(
-    technique: Optional[str],
+def _charge(
+    ctx: "ExecutionContext",
+    techniques: Sequence[Optional[str]],
     seed: int,
     attempts: int,
     exc: BaseException,
-    policy: RetryPolicy,
-    failures: List[ShardFailure],
-    metrics: Optional[MetricsRegistry],
-) -> None:
-    """Handle a shard that used up every attempt: raise or degrade."""
+) -> bool:
+    """Count a unit's failed attempt number *attempts*; return whether
+    it may retry.  A unit out of attempts re-raises under
+    ``on_failure="raise"`` and otherwise degrades every member: one
+    :class:`ShardFailure` each in ``ctx.failures``."""
+    policy = ctx.policy
+    kind = _fault_kind(exc)
+    _count(ctx.metrics, FAULT_COUNTERS.get(kind, FAULT_COUNTERS["error"]))
+    if attempts <= policy.max_retries:
+        _count(ctx.metrics, "campaign.shard_retries")
+        return True
     if policy.on_failure == "raise":
         raise exc
-    failure = ShardFailure(
-        technique=technique or "none",
-        seed=seed,
-        attempts=attempts,
-        kind=_fault_kind(exc),
-        error=f"{type(exc).__name__}: {exc}",
-    )
-    failures.append(failure)
-    _count(metrics, "campaign.shards_degraded")
+    for technique in techniques:
+        ctx.failures.append(ShardFailure(
+            technique=technique or "none",
+            seed=seed,
+            attempts=attempts,
+            kind=kind,
+            error=f"{type(exc).__name__}: {exc}",
+        ))
+        _count(ctx.metrics, "campaign.shards_degraded")
+    return False
+
+
+def _land(
+    ctx: "ExecutionContext", outcomes: List[JobOutcome], attempts: int
+) -> int:
+    """Stream a finished unit's member outcomes to the shard callback;
+    return how many shards landed."""
+    if ctx.shard_callback is not None:
+        for outcome in outcomes:
+            ctx.shard_callback(outcome, attempts)
+    return len(outcomes)
+
+
+def _shards(jobs: Sequence[CampaignJob]) -> int:
+    return sum(len(job.techniques) for job in jobs)
 
 
 @dataclass
@@ -520,7 +514,7 @@ class ExecutionContext:
 
 
 class Executor(ABC):
-    """How a campaign's shards run; see the module docstring for the
+    """How a campaign's units run; see the module docstring for the
     obligations every implementation owes (ordering, streaming, retry,
     timeout bounding, degradation accounting, determinism).
 
@@ -528,50 +522,30 @@ class Executor(ABC):
 
     * ``name`` -- the :func:`get_executor` / ``--executor`` spelling;
     * ``supports_tracer`` -- whether an *enabled* event tracer can be
-      threaded into shards (only in-process execution can);
-    * ``supports_blocks`` -- whether :meth:`execute_blocks` accepts
-      fused cell-blocks (the one-replay-per-seed fast path).
+      threaded into shards (only in-process execution can).
     """
 
     name: ClassVar[str] = "abstract"
     supports_tracer: ClassVar[bool] = False
-    supports_blocks: ClassVar[bool] = False
 
     @abstractmethod
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
-        """Run every job; return outcomes in input order.
+    ) -> List[Optional[List[JobOutcome]]]:
+        """Run every unit; return each unit's member outcomes, in input
+        order.
 
-        Slot *i* holds job *i*'s :data:`JobOutcome`, or ``None`` if the
-        shard exhausted its attempts under ``on_failure="skip"`` (the
-        matching :class:`ShardFailure` is appended to ``ctx.failures``
-        and counted by :func:`_exhaust`).
+        Slot *i* holds job *i*'s outcomes (one per technique, in
+        technique order), or ``None`` if the unit exhausted its attempts
+        under ``on_failure="skip"`` (one :class:`ShardFailure` per
+        member is then in ``ctx.failures``).
         """
-
-    def execute_blocks(
-        self,
-        blocks: Sequence[_FusedBlock],
-        place: Callable[[List[JobOutcome]], None],
-        ctx: ExecutionContext,
-    ) -> None:
-        """Run fused cell-blocks, feeding each block's outcomes to *place*.
-
-        Only called when ``supports_blocks`` is true, which
-        :func:`~repro.sim.parallel.run_campaign` only does without a
-        retry policy, fault injector or tracer.  *place* handles
-        canonical placement, checkpointing and progress; *ctx* carries
-        the metrics registry and status bus for lanes that need them.
-        """
-        raise NotImplementedError(
-            f"{self.name} executor does not support fused block dispatch"
-        )
 
 
 class SerialExecutor(Executor):
     """In-process, single-threaded execution (the ``workers=0`` lane).
 
-    The debug/no-fork executor: shards run inline in dispatch order,
+    The debug/no-fork executor: units run inline in dispatch order,
     which is the only mode that can thread an *enabled* event tracer
     through the engines and the only one usable under pdb or coverage.
     Retries and degradation follow the shared contract; ``shard_timeout``
@@ -581,14 +555,12 @@ class SerialExecutor(Executor):
 
     name: ClassVar[str] = "serial"
     supports_tracer: ClassVar[bool] = True
-    supports_blocks: ClassVar[bool] = True
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
-        policy = ctx.policy
-        total = len(jobs)
-        outcomes: List[Optional[JobOutcome]] = [None] * total
+    ) -> List[Optional[List[JobOutcome]]]:
+        total = _shards(jobs)
+        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
         done = 0
         for index, job in enumerate(jobs):
             attempt = 0
@@ -600,50 +572,38 @@ class SerialExecutor(Executor):
                     )
                 except Exception as exc:
                     attempt += 1
-                    _count(ctx.metrics, FAULT_COUNTERS[_fault_kind(exc)])
-                    if attempt > policy.max_retries:
-                        _exhaust(
-                            job.technique, job.seed, attempt, exc, policy,
-                            ctx.failures, ctx.metrics,
-                        )
+                    if not _charge(ctx, job.techniques, job.seed, attempt, exc):
                         break
-                    _count(ctx.metrics, "campaign.shard_retries")
-                    delay = policy.delay(attempt)
+                    delay = ctx.policy.delay(attempt)
                     if delay > 0:
                         ctx.sleep(delay)
                 else:
                     outcomes[index] = outcome
-                    if ctx.shard_callback is not None:
-                        ctx.shard_callback(outcome, attempt + 1)
+                    _land(ctx, outcome, attempt + 1)
                     break
-            done += 1
+            done += len(job.techniques)
             if ctx.progress is not None:
                 ctx.progress(done, total)
         return outcomes
-
-    def execute_blocks(self, blocks, place, ctx) -> None:
-        for block in blocks:
-            place(_run_block(block))
 
 
 class PoolExecutor(Executor):
     """Local process-pool execution (the historical default).
 
-    Without a retry policy, jobs are dispatched in chunks (one pool
+    Without a retry policy, units are dispatched in chunks (one pool
     task runs a whole chunk) to amortise pickling.  With one, dispatch
-    switches to one job per pool task in retry *rounds*: every pending
-    shard is submitted to a fresh pool, failures are retried next round
+    switches to one unit per pool task in retry *rounds*: every pending
+    unit is submitted to a fresh pool, failures are retried next round
     after the policy's backoff (one sleep per round, the largest delay
     owed), and a round past ``shard_timeout * ceil(pending / width)``
-    declares its unfinished shards hung and kills the pool under them.
+    declares its unfinished units hung and kills the pool under them.
     A worker *crash* breaks the whole pool, so crashes and timeouts
-    also fail every shard in flight -- innocents are retried alongside
+    also fail every unit in flight -- innocents are retried alongside
     the guilty and each such event consumes one attempt from all of
     them; size ``max_retries`` accordingly when crashes repeat.
     """
 
     name: ClassVar[str] = "pool"
-    supports_blocks: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -660,50 +620,44 @@ class PoolExecutor(Executor):
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
+    ) -> List[Optional[List[JobOutcome]]]:
         if ctx.retry is not None:
             return self._execute_rounds(jobs, ctx)
         return self._execute_chunked(jobs, ctx)
 
     def _execute_chunked(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
-        total = len(jobs)
-        outcomes: List[Optional[JobOutcome]] = [None] * total
+    ) -> List[Optional[List[JobOutcome]]]:
+        total = _shards(jobs)
+        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
         chunk_size = self.chunk_size
         if chunk_size is None:
             pool_width = self.workers or os.cpu_count() or 1
-            chunk_size = max(1, math.ceil(total / (4 * pool_width)))
-        chunks = [
-            (start, list(jobs[start : start + chunk_size]))
-            for start in range(0, total, chunk_size)
-        ]
+            chunk_size = max(1, math.ceil(len(jobs) / (4 * pool_width)))
         done = 0
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {
-                pool.submit(_run_chunk, chunk): start
-                for start, chunk in chunks
+                _submit(pool, _run_chunk, list(jobs[start : start + chunk_size])): start
+                for start in range(0, len(jobs), chunk_size)
             }
             for future in as_completed(futures):
                 start = futures[future]
                 chunk_outcomes = future.result()
                 outcomes[start : start + len(chunk_outcomes)] = chunk_outcomes
-                if ctx.shard_callback is not None:
-                    for outcome in chunk_outcomes:
-                        ctx.shard_callback(outcome, 1)
-                done += len(chunk_outcomes)
+                for outcome in chunk_outcomes:
+                    done += _land(ctx, outcome, 1)
                 if ctx.progress is not None:
                     ctx.progress(done, total)
         return outcomes
 
     def _execute_rounds(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[JobOutcome]]:
+    ) -> List[Optional[List[JobOutcome]]]:
         policy = ctx.policy
-        total = len(jobs)
-        outcomes: List[Optional[JobOutcome]] = [None] * total
-        attempts = [0] * total
-        pending = list(range(total))
+        total = _shards(jobs)
+        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
+        attempts = [0] * len(jobs)
+        pending = list(range(len(jobs)))
         width = self.workers or os.cpu_count() or 1
         done = 0
         while pending:
@@ -730,9 +684,7 @@ class PoolExecutor(Executor):
                             failed[index] = exc
                             continue
                         outcomes[index] = outcome
-                        done += 1
-                        if ctx.shard_callback is not None:
-                            ctx.shard_callback(outcome, attempts[index] + 1)
+                        done += _land(ctx, outcome, attempts[index] + 1)
                         if ctx.progress is not None:
                             ctx.progress(done + len(ctx.failures), total)
                 except FuturesTimeout:
@@ -740,28 +692,21 @@ class PoolExecutor(Executor):
                         if outcomes[index] is None and index not in failed:
                             job = jobs[index]
                             failed[index] = ShardTimeout(
-                                f"shard {job.technique or 'none'}/seed="
-                                f"{job.seed} exceeded shard_timeout="
+                                f"{_describe(job.techniques, job.seed)} "
+                                f"exceeded shard_timeout="
                                 f"{policy.shard_timeout}s on attempt "
                                 f"{attempts[index]}"
                             )
                     _kill_workers(pool)
             retry_next: List[int] = []
             for index in sorted(failed):
-                exc = failed[index]
                 attempts[index] += 1
-                _count(ctx.metrics, FAULT_COUNTERS[_fault_kind(exc)])
-                if attempts[index] > policy.max_retries:
-                    _exhaust(
-                        jobs[index].technique, jobs[index].seed,
-                        attempts[index], exc, policy, ctx.failures,
-                        ctx.metrics,
-                    )
-                    if ctx.progress is not None:
-                        ctx.progress(done + len(ctx.failures), total)
-                else:
-                    _count(ctx.metrics, "campaign.shard_retries")
+                job = jobs[index]
+                if _charge(ctx, job.techniques, job.seed, attempts[index],
+                           failed[index]):
                     retry_next.append(index)
+                elif ctx.progress is not None:
+                    ctx.progress(done + len(ctx.failures), total)
             if retry_next:
                 delay = max(
                     policy.delay(attempts[index]) for index in retry_next
@@ -770,14 +715,6 @@ class PoolExecutor(Executor):
                     ctx.sleep(delay)
             pending = retry_next
         return outcomes
-
-    def execute_blocks(self, blocks, place, ctx) -> None:
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            block_futures = [
-                _submit(pool, _run_block, block) for block in blocks
-            ]
-            for future in as_completed(block_futures):
-                place(future.result())
 
 
 def get_executor(

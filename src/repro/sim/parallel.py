@@ -1,22 +1,25 @@
 """Parallel experiment execution with worker-level fault tolerance.
 
 The paper's campaign (9 techniques x a 1.56 M-interval trace) is
-embarrassingly parallel across (technique, seed) pairs.  This module
-turns the grid into :class:`CampaignJob` shards and hands them to a
-pluggable :class:`~repro.sim.executors.Executor` (see
-``docs/distributed.md`` for the contract): the local process pool by
-default, the in-process serial lane for ``workers=0``, or the
-filesystem work-queue executor
+embarrassingly parallel across seeds and techniques.  This module turns
+the grid into :class:`CampaignJob` work units -- one seed and the
+techniques that share its trace -- and hands them to a pluggable
+:class:`~repro.sim.executors.Executor` (see ``docs/distributed.md``
+for the contract): the local process pool by default, the in-process
+serial lane for ``workers=0``, or the filesystem work-queue executor
 (:class:`repro.campaign.queue.QueueExecutor`) for campaigns spread
-over independent worker processes and hosts.  Workers must receive
-picklable job descriptions, so a job carries either the workload knobs
-(each worker regenerates its trace deterministically from the seed) or
--- the default -- the path of a trace that was generated **once** per
-seed and serialised to a temporary ``.npz`` file: all nine technique
-jobs of a seed then share one trace generation instead of repeating it,
-which also keeps the comparison paired across techniques.
+over independent worker processes and hosts.  On the fused engine a
+unit is a whole seed, evaluated in one grid replay; otherwise, and
+under retry, fault injection or a tracer, a unit is one (technique,
+seed) shard.  Workers must receive picklable unit descriptions, so a
+unit carries either the workload knobs (each worker regenerates its
+trace deterministically from the seed) or -- the default -- the path
+of a trace that was generated **once** per seed and serialised to a
+temporary ``.npz`` file: every unit of a seed then shares one trace
+generation instead of repeating it, which also keeps the comparison
+paired across techniques.
 
-In pool mode, jobs are dispatched in chunks (one pool task runs a
+In pool mode, units are dispatched in chunks (one pool task runs a
 whole chunk) to amortise pickling overhead, and an optional
 ``progress`` callback is invoked as chunks complete.
 
@@ -54,7 +57,6 @@ from repro.sim.executors import (
     ShardCallback,
     ShardFailure,
     _count,
-    _FusedBlock,
     get_executor,
 )
 from repro.sim.experiment import TechniqueAggregate
@@ -215,7 +217,7 @@ def run_campaign(
     ``memoize_traces`` generates each seed's trace once and shares the
     serialised file across that seed's technique jobs; ``engine``
     selects the simulation engine (see
-    :data:`repro.sim.engine.ENGINE_NAMES`); ``chunk_size`` jobs are
+    :data:`repro.sim.engine.ENGINE_NAMES`); ``chunk_size`` units are
     grouped into one pool task (default: about four chunks per worker);
     ``progress(done, total)`` is called after each completed chunk.
 
@@ -228,9 +230,9 @@ def run_campaign(
     span holds one ``traces`` span (trace generation, opened even when
     there is none) and one ``dispatch`` span (the executor run), and
     each shard records a local ``shard -> trace/simulate`` span tree
-    (also under fused block dispatch, where every cell's records span
-    the shared replay window) and ships it back for re-parenting under
-    the campaign root span.
+    (in a whole-seed unit, every member's records span the shared
+    replay window) and ships it back for re-parenting under the
+    campaign root span.
 
     ``status`` turns on the live status bus: workers publish
     per-shard heartbeats into its directory, the runner publishes a
@@ -255,11 +257,12 @@ def run_campaign(
     ``pairs`` overrides the ``techniques x seeds`` grid with an explicit
     (technique, seed) work list -- the durable campaign runner passes
     the not-yet-completed remainder here on resume.  ``retry`` enables
-    worker-level fault tolerance (see :class:`RetryPolicy`); in pool
-    mode it switches dispatch from chunks to one job per pool task so
-    failures are attributed to single shards.  ``shard_callback(outcome,
-    attempts)`` fires as each shard completes (checkpointing hook), and
-    ``fault_injector`` plants deterministic test faults in the workers.
+    worker-level fault tolerance (see :class:`RetryPolicy`): units become
+    single shards, and in pool mode dispatch switches from chunks to
+    one unit per pool task, so failures are attributed to single
+    shards.  ``shard_callback(outcome, attempts)`` fires as each shard
+    completes (checkpointing hook), and ``fault_injector`` plants
+    deterministic test faults in the workers.
     ``sleep`` is the backoff clock (injectable for tests).
 
     Returns a :class:`CampaignResult` -- a ``{technique:
@@ -352,10 +355,23 @@ def run_campaign(
                     path = os.path.join(tmpdir, f"trace-{seed}.npz")
                     save_trace_npz(trace, path)
                     trace_paths[seed] = path
+        # The unit composition rule: one unit per seed on the grid
+        # engine, whose one replay covers the seed's whole technique
+        # axis; one per (technique, seed) otherwise, and whenever retry
+        # or fault injection needs per-shard attribution or a tracer
+        # (single-cell by contract) is on.
+        if grid_engine and retry is None and fault_injector is None \
+                and not tracer_enabled:
+            seed_names: Dict[int, List[Optional[str]]] = {}
+            for name, seed in pair_list:
+                seed_names.setdefault(seed, []).append(name)
+            units = [(tuple(names), seed) for seed, names in seed_names.items()]
+        else:
+            units = [((name,), seed) for name, seed in pair_list]
         jobs = [
             CampaignJob(
                 config=config,
-                technique=name,
+                techniques=unit_names,
                 seed=seed,
                 total_intervals=total_intervals,
                 workload_kwargs=frozen_kwargs,
@@ -367,11 +383,8 @@ def run_campaign(
                 span_seed=span_seed,
                 status_dir=status_dir,
             )
-            for name, seed in pair_list
+            for unit_names, seed in units
         ]
-        total = len(jobs)
-        outcomes: List[Optional[JobOutcome]] = [None] * total
-        done = 0
         ctx = ExecutionContext(
             retry=retry,
             metrics=metrics,
@@ -382,58 +395,16 @@ def run_campaign(
             tracer=tracer if tracer_enabled else None,
             status=status,
         )
-        # Fused cell-blocks: one replay per seed covers that seed's whole
-        # technique axis.  Retry / fault-injection need per-shard
-        # attribution and a tracer is single-cell by contract, so those
-        # modes keep the per-cell jobs below (the fused single-cell
-        # wrapper still runs there via ``get_engine``).
-        use_blocks = (
-            grid_engine
-            and retry is None
-            and fault_injector is None
-            and not tracer_enabled
-            and runner.supports_blocks
-        )
-        if use_blocks:
-            index_of = {
-                (name or "none", seed): index
-                for index, (name, seed) in enumerate(pair_list)
-            }
-            seed_names: Dict[int, List[Optional[str]]] = {}
-            for name, seed in pair_list:
-                seed_names.setdefault(seed, []).append(name)
-            blocks = [
-                _FusedBlock(
-                    config=config,
-                    techniques=tuple(block_names),
-                    seed=seed,
-                    total_intervals=total_intervals,
-                    workload_kwargs=frozen_kwargs,
-                    trace_path=trace_paths.get(seed),
-                    engine=engine,
-                    collect_metrics=metrics is not None,
-                    collect_spans=collect_spans,
-                    span_seed=span_seed,
-                    status_dir=status_dir,
-                )
-                for seed, block_names in seed_names.items()
-            ]
-
-            def place(block_outcomes: List[JobOutcome]) -> None:
-                nonlocal done
-                for outcome in block_outcomes:
-                    outcomes[index_of[(outcome[0], outcome[1])]] = outcome
-                    if shard_callback is not None:
-                        shard_callback(outcome, 1)
-                done += len(block_outcomes)
-                if progress_cb is not None:
-                    progress_cb(done, total)
-
-            with span_of(spans, "dispatch"):
-                runner.execute_blocks(blocks, place, ctx)
-        else:
-            with span_of(spans, "dispatch"):
-                outcomes = runner.execute(jobs, ctx)
+        with span_of(spans, "dispatch"):
+            unit_outcomes = runner.execute(jobs, ctx)
+        index_of = {
+            (name or "none", seed): index
+            for index, (name, seed) in enumerate(pair_list)
+        }
+        outcomes: List[Optional[JobOutcome]] = [None] * len(pair_list)
+        for members in unit_outcomes:
+            for outcome in members or ():
+                outcomes[index_of[(outcome[0], outcome[1])]] = outcome
     finally:
         if tmpdir is not None:
             shutil.rmtree(tmpdir, ignore_errors=True)

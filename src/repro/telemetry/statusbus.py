@@ -345,8 +345,8 @@ class Heartbeater:
             outcome = run(...)
 
     *worker* may also be a sequence of ids: one thread then keeps a
-    heartbeat per id fresh, as a queue worker does for every shard of a
-    leased fused block.
+    heartbeat per id fresh, as a queue worker does for every member
+    shard of a leased work unit.
     """
 
     def __init__(

@@ -6,8 +6,8 @@ local pool, filesystem queue) asserting the contract spelled out in
 aggregates against a serial baseline, streaming shard/progress
 callbacks, retry healing, degraded-shard accounting parity, and the
 durable-campaign guarantees (checkpointing, resume) holding
-per-executor -- aggregates, callbacks and resume under both fused-block
-and per-cell dispatch.  A lane that cannot honor one of these must not ship.
+per-executor -- aggregates, callbacks and resume under both whole-seed
+and one-shard work units.  A lane that cannot honor one of these must not ship.
 """
 
 import pytest
@@ -30,9 +30,9 @@ TOTAL_SHARDS = len(TECHNIQUES) * len(SEEDS)
 LANES = ("serial", "pool", "queue")
 
 #: (lane, dispatch) pairs.  The campaigns below run the ``fast`` alias of
-#: the fused engine, so they dispatch one fused block per seed
-#: (``execute_blocks``) unless a retry policy forces per-cell shards
-#: (``execute``); the block case keeps the lane's bare id.
+#: the fused engine, so they dispatch one whole-seed unit per seed unless
+#: a retry policy forces one-shard units; the whole-seed case keeps the
+#: lane's bare id.
 DISPATCHES = [
     pytest.param(lane, dispatch, id=lane if dispatch == "blocks" else
                  f"{lane}-per_cell")
@@ -42,7 +42,7 @@ DISPATCHES = [
 
 
 def dispatch_kwargs(dispatch):
-    """Campaign arguments selecting block or per-cell dispatch."""
+    """Campaign arguments selecting whole-seed or one-shard units."""
     return {"retry": RetryPolicy()} if dispatch == "per_cell" else {}
 
 

@@ -35,14 +35,13 @@ from repro.campaign import (
     write_json_atomic,
 )
 from repro.campaign.faults import FAULT_ENV_VAR
-from repro.campaign.queue import QUEUE_SCHEMA_VERSION
+from repro.campaign.queue import QUEUE_SCHEMA_VERSION, TicketSchemaError
 from repro.config import small_test_config
 from repro.sim.executors import (
     CampaignJob,
     ShardOutcome,
     ShardTimeout,
-    _FusedBlock,
-    _run_block,
+    _run_job,
 )
 from repro.sim.parallel import RetryPolicy, run_campaign
 from repro.telemetry.metrics import MetricsRegistry
@@ -63,13 +62,14 @@ def canonical(aggregates):
 def make_job(config, technique="PARA", seed=0, **kwargs):
     kwargs.setdefault("engine", "fast")
     return CampaignJob(
-        config=config, technique=technique, seed=seed, total_intervals=8,
+        config=config, techniques=(technique,), seed=seed, total_intervals=8,
         **kwargs,
     )
 
 
 def make_block(config, techniques=("PARA", "TWiCe"), seed=0, **kwargs):
-    return _FusedBlock(
+    kwargs.setdefault("engine", "fused")
+    return CampaignJob(
         config=config, techniques=tuple(techniques), seed=seed,
         total_intervals=8, **kwargs,
     )
@@ -129,7 +129,9 @@ class TestQueueProtocol:
         back = rebuilt.to_job(tmp_path)
         assert back.config == job.config
         assert back.workload_kwargs == job.workload_kwargs
-        assert (back.technique, back.seed, back.engine) == ("PARA", 0, "fast")
+        assert (back.techniques, back.seed, back.engine) == (
+            ("PARA",), 0, "fast"
+        )
         assert back.attempt == 3
         assert back.collect_metrics and back.collect_spans
         assert back.span_seed == "abc"
@@ -263,13 +265,13 @@ class TestQueueProtocol:
             workload_kwargs=(("attack_fraction", 0.5),),
             collect_metrics=True, collect_spans=True, span_seed="abc",
         )
-        ticket = ShardTicket.from_block(block, trace="trace-0.npz")
+        ticket = ShardTicket.from_job(block, trace="trace-0.npz")
         assert ticket.shard == "block__s3"
         assert ticket.shards == ["none__s3", "PARA__s3"]
         data = json.loads(json.dumps(ticket.as_dict()))
         assert data["schema_version"] == QUEUE_SCHEMA_VERSION
         assert data["techniques"] == [None, "PARA"]
-        back = ShardTicket.from_dict(data).to_block(tmp_path)
+        back = ShardTicket.from_dict(data).to_job(tmp_path)
         assert back == make_block(
             config, techniques=(None, "PARA"), seed=3, engine="fast",
             workload_kwargs=(("attack_fraction", 0.5),),
@@ -284,7 +286,7 @@ class TestQueueProtocol:
         block = make_block(config, collect_metrics=True)
         wq = WorkQueue(tmp_path)
         wq.ensure_layout()
-        wq.publish_ticket(ShardTicket.from_block(block))
+        wq.publish_ticket(ShardTicket.from_job(block))
         lines = []
         assert run_worker(
             tmp_path, poll_interval=0.01, max_shards=2, log=lines.append,
@@ -294,7 +296,7 @@ class TestQueueProtocol:
         assert set(results) == {"PARA__s0", "TWiCe__s0"}
         expected = {
             outcome[0]: ShardOutcome.from_outcome(outcome).as_dict()
-            for outcome in _run_block(block)
+            for outcome in _run_job(block)
         }
         for shard, record in results.items():
             technique = shard.split("__")[0]
@@ -332,6 +334,21 @@ class TestQueueProtocol:
         assert [report["shard"] for report in reports] == ["PARA__s0"]
         assert "schema version 99" in reports[0]["error"]
         assert f"schema version {QUEUE_SCHEMA_VERSION}" in reports[0]["error"]
+
+
+    def test_schema_2_ticket_is_refused(self):
+        """A ticket of the two-kind layout (``technique`` on one-shard
+        tickets) is refused, not misread, naming both versions."""
+        data = ShardTicket.from_job(
+            make_job(small_test_config(num_banks=2))
+        ).as_dict()
+        del data["techniques"]
+        data.update(schema_version=2, technique="PARA")
+        with pytest.raises(TicketSchemaError) as refused:
+            ShardTicket.from_dict(data)
+        assert "schema version 2" in str(refused.value)
+        assert f"schema version {QUEUE_SCHEMA_VERSION}" in str(refused.value)
+        assert QUEUE_SCHEMA_VERSION == 3
 
 
 class TestQueueCampaigns:
@@ -615,7 +632,7 @@ class TestBlockTickets:
             import sys, time
             import repro.campaign.queue as queue
 
-            queue._run_block = lambda block: time.sleep(600)
+            queue._run_job = lambda job: time.sleep(600)
             queue.run_worker(sys.argv[1], poll_interval=0.05,
                              lease_refresh=0.2)
             """

@@ -99,6 +99,22 @@ class TestRoundTrip:
         assert (outcome.provenance["spec_digest"]
                 == ingested.provenance["spec_digest"])
 
+    def test_reference_engine_verdicts_match_fused(self, tmp_path):
+        """The per-cell engine streams the same verdict frames, in the
+        same order, as the grid engine."""
+        grid = dict(
+            techniques=["none", "PARA", "TWiCe"], seeds=[0, 1],
+            clock_ns=CLOCK_NS,
+        )
+        verdicts = {}
+        for engine in ("fused", "reference"):
+            with serving(tmp_path / engine, engine=engine) as server:
+                verdicts[engine] = client_for(server).submit(
+                    TRACE, session=engine, **grid
+                ).verdicts
+        assert [v["index"] for v in verdicts["reference"]] == list(range(6))
+        assert verdicts["reference"] == verdicts["fused"]
+
     def test_verdict_frames_carry_cell_identity(self, tmp_path):
         with serving(tmp_path) as server:
             outcome = client_for(server).submit(
@@ -300,6 +316,35 @@ class TestObservability:
         assert 'name="serve.sessions_completed"} 1' in text
         # per-session engine metrics merged into the service registry
         assert "ingest." in text
+
+    def test_service_span_tree_stays_bounded(self, tmp_path):
+        """Finished sessions fold into a per-path summary: the service
+        tracer keeps only its root span, and the export still counts
+        every session's spans."""
+        from repro.telemetry.export import parse_prometheus
+
+        metrics_out = tmp_path / "serve.prom"
+        with serving(tmp_path, metrics_out=str(metrics_out)) as server:
+            for index in range(3):
+                client_for(server).submit(
+                    TRACE, techniques=["PARA", "TWiCe"], seeds=[0, 1],
+                    clock_ns=CLOCK_NS, session=f"s{index}",
+                )
+        assert [span.path for span in server.spans.spans] == ["serve"]
+        assert parse_prometheus(metrics_out.read_text())["span_paths"] == {
+            "serve": 1,
+            "serve/session": 3,
+            "serve/session/receive": 3,
+            "serve/session/ingest": 3,
+            "serve/session/ingest/cache": 4,
+            "serve/session/ingest/parse": 1,
+            "serve/session/evaluate": 3,
+            "serve/session/evaluate/decode": 3,
+            "serve/session/evaluate/device": 3,
+            "serve/session/evaluate/index": 3,
+            "serve/session/evaluate/decide": 9,
+            "serve/session/evaluate/resolve": 9,
+        }
 
     def test_campaign_status_follow_reads_a_live_server(self, tmp_path, capsys):
         from repro.cli import main

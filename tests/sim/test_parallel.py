@@ -18,20 +18,20 @@ class TestJob:
 
         job = CampaignJob(
             config=small_test_config(),
-            technique="PARA",
+            techniques=("PARA",),
             seed=0,
             total_intervals=8,
         )
-        assert pickle.loads(pickle.dumps(job)).technique == "PARA"
+        assert pickle.loads(pickle.dumps(job)).techniques == ("PARA",)
 
     def test_run_job_inline(self):
         job = CampaignJob(
             config=small_test_config(num_banks=2),
-            technique="PARA",
+            techniques=("PARA",),
             seed=0,
             total_intervals=8,
         )
-        name, seed, result, metrics, spans = _run_job(job)
+        [(name, seed, result, metrics, spans)] = _run_job(job)
         assert name == "PARA"
         assert result.normal_activations > 0
         assert metrics is None  # collect_metrics defaults off

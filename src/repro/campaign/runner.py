@@ -65,7 +65,6 @@ def run_durable_campaign(
     include_unmitigated: bool = False,
     workers: Optional[int] = None,
     engine: str = "reference",
-    memoize_traces: bool = True,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     on_event: Optional[ProgressListener] = None,
@@ -221,7 +220,6 @@ def run_durable_campaign(
             seeds=seeds,
             workers=workers,
             engine=engine,
-            memoize_traces=memoize_traces,
             chunk_size=chunk_size,
             progress=progress,
             on_event=on_event,

@@ -182,6 +182,16 @@ def compare_techniques(
     gem5 trace.
     """
     names = list(techniques) if techniques is not None else technique_names()
+    if is_grid_engine(engine) and tracer is None:
+        # Grid path: every technique rides one decode+replay of the
+        # per-seed trace, which is read once and so never cached.
+        # Per-engine tracers are single-cell only, so a tracer falls
+        # through to the per-cell loop below.
+        return _compare_fused(
+            config, trace_factory, names, seeds, include_unmitigated,
+            metrics=metrics, spans=spans,
+        )
+    # the per-cell loop reads each seed's trace once per technique
     cache: Dict[int, Trace] = {}
 
     def cached_factory(trace_seed: int) -> Trace:
@@ -193,14 +203,6 @@ def compare_techniques(
 
     comparison: Dict[str, TechniqueAggregate] = {}
     telemetry_kwargs = dict(tracer=tracer, metrics=metrics, spans=spans)
-    if is_grid_engine(engine) and tracer is None:
-        # Grid path: every technique rides one decode+replay of the
-        # per-seed trace.  Per-engine tracers are single-cell only, so
-        # a tracer falls through to the per-cell loop below.
-        return _compare_fused(
-            config, cached_factory, names, seeds, include_unmitigated,
-            metrics=metrics, spans=spans,
-        )
     if include_unmitigated:
         comparison["none"] = run_technique(
             config, None, cached_factory, seeds, engine=engine,

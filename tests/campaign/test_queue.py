@@ -677,6 +677,45 @@ class TestBlockTickets:
         assert "PARA__s0" in str(error) and "TWiCe__s0" in str(error)
         assert box["raised_at"] - killed_at < 2 * lease_timeout
 
+    def test_block_campaign_stages_no_trace(self, tmp_path):
+        """A block ticket carries no trace: the worker regenerates the
+        seed's trace from the ticket's knobs, so ``traces/`` stays
+        empty and results equal an inline run."""
+        config = small_test_config(num_banks=2)
+        qdir = tmp_path / "q"
+        wq = WorkQueue(qdir)
+        box = {}
+
+        def drive():
+            box["aggregates"] = run_campaign(
+                config, 8, techniques=TECHNIQUES, seeds=SEEDS,
+                engine="fused",
+                executor=QueueExecutor(
+                    qdir, workers=0, lease_timeout=30.0, poll_interval=0.05,
+                ),
+            )
+
+        driver = threading.Thread(target=drive, name="stream-driver")
+        driver.start()
+        try:
+            wait_until(
+                lambda: wq.ticket_path("block__s0").exists(),
+                message="the block tickets to be published",
+            )
+            # drains until the finished campaign raises the stop sentinel
+            run_worker(qdir, poll_interval=0.01, idle_exit=30.0)
+            driver.join(timeout=60)
+            assert not driver.is_alive()
+        finally:
+            wq.request_stop()
+            driver.join(timeout=10)
+        assert list(wq.traces_dir.iterdir()) == []
+        reference = run_campaign(
+            config, 8, techniques=TECHNIQUES, seeds=SEEDS, workers=0,
+            engine="fused",
+        )
+        assert canonical(box["aggregates"]) == canonical(reference)
+
     def test_deleted_block_ticket_self_heals(self, tmp_path):
         config = small_test_config(num_banks=2)
         qdir = tmp_path / "q"

@@ -192,6 +192,33 @@ class TestCompare:
         assert fast[0] == 2
         assert fast == replay("fused")
 
+    def test_fused_comparison_streams_each_trace_once(self, monkeypatch):
+        """The grid path reads each seed's trace in one grid call, so it
+        takes one-shot lazy traces as they come: nothing materializes
+        them, and results equal the reference engine's."""
+        from repro.traces.record import Trace
+
+        config = small_test_config()
+
+        def compare(engine):
+            comparison = compare_techniques(
+                config, trace_factory(config, intervals=8),
+                techniques=("PARA", "TWiCe"), seeds=(0, 1),
+                include_unmitigated=True, engine=engine,
+            )
+            return {
+                name: [result.as_dict() for result in aggregate.results]
+                for name, aggregate in comparison.items()
+            }
+
+        reference = compare("reference")
+
+        def refuse(self):
+            raise AssertionError("the grid path materialized a trace")
+
+        monkeypatch.setattr(Trace, "materialize", refuse)
+        assert compare("fused") == reference
+
     def test_reference_cells_record_engine_spans_per_technique(self):
         """The per-cell path hands its tracer to every engine run: each
         technique's seeds get trace/simulate spans, and the reference

@@ -132,6 +132,34 @@ class TestCorruptionRecovery:
         third = ingest_trace(path, CONFIG, cache=cache)
         assert third.cache_hit
 
+    def test_mismatched_columns_are_evicted_not_truncated(
+        self, tmp_path, cache
+    ):
+        """An entry whose columns disagree in length is unreadable, not
+        a shorter trace: the hit is refused, the entry evicted, and the
+        re-ingest serves every record."""
+        import zipfile
+
+        from repro.traces.trace_io import _npy_bytes
+
+        path = write_dramsim(tmp_path / "t.trc")
+        first = ingest_trace(path, CONFIG, cache=cache)
+        key = first.provenance["cache"]["key"]
+        entry = cache.entry_path(key)
+        with zipfile.ZipFile(entry) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        banks = [record.bank for record in first.trace.records]
+        members["banks.npy"] = _npy_bytes(banks[:-1], "<i2")
+        with zipfile.ZipFile(entry, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        second = ingest_trace(path, CONFIG, cache=cache)
+        assert not second.cache_hit
+        assert second.trace.records == first.trace.records
+        counters = cache.metrics.counters
+        assert counters["ingest.cache_evictions"].value == 1
+        assert counters["ingest.cache_misses"].value == 2
+
     def test_missing_sidecar_is_a_miss(self, tmp_path, cache):
         path = write_dramsim(tmp_path / "t.trc")
         first = ingest_trace(path, CONFIG, cache=cache)

@@ -23,7 +23,7 @@ shared directory::
         failed/
             <ticket>.json # per-attempt failure reports from workers
         traces/
-            trace-<n>.npz # pre-generated traces shared by every worker
+            trace-<n>.npz # a caller's trace file, staged for every worker
         status/           # a plain StatusBus: worker heartbeats + snapshot
         stop              # sentinel: workers drain and exit when it appears
 
@@ -736,9 +736,9 @@ class QueueExecutor(Executor):
     def _open(
         self, engine: Optional[str], shards: int, trace_paths: Sequence
     ) -> Tuple[WorkQueue, Dict[Any, str]]:
-        """Reset the queue, stage each distinct trace once (workers read
-        them from the queue directory; the runner's tmpdir is
-        host-local) and write the banner."""
+        """Reset the queue, stage each distinct trace file once (workers
+        read it from the queue directory, not the runner's host) and
+        write the banner."""
         wq = WorkQueue(self.queue_dir)
         wq.reset()
         wq.status_bus().clear_workers()

@@ -124,8 +124,6 @@ class IngestCache:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         npz_path, sidecar_path = self._paths(key)
-        # numpy appends ".npz" to names lacking it, so the temp name
-        # must keep the suffix for os.replace to find the file
         handle, tmp_npz = tempfile.mkstemp(
             dir=str(self.root), prefix=f"{key}.", suffix=".tmp.npz"
         )

@@ -47,9 +47,10 @@ from repro.adversary.mutate import crossover, mutate, random_genome
 from repro.adversary.store import SearchSpec, SearchStore
 from repro.campaign.store import CampaignStateError
 from repro.config import SimConfig
-from repro.mitigations.registry import make_factory, resolve_technique
+from repro.mitigations.registry import resolve_technique
 from repro.rng import derive_seed, stream
-from repro.sim.engine import ENGINE_NAMES, get_engine, is_grid_engine
+from repro.sim.engine import ENGINE_NAMES, is_grid_engine, run_cells
+from repro.sim.fused_engine import GridCell
 from repro.sim.parallel import parallel_map
 from repro.telemetry.progress import ProgressDispatcher
 from repro.telemetry.spans import span_of
@@ -110,72 +111,38 @@ def evaluate_genome(job: EvalJob) -> Dict[str, Any]:
     """Measure one genome against its technique over the eval seeds.
 
     Module-level so :func:`repro.sim.parallel.parallel_map` can ship it
-    to worker processes.  The trace seed is derived from the eval seed
-    *and* the genome key, so distinct genomes never share mixing noise
-    while reruns of the same genome are reproducible.
-
-    The fused engine (``engine="fused"`` or its alias ``"fast"``)
-    switches to the many-seeds-per-genome grid evaluation (see
-    :func:`_evaluate_genome_fused`).
+    to worker processes.  Each trace it builds is one
+    :func:`~repro.sim.engine.run_cells` call stopped at the first
+    trigger, its eval seeds the cells.  On the grid engine
+    (``"fused"`` or its alias ``"fast"``) the genome compiles to one
+    trace, seeded by the genome key alone, so every eval seed rides one
+    grid and varies only the mitigation RNG: fitness variance measures
+    the defence's randomness, not the attack's mixing noise.  Other
+    engines build one trace per eval seed, seeded by the eval seed and
+    the genome key.  The two rules differ when ``eval_seeds > 1``; a
+    checkpoint pins the engine and
+    :data:`~repro.adversary.store.SEARCH_SCHEMA_VERSION`, so they never
+    mix within one search.
     """
     if is_grid_engine(job.engine):
-        return _evaluate_genome_fused(job)
-    run = get_engine(job.engine)
-    factory = make_factory(job.technique)
-    acts_to_trigger: List[Optional[int]] = []
-    total_acts: List[int] = []
-    for eval_seed in job.seeds:
+        runs = [(0, job.seeds)]
+    else:
+        runs = [(seed, (seed,)) for seed in job.seeds]
+    results = []
+    for trace_seed, seeds in runs:
         trace = build_trace(
             job.config,
             job.total_intervals,
             benign_params=None,
             attacks=job.genome.compile(job.config, job.total_intervals),
-            seed=derive_seed(eval_seed, "adversary-trace", job.genome.key()),
+            seed=derive_seed(trace_seed, "adversary-trace", job.genome.key()),
         )
-        result = run(
-            job.config,
-            trace,
-            factory,
-            seed=eval_seed,
-            stop_after_first_trigger=True,
-        )
-        acts_to_trigger.append(result.first_trigger_activation)
-        total_acts.append(result.attack_activations)
-    return {"acts_to_trigger": acts_to_trigger, "total_acts": total_acts}
-
-
-def _evaluate_genome_fused(job: EvalJob) -> Dict[str, Any]:
-    """Fused evaluation: every eval seed rides one trace replay.
-
-    The fused grid shares one decode across its cells, which requires
-    one fixed trace -- so the genome compiles to a single trace (trace
-    seed derived from the genome key alone) and the eval seeds vary
-    only the mitigation RNG.  That is the fixed-trace comparison
-    ``run_campaign(trace_path=...)`` already documents, and the point
-    of many-seeds-per-genome: fitness variance measures the defense's
-    randomness, not the attack's mixing noise.  Fitness values
-    therefore differ from the per-seed-trace reference engine when
-    ``eval_seeds > 1``; a search checkpoint pins its engine (and its
-    schema version, bumped when ``"fast"`` joined this mode), so the two
-    modes never mix within one search.
-    """
-    from repro.sim.fused_engine import GridCell, run_simulation_grid
-
-    trace = build_trace(
-        job.config,
-        job.total_intervals,
-        benign_params=None,
-        attacks=job.genome.compile(job.config, job.total_intervals),
-        seed=derive_seed(0, "adversary-trace", job.genome.key()),
-    )
-    cells = [GridCell(technique=job.technique, seed=seed) for seed in job.seeds]
-    results = run_simulation_grid(
-        job.config, trace, cells, stop_after_first_trigger=True
-    )
+        cells = [GridCell(technique=job.technique, seed=seed) for seed in seeds]
+        results.extend(run_cells(
+            job.config, trace, cells, job.engine, stop_after_first_trigger=True
+        ))
     return {
-        "acts_to_trigger": [
-            result.first_trigger_activation for result in results
-        ],
+        "acts_to_trigger": [result.first_trigger_activation for result in results],
         "total_acts": [result.attack_activations for result in results],
     }
 

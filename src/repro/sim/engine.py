@@ -11,7 +11,7 @@ this module is the last stage of that pipeline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.controller.controller import MemoryController, MitigationFactory
@@ -32,6 +32,19 @@ def check_max_activations(max_activations: Optional[int]) -> None:
         raise ValueError(
             f"max_activations must be at least 1, got {max_activations}"
         )
+
+
+def span_attributes(
+    factory: Optional[MitigationFactory], seed: int, config: SimConfig
+) -> Dict[str, Any]:
+    """The attributes of one cell's engine spans: its ``technique``,
+    ``seed`` and ``pbase``, so a span summary gives each technique rows
+    of its own."""
+    technique = (
+        getattr(factory, "technique_name", "unknown")
+        if factory is not None else "none"
+    )
+    return {"technique": technique, "seed": seed, "pbase": config.pbase}
 
 
 def _occupancies(controller: MemoryController):
@@ -66,14 +79,16 @@ def run_simulation(
     ``tracer`` / ``metrics`` enable the observability layer (see
     :mod:`repro.telemetry`); neither can alter the returned
     :class:`SimResult`.  The run records ``setup``/``replay``/``drain``
-    spans into *spans* (a private tracer when ``None``), and
-    ``wall_seconds`` is their sum.
+    spans, each carrying the cell's :func:`span_attributes`, into
+    *spans* (a private tracer when ``None``), and ``wall_seconds`` is
+    their sum.
     """
     check_max_activations(max_activations)
     if spans is None or not spans.enabled:
         spans = SpanTracer()
     tele = EngineTelemetry.create(tracer, metrics)
-    with spans.span("setup") as setup:
+    attributes = span_attributes(mitigation_factory, seed, config)
+    with spans.span("setup", **attributes) as setup:
         controller = MemoryController(
             config=config,
             mitigation_factory=mitigation_factory,
@@ -92,7 +107,7 @@ def run_simulation(
     current_interval = -1
     activation_index = 0
 
-    with spans.span("replay") as replay:
+    with spans.span("replay", **attributes) as replay:
         for record in trace:
             record_interval = record.time_ns // interval_ns
             while current_interval < record_interval:
@@ -124,7 +139,7 @@ def run_simulation(
             if max_activations is not None and activation_index >= max_activations:
                 break
 
-    with spans.span("drain") as drain:
+    with spans.span("drain", **attributes) as drain:
         if not (stop_after_first_trigger and result.first_trigger_activation):
             while current_interval < total_intervals - 1:
                 current_interval += 1
@@ -166,9 +181,9 @@ def get_engine(name: str):
 
     ``"reference"`` is the canonical per-record loop above; ``"fused"``
     is the optimized engine of :mod:`repro.sim.fused_engine` (this
-    resolves its single-cell entry point -- campaign callers use
-    :func:`repro.sim.fused_engine.run_simulation_grid` directly to share
-    one trace decode across the whole cell grid).  ``"fast"`` is an
+    resolves its single-cell entry point -- callers with several cells
+    over one trace hand them to :func:`run_cells`, which shares one
+    trace decode across the whole cell grid).  ``"fast"`` is an
     alias of ``"fused"``, kept because campaign checkpoints, queue
     tickets and adversary searches record it.  The two engines are kept
     field-for-field result-identical by the differential test harness.
@@ -188,10 +203,11 @@ def is_grid_engine(name: str) -> bool:
     """Whether *name* resolves to the fused engine's entry point.
 
     Only that engine has a grid form
-    (:func:`repro.sim.fused_engine.run_simulation_grid`), so callers that
-    batch a whole cell grid into one replay -- :func:`run_cells`, the
-    campaign's unit composition -- ask this rather than compare names:
-    every alias of the fused engine (``"fast"``) takes the grid path too.
+    (:func:`repro.sim.fused_engine.run_simulation_grid`), so code that
+    depends on it -- :func:`run_cells`, the campaign's unit composition,
+    the adversary's choice of trace -- asks this rather than compare
+    names: every alias of the fused engine (``"fast"``) takes the grid
+    path too.
     """
     return get_engine(name) is get_engine("fused")
 
@@ -201,6 +217,8 @@ def run_cells(
     trace: Trace,
     cells: Sequence["GridCell"],
     engine: str,
+    refresh_policy: Optional[RefreshPolicy] = None,
+    stop_after_first_trigger: bool = False,
     tracer=None,
     metrics=None,
     spans: Optional[SpanTracer] = None,
@@ -208,21 +226,27 @@ def run_cells(
     """Yield each :class:`~repro.sim.fused_engine.GridCell`'s result on
     *engine*, in cell order.
 
-    The one cell-list evaluator behind campaign work units and serve
-    sessions.  On the grid engine (:func:`is_grid_engine`) a list of
-    several cells is one :func:`~repro.sim.fused_engine.run_simulation_grid`
-    call -- one trace decode for every cell.  Otherwise each cell is
-    one run of :func:`get_engine`'s entry point, which passes *tracer*
-    through; a lone fused cell thus streams the trace an interval at a
-    time instead of holding its decoded segments, and on ``reference``
-    results stream as cells finish (over *trace* materialized first
-    when the list holds more than one cell).
+    The one cell-list evaluator: experiments, sweeps, adversary
+    fitness, campaign work units and serve sessions all hand it their
+    cells, and it alone chooses between a grid and per-cell runs.  On
+    the grid engine (:func:`is_grid_engine`) a list of several cells is
+    one :func:`~repro.sim.fused_engine.run_simulation_grid` call -- one
+    trace decode for every cell.  Otherwise, and whenever an enabled
+    *tracer* is attached (it records one cell's event stream), each
+    cell is one run of :func:`get_engine`'s entry point; a lone fused
+    cell thus streams the trace an interval at a time instead of
+    holding its decoded segments, and per-cell results stream as cells
+    finish (over *trace* materialized first when the list holds more
+    than one cell).
     """
-    if is_grid_engine(engine) and len(cells) > 1:
+    traced = tracer is not None and getattr(tracer, "enabled", True)
+    if is_grid_engine(engine) and len(cells) > 1 and not traced:
         from repro.sim.fused_engine import run_simulation_grid
 
         yield from run_simulation_grid(
-            config, trace, cells, tracer=tracer, metrics=metrics, spans=spans
+            config, trace, cells, refresh_policy=refresh_policy,
+            stop_after_first_trigger=stop_after_first_trigger,
+            metrics=metrics, spans=spans,
         )
         return
     run = get_engine(engine)
@@ -235,5 +259,7 @@ def run_cells(
         )
         yield run(
             cell.config or config, trace, factory, seed=cell.seed,
+            refresh_policy=refresh_policy,
+            stop_after_first_trigger=stop_after_first_trigger,
             tracer=tracer, metrics=metrics, spans=spans,
         )

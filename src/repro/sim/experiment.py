@@ -7,15 +7,16 @@ statistics -- the unit from which Table III and Fig. 4 are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean, mean_pm_std, std
 from repro.config import SimConfig
 from repro.dram.refresh import RefreshPolicy
-from repro.mitigations.registry import make_factory, technique_names
+from repro.mitigations.registry import technique_names
 from repro.rng import derive_seed
-from repro.sim.engine import get_engine, is_grid_engine
+from repro.sim.engine import run_cells
+from repro.sim.fused_engine import GridCell
 from repro.sim.metrics import SimResult
 from repro.telemetry.spans import SpanTracer, span_of
 from repro.traces.mixer import paper_mixed_workload
@@ -116,6 +117,43 @@ def default_trace_factory(
     return factory
 
 
+def _run_seeds(
+    config: SimConfig,
+    trace_factory: TraceFactory,
+    cells: Sequence[GridCell],
+    seeds: Sequence[int],
+    engine: str,
+    policy_factory: Optional[PolicyFactory] = None,
+    tracer=None,
+    metrics=None,
+    spans: Optional[SpanTracer] = None,
+) -> List[List[SimResult]]:
+    """Run every cell over each seed's trace; one result list per cell.
+
+    The per-seed driver behind :func:`run_technique`,
+    :func:`compare_techniques` and the sweeps.  Each seed builds its
+    trace once, in a ``trace`` span, and hands the cells, re-seeded to
+    it, to :func:`~repro.sim.engine.run_cells` in a ``simulate`` span:
+    one grid per seed on the grid engine, one engine run per cell
+    otherwise.  Every cell sees the same per-seed trace, which makes a
+    comparison paired.
+    """
+    columns: List[List[SimResult]] = [[] for _ in cells]
+    for seed in seeds:
+        with span_of(spans, "trace", seed=seed):
+            trace = trace_factory(derive_seed(seed, "trace"))
+        seeded = [replace(cell, seed=seed) for cell in cells]
+        policy = policy_factory(seed) if policy_factory else None
+        with span_of(spans, "simulate", seed=seed):
+            results = run_cells(
+                config, trace, seeded, engine, refresh_policy=policy,
+                tracer=tracer, metrics=metrics, spans=spans,
+            )
+            for column, result in zip(columns, results):
+                column.append(result)
+    return columns
+
+
 def run_technique(
     config: SimConfig,
     technique: Optional[str],
@@ -136,32 +174,15 @@ def run_technique(
     ``tracer`` / ``metrics`` / ``spans`` are handed to every per-seed
     engine run (all seeds share them, so metric counters aggregate
     across the whole technique); they never change any result.  Each
-    seed records a ``trace`` and a ``simulate`` span carrying the
-    technique, the engine's spans nested in the latter.
+    seed records a ``trace`` and a ``simulate`` span, the engine's
+    spans, which carry the technique, nested in the latter.
     """
-    run = get_engine(engine)
-    mitigation_factory = (
-        make_factory(technique, **technique_kwargs) if technique else None
+    cell = GridCell(technique, kwargs=tuple(sorted(technique_kwargs.items())))
+    (results,) = _run_seeds(
+        config, trace_factory, [cell], seeds, engine, policy_factory,
+        tracer=tracer, metrics=metrics, spans=spans,
     )
-    aggregate = TechniqueAggregate(technique=technique or "none")
-    label = technique or "none"
-    for seed in seeds:
-        with span_of(spans, "trace", technique=label, seed=seed):
-            trace = trace_factory(derive_seed(seed, "trace"))
-        policy = policy_factory(seed) if policy_factory else None
-        with span_of(spans, "simulate", technique=label, seed=seed):
-            result = run(
-                config,
-                trace,
-                mitigation_factory,
-                seed=seed,
-                refresh_policy=policy,
-                tracer=tracer,
-                metrics=metrics,
-                spans=spans,
-            )
-        aggregate.results.append(result)
-    return aggregate
+    return TechniqueAggregate(technique=technique or "none", results=results)
 
 
 def compare_techniques(
@@ -179,80 +200,19 @@ def compare_techniques(
 
     Identical trace seeds across techniques make the comparison paired,
     which is how the paper evaluates all nine techniques on the same
-    gem5 trace.
+    gem5 trace.  Each seed's trace is built once and read by all the
+    techniques (one grid per seed on the fused engine).
     """
     names = list(techniques) if techniques is not None else technique_names()
-    if is_grid_engine(engine) and tracer is None:
-        # Grid path: every technique rides one decode+replay of the
-        # per-seed trace, which is read once and so never cached.
-        # Per-engine tracers are single-cell only, so a tracer falls
-        # through to the per-cell loop below.
-        return _compare_fused(
-            config, trace_factory, names, seeds, include_unmitigated,
-            metrics=metrics, spans=spans,
+    unmitigated: List[Optional[str]] = [None] if include_unmitigated else []
+    cells = [GridCell(technique) for technique in unmitigated + names]
+    columns = _run_seeds(
+        config, trace_factory, cells, seeds, engine,
+        tracer=tracer, metrics=metrics, spans=spans,
+    )
+    return {
+        cell.technique or "none": TechniqueAggregate(
+            technique=cell.technique or "none", results=results
         )
-    # the per-cell loop reads each seed's trace once per technique
-    cache: Dict[int, Trace] = {}
-
-    def cached_factory(trace_seed: int) -> Trace:
-        trace = cache.get(trace_seed)
-        if trace is None:
-            trace = trace_factory(trace_seed).materialize()
-            cache[trace_seed] = trace
-        return trace
-
-    comparison: Dict[str, TechniqueAggregate] = {}
-    telemetry_kwargs = dict(tracer=tracer, metrics=metrics, spans=spans)
-    if include_unmitigated:
-        comparison["none"] = run_technique(
-            config, None, cached_factory, seeds, engine=engine,
-            **telemetry_kwargs,
-        )
-    for name in names:
-        comparison[name] = run_technique(
-            config, name, cached_factory, seeds, engine=engine,
-            **telemetry_kwargs,
-        )
-    return comparison
-
-
-def _compare_fused(
-    config: SimConfig,
-    trace_factory: TraceFactory,
-    names: Sequence[str],
-    seeds: Sequence[int],
-    include_unmitigated: bool,
-    metrics=None,
-    spans: Optional[SpanTracer] = None,
-) -> Dict[str, TechniqueAggregate]:
-    """Fused-engine comparison: one grid call per trace seed.
-
-    The paired-trace structure (every technique sees the same per-seed
-    trace) maps exactly onto one fused cell grid per seed: the trace
-    varies with the seed, so the seed axis cannot share a decode, but
-    the whole technique axis can.  Results are bit-identical to the
-    per-cell path -- the differential suite pins it.  Each seed
-    records a ``trace`` span and a ``grid`` span holding the grid's
-    lane spans.
-    """
-    from repro.sim.fused_engine import grid_cells, run_simulation_grid
-
-    techniques: List[Optional[str]] = (
-        [None] if include_unmitigated else []
-    ) + list(names)
-    comparison: Dict[str, TechniqueAggregate] = {}
-    for technique in techniques:
-        comparison[technique or "none"] = TechniqueAggregate(
-            technique=technique or "none"
-        )
-    for seed in seeds:
-        with span_of(spans, "trace", seed=seed):
-            trace = trace_factory(derive_seed(seed, "trace"))
-        cells = grid_cells(techniques, (seed,), config=config)
-        with span_of(spans, "grid", seed=seed):
-            results = run_simulation_grid(
-                config, trace, cells, metrics=metrics, spans=spans
-            )
-        for cell, result in zip(cells, results):
-            comparison[cell.technique or "none"].results.append(result)
-    return comparison
+        for cell, results in zip(cells, columns)
+    }

@@ -105,7 +105,7 @@ from repro.mitigations.registry import (
 )
 from repro.rng import derive_seed
 from repro.sim.deciders import _BankRuns, _column, _make_decider
-from repro.sim.engine import check_max_activations, run_simulation
+from repro.sim.engine import check_max_activations, run_simulation, span_attributes
 from repro.sim.metrics import SimResult
 from repro.telemetry.hooks import EngineTelemetry
 from repro.telemetry.spans import SpanTracer
@@ -199,12 +199,7 @@ class _Plan:
     @property
     def attributes(self) -> Dict[str, Any]:
         """The attributes of this cell's lane spans."""
-        technique = (
-            getattr(self.factory, "technique_name", "unknown")
-            if self.factory is not None else "none"
-        )
-        return {"technique": technique, "seed": self.seed,
-                "pbase": self.config.pbase}
+        return span_attributes(self.factory, self.seed, self.config)
 
 
 def _plan_cell(cell: GridCell, base_config: SimConfig) -> _Plan:

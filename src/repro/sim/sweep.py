@@ -9,12 +9,12 @@ plus the ``Pbase`` protection/overhead knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.sim.attacks import flooding_experiment
-from repro.sim.engine import is_grid_engine
-from repro.sim.experiment import TraceFactory, run_technique
+from repro.sim.experiment import TechniqueAggregate, TraceFactory, _run_seeds
+from repro.sim.fused_engine import GridCell
 
 
 def _unique(values: Sequence) -> List:
@@ -26,7 +26,7 @@ def _unique(values: Sequence) -> List:
     are canonicalised to ``float`` before hashing so spellings of the
     same number (``"0.1"`` vs ``"1e-1"`` out of a config file, ``1`` vs
     ``1.0``) collapse to one design point -- without this, a fused
-    pbase sweep would carry duplicate cells through the whole grid.
+    sweep would carry duplicate cells through the whole grid.
     The *first-seen* original value is kept, so integer grids stay
     integers.
     """
@@ -58,33 +58,44 @@ class SweepPoint:
     flood_median_acts: Optional[float] = None
 
 
-def _measure(
+def _sweep(
     config: SimConfig,
-    technique: str,
     trace_factory: TraceFactory,
-    seeds: Sequence[int],
+    technique: str,
     parameter: str,
-    value: float,
+    points: Sequence[Tuple[float, SimConfig]],
+    seeds: Sequence[int],
     check_flooding: bool,
     flood_seeds: Sequence[int],
-    engine: str = "reference",
-) -> SweepPoint:
-    aggregate = run_technique(
-        config, technique, trace_factory, seeds, engine=engine
-    )
-    flood_median = None
-    if check_flooding:
-        outcome = flooding_experiment(config, technique, seeds=flood_seeds)
-        flood_median = outcome.median_acts
-    return SweepPoint(
-        parameter=parameter,
-        value=value,
-        overhead_pct=aggregate.overhead_mean,
-        fpr_pct=aggregate.fpr_mean,
-        flips=aggregate.total_flips,
-        table_bytes=aggregate.table_bytes,
-        flood_median_acts=flood_median,
-    )
+    engine: str,
+) -> List[SweepPoint]:
+    """One :class:`SweepPoint` per ``(value, config)`` design point.
+
+    Each point is a cell with its own config, so every seed's trace is
+    built once and read by the whole sweep -- one grid per seed on the
+    fused engine.
+    """
+    cells = [GridCell(technique, config=cfg) for _, cfg in points]
+    columns = _run_seeds(config, trace_factory, cells, seeds, engine)
+    swept = []
+    for (value, cfg), results in zip(points, columns):
+        aggregate = TechniqueAggregate(technique=technique, results=results)
+        flood_median = None
+        if check_flooding:
+            outcome = flooding_experiment(cfg, technique, seeds=flood_seeds)
+            flood_median = outcome.median_acts
+        swept.append(
+            SweepPoint(
+                parameter=parameter,
+                value=value,
+                overhead_pct=aggregate.overhead_mean,
+                fpr_pct=aggregate.fpr_mean,
+                flips=aggregate.total_flips,
+                table_bytes=aggregate.table_bytes,
+                flood_median_acts=flood_median,
+            )
+        )
+    return swept
 
 
 def sweep_history_table(
@@ -98,17 +109,13 @@ def sweep_history_table(
     engine: str = "reference",
 ) -> List[SweepPoint]:
     """History-table entries vs overhead (paper's fixed point: 32)."""
-    points = []
-    for size in _unique(sizes):
-        cfg = config.scaled(history_table_entries=size)
-        points.append(
-            _measure(
-                cfg, technique, trace_factory, seeds,
-                "history_table_entries", size, check_flooding, flood_seeds,
-                engine=engine,
-            )
-        )
-    return points
+    points = [
+        (size, config.scaled(history_table_entries=size)) for size in _unique(sizes)
+    ]
+    return _sweep(
+        config, trace_factory, technique, "history_table_entries", points,
+        seeds, check_flooding, flood_seeds, engine,
+    )
 
 
 def sweep_counter_table(
@@ -121,17 +128,13 @@ def sweep_counter_table(
     engine: str = "reference",
 ) -> List[SweepPoint]:
     """CaPRoMi counter-table entries (paper's fixed point: 64)."""
-    points = []
-    for size in _unique(sizes):
-        cfg = config.scaled(counter_table_entries=size)
-        points.append(
-            _measure(
-                cfg, "CaPRoMi", trace_factory, seeds,
-                "counter_table_entries", size, check_flooding, flood_seeds,
-                engine=engine,
-            )
-        )
-    return points
+    points = [
+        (size, config.scaled(counter_table_entries=size)) for size in _unique(sizes)
+    ]
+    return _sweep(
+        config, trace_factory, "CaPRoMi", "counter_table_entries", points,
+        seeds, check_flooding, flood_seeds, engine,
+    )
 
 
 def sweep_pbase(
@@ -146,75 +149,20 @@ def sweep_pbase(
 ) -> List[SweepPoint]:
     """``Pbase`` scaling: overhead grows, flood reaction time shrinks.
 
-    With the fused engine (``engine="fused"`` or its alias ``"fast"``)
-    the whole scale axis rides one fused grid per trace seed (the pbase
-    axis is a native fused-grid dimension), instead of one engine call
-    per (scale, seed) pair.
+    Each scale multiplies ``config.pbase`` (after float coercion, so
+    ``"0.5"`` is a scale too) and is one cell of the per-seed run; on
+    the fused engine (``engine="fused"`` or its alias ``"fast"``) the
+    whole scale axis rides one grid per trace seed, the pbase axis
+    being a native grid dimension.
     """
-    scales = _unique(scales)
-    if is_grid_engine(engine):
-        return _sweep_pbase_fused(
-            config, trace_factory, technique, scales, seeds,
-            check_flooding, flood_seeds,
-        )
-    points = []
-    for scale in scales:
-        cfg = config.scaled(pbase=config.pbase * scale)
-        points.append(
-            _measure(
-                cfg, technique, trace_factory, seeds,
-                "pbase_scale", scale, check_flooding, flood_seeds,
-                engine=engine,
-            )
-        )
-    return points
-
-
-def _sweep_pbase_fused(
-    config: SimConfig,
-    trace_factory: TraceFactory,
-    technique: str,
-    scales: Sequence[float],
-    seeds: Sequence[int],
-    check_flooding: bool,
-    flood_seeds: Sequence[int],
-) -> List[SweepPoint]:
-    from repro.rng import derive_seed
-    from repro.sim.experiment import TechniqueAggregate
-    from repro.sim.fused_engine import grid_cells, run_simulation_grid
-
-    aggregates = {
-        float(scale): TechniqueAggregate(technique=technique)
-        for scale in scales
-    }
-    for seed in seeds:
-        trace = trace_factory(derive_seed(seed, "trace"))
-        cells = grid_cells(
-            [technique], (seed,), pbase_scales=scales, config=config
-        )
-        results = run_simulation_grid(config, trace, cells)
-        for scale, result in zip(scales, results):
-            aggregates[float(scale)].results.append(result)
-    points = []
-    for scale in scales:
-        aggregate = aggregates[float(scale)]
-        flood_median = None
-        if check_flooding:
-            cfg = config.scaled(pbase=config.pbase * float(scale))
-            outcome = flooding_experiment(cfg, technique, seeds=flood_seeds)
-            flood_median = outcome.median_acts
-        points.append(
-            SweepPoint(
-                parameter="pbase_scale",
-                value=scale,
-                overhead_pct=aggregate.overhead_mean,
-                fpr_pct=aggregate.fpr_mean,
-                flips=aggregate.total_flips,
-                table_bytes=aggregate.table_bytes,
-                flood_median_acts=flood_median,
-            )
-        )
-    return points
+    points = [
+        (scale, config.scaled(pbase=config.pbase * float(scale)))
+        for scale in _unique(scales)
+    ]
+    return _sweep(
+        config, trace_factory, technique, "pbase_scale", points,
+        seeds, check_flooding, flood_seeds, engine,
+    )
 
 
 def refresh_mapping_ablation(
@@ -238,7 +186,6 @@ def refresh_mapping_ablation(
     from repro.mitigations.registry import make_mitigation
     from repro.rng import derive_seed
     from repro.sim.engine import run_simulation
-    from repro.sim.experiment import TechniqueAggregate
 
     assumed = TechniqueAggregate(technique=f"{technique} (assumed f_r)")
     exact = TechniqueAggregate(technique=f"{technique} (exact f_r)")

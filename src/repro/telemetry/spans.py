@@ -278,7 +278,7 @@ class SpanTracer:
 
         A row aggregates the finished spans of one *label*: the span
         path with each span's ``technique`` attribute appended to its
-        name (``grid/decide[PARA]``), so per-technique lanes and shards
+        name (``simulate/decide[PARA]``), so per-technique lanes and shards
         get rows of their own.  Rows come depth-first, siblings in
         order of first appearance; ``share_pct`` is the row's wall as a
         share of the root rows' total wall.

@@ -103,7 +103,8 @@ class TestGridDispatch:
 
         def counting(config, trace, cells, **kwargs):
             grids.append(len(cells))
-            return real(config, trace, cells, metrics=registry, **kwargs)
+            kwargs["metrics"] = registry
+            return real(config, trace, cells, **kwargs)
 
         monkeypatch.setattr(fused, "run_simulation_grid", counting)
 

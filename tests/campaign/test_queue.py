@@ -12,6 +12,7 @@ for fused block tickets (one ticket per seed), which a campaign without
 a retry policy, fault injector or tracer publishes.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -101,6 +102,31 @@ def reap(procs, queue_dir):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+
+
+def live_group_members(pgid):
+    """The pids of process group *pgid* that are still running (zombies
+    awaiting their reaper are dead)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # the fields after ``(comm)``: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
 
 
 def wait_until(predicate, timeout=60.0, interval=0.05, message="condition"):
@@ -470,9 +496,12 @@ class TestQueueCampaigns:
             "mode": "hang", "technique": "TWiCe", "seed": 1,
             "seconds": 120,
         }])
+        # the driver leads a process group of its own, which the
+        # workers it spawns join: killing the group takes them along
         proc = subprocess.Popen(
             [sys.executable, "-c", driver], env=env, cwd=REPO_ROOT,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
         )
         store = CampaignStore(ckpt)
         try:
@@ -490,12 +519,15 @@ class TestQueueCampaigns:
             else:
                 pytest.fail("no shard was checkpointed within 60s")
         finally:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
+            # the hung worker reads no stop sentinel before its 120 s
+            # hang ends, so the driver goes down with all its workers
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
-            # the dead driver cannot raise the stop sentinel; do it for
-            # its orphaned workers
-            WorkQueue(qdir).request_stop()
+        wait_until(
+            lambda: not live_group_members(proc.pid),
+            timeout=30, message="the driver's workers to die",
+        )
 
         completed = len(store.status().completed)
         assert 1 <= completed < len(TECHNIQUES) * len(SEEDS)

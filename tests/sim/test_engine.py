@@ -205,3 +205,70 @@ class TestRunCells:
         )
         assert result.as_dict() == expected.as_dict()
         assert len(tracer) > 0  # the tracer reached the cell
+
+    def test_several_fused_cells_with_a_tracer_run_cell_by_cell(self):
+        """A tracer records one cell's event stream, so a traced list of
+        several fused cells runs cell by cell (the grid would raise)
+        and gives the reference engine's results."""
+        config = small_test_config()
+        cells = [
+            GridCell(technique=None, seed=0),
+            GridCell(technique="PARA", seed=1),
+            GridCell(technique="LiPRoMi", seed=2),
+        ]
+        tracer = RecordingTracer()
+        fused = [
+            result.as_dict()
+            for result in run_cells(
+                config, attack_trace(config), cells, "fused", tracer=tracer
+            )
+        ]
+        reference = [
+            result.as_dict()
+            for result in run_cells(config, attack_trace(config), cells, "reference")
+        ]
+        assert fused == reference
+        assert len(tracer) > 0
+
+    def test_refresh_policy_reaches_both_engines(self):
+        from repro.dram.refresh import RandomRefresh
+
+        config = small_test_config()
+        cells = [
+            GridCell(technique=None, seed=0),
+            *grid_cells(["PARA", "LiPRoMi", "TWiCe"], [1], config=config),
+        ]
+
+        def replay(engine, policy):
+            return [
+                result.as_dict()
+                for result in run_cells(
+                    config, attack_trace(config), cells, engine,
+                    refresh_policy=policy,
+                )
+            ]
+
+        policy = RandomRefresh(config.geometry, seed=3)
+        reference = replay("reference", policy)
+        assert replay("fused", policy) == reference
+        # the policy reached the runs: under sequential refresh the
+        # mitigated cells see other disturbance peaks
+        assert reference != replay("reference", None)
+
+    def test_stop_after_first_trigger_reaches_both_engines(self):
+        config = small_test_config()
+        cells = [GridCell(technique="PARA", seed=seed) for seed in (0, 1, 2)]
+        results = {
+            engine: [
+                result.as_dict()
+                for result in run_cells(
+                    config, attack_trace(config), cells, engine,
+                    stop_after_first_trigger=True,
+                )
+            ]
+            for engine in ("reference", "fused")
+        }
+        assert results["fused"] == results["reference"]
+        for result in results["reference"]:
+            # each run ended at its first trigger, long before the trace did
+            assert result["normal_activations"] == result["first_trigger_activation"]

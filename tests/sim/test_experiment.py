@@ -221,8 +221,9 @@ class TestCompare:
 
     def test_reference_cells_record_engine_spans_per_technique(self):
         """The per-cell path hands its tracer to every engine run: each
-        technique's seeds get trace/simulate spans, and the reference
-        engine's setup/replay/drain spans nest under every simulate."""
+        seed gets one trace and one simulate span, and under every
+        simulate the reference engine's setup/replay/drain spans carry
+        their technique, so each technique has engine rows of its own."""
         from repro.telemetry.spans import SpanTracer
 
         config = small_test_config()
@@ -233,19 +234,41 @@ class TestCompare:
             include_unmitigated=True, spans=spans,
         )
         rows = {row["label"]: row for row in spans.timing_report()}
+        assert rows["trace"]["count"] == 2
+        assert rows["simulate"]["count"] == 2
         for technique in ("none", "PARA", "TWiCe"):
-            assert rows[f"trace[{technique}]"]["count"] == 2
-            simulate = f"simulate[{technique}]"
-            assert rows[simulate]["count"] == 2
             for phase in ("setup", "replay", "drain"):
-                assert rows[f"{simulate}/{phase}"]["count"] == 2
+                assert rows[f"simulate/{phase}[{technique}]"]["count"] == 2
             # each run's wall_seconds is its own engine spans
             engine_wall = sum(
-                rows[f"{simulate}/{phase}"]["wall_seconds"]
+                rows[f"simulate/{phase}[{technique}]"]["wall_seconds"]
                 for phase in ("setup", "replay", "drain")
             )
             assert comparison[technique].wall_seconds == \
                 pytest.approx(engine_wall)
+
+    def test_fused_comparison_with_a_tracer_matches_reference(self):
+        """A tracer records one cell's event stream, so a traced fused
+        comparison runs cell by cell instead of raising in the grid,
+        and its results equal the reference engine's."""
+        from repro.telemetry.tracer import RecordingTracer
+
+        config = small_test_config()
+
+        def compare(engine, tracer=None):
+            comparison = compare_techniques(
+                config, trace_factory(config, intervals=8),
+                techniques=("PARA", "TWiCe"), seeds=(0, 1),
+                include_unmitigated=True, engine=engine, tracer=tracer,
+            )
+            return {
+                name: [result.as_dict() for result in aggregate.results]
+                for name, aggregate in comparison.items()
+            }
+
+        tracer = RecordingTracer()
+        assert compare("fused", tracer) == compare("reference")
+        assert len(tracer) > 0
 
 
 class TestDefaultFactory:

@@ -1,5 +1,6 @@
 """Tests for the parameter sweeps."""
 
+import pytest
 
 from repro.config import small_test_config
 from repro.sim.sweep import sweep_counter_table, sweep_history_table, sweep_pbase
@@ -22,6 +23,27 @@ def trace_factory(config):
         )
 
     return factory
+
+
+#: each sweep over three design points and two seeds, on an engine
+SWEEPS = {
+    "history_table": lambda config, engine: sweep_history_table(
+        config, trace_factory(config), sizes=(4, 16, 32), seeds=(0, 1),
+        engine=engine,
+    ),
+    "counter_table": lambda config, engine: sweep_counter_table(
+        config, trace_factory(config), sizes=(8, 16, 64), seeds=(0, 1),
+        engine=engine,
+    ),
+    "pbase": lambda config, engine: sweep_pbase(
+        config, trace_factory(config), scales=(0.5, 1.0, 2.0), seeds=(0, 1),
+        check_flooding=False, engine=engine,
+    ),
+}
+
+
+def point_key(point):
+    return (point.value, point.flips, point.overhead_pct, point.table_bytes)
 
 
 class TestHistorySweep:
@@ -171,29 +193,23 @@ class TestSweepGrids:
         )
         assert [float(point.value) for point in points] == [1.0, 2.0]
 
-    def test_fused_sweep_matches_reference_sweep(self):
-        """The fused pbase sweep path produces the same points as the
-        per-cell reference path (same scales, same aggregates)."""
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_fused_sweep_matches_reference_sweep(self, sweep):
+        """Every sweep gives the same points on the fused engine as on
+        the per-cell reference engine: same values, same aggregates."""
         config = self.config()
-        reference = sweep_pbase(
-            config, trace_factory(config), scales=(0.5, 2.0), seeds=(0, 1),
-            check_flooding=False,
-        )
-        fused = sweep_pbase(
-            config, trace_factory(config), scales=(0.5, 2.0), seeds=(0, 1),
-            check_flooding=False, engine="fused",
-        )
-        assert [point.value for point in fused] == [
-            point.value for point in reference
+        reference = SWEEPS[sweep](config, "reference")
+        fused = SWEEPS[sweep](config, "fused")
+        assert len(reference) == 3
+        assert [point_key(point) for point in fused] == [
+            point_key(point) for point in reference
         ]
-        for ref, fus in zip(reference, fused):
-            assert fus.flips == ref.flips
-            assert fus.overhead_pct == ref.overhead_pct
 
-    def test_fast_alias_runs_one_grid_per_trace_seed(self, monkeypatch):
-        """``fast`` names the fused engine, so its pbase sweep rides one
-        grid per trace seed as a ``fused`` one does, each decoding its
-        trace once."""
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_fast_alias_runs_one_grid_per_trace_seed(self, monkeypatch, sweep):
+        """``fast`` names the fused engine, so each sweep rides one grid
+        per trace seed, every design point a cell, as a ``fused`` one
+        does, each grid decoding its trace once."""
         import repro.sim.fused_engine as fused
         from repro.telemetry.metrics import MetricsRegistry
 
@@ -204,20 +220,18 @@ class TestSweepGrids:
 
         def counting(config, trace, cells, **kwargs):
             grids.append(len(cells))
-            return real(config, trace, cells, metrics=registry, **kwargs)
+            kwargs["metrics"] = registry
+            return real(config, trace, cells, **kwargs)
 
         monkeypatch.setattr(fused, "run_simulation_grid", counting)
 
         def replay(engine):
             grids.clear()
             registry.counters.clear()
-            points = sweep_pbase(
-                config, trace_factory(config), scales=(0.5, 1.0, 2.0),
-                seeds=(0, 1), check_flooding=False, engine=engine,
-            )
+            points = SWEEPS[sweep](config, engine)
             return (
                 list(grids), registry.counters["fused.segments"].value,
-                [(point.value, point.flips, point.overhead_pct) for point in points],
+                [point_key(point) for point in points],
             )
 
         fast = replay("fast")

@@ -378,7 +378,7 @@ class TestProfileCli:
             "run", "--technique", "PARA",
             "--trace", "tests/fixtures/golden_trace.txt",
         ])
-        assert names == {"setup", "replay", "drain"}
+        assert names == {"setup[PARA]", "replay[PARA]", "drain[PARA]"}
 
     def test_compare_fused_has_per_technique_lane_rows(self, capsys):
         techniques = ["PARA", "TWiCe", "LiPRoMi"]
@@ -390,9 +390,9 @@ class TestProfileCli:
         for technique in techniques:
             assert f"decide[{technique}]" in names
             assert f"resolve[{technique}]" in names
-        assert {"trace", "grid", "decode", "device[none]"} <= names
+        assert {"trace", "simulate", "decode", "device[none]"} <= names
         lanes = [row for row in rows if row[1] == "decide[PARA]"]
-        assert lanes[0][0] == 1 and lanes[0][3] == 2  # under grid, per seed
+        assert lanes[0][0] == 1 and lanes[0][3] == 2  # under simulate, per seed
 
     def test_campaign_rows(self, capsys, tmp_path):
         names, rows = self.profile(capsys, [

@@ -315,7 +315,7 @@ def test_campaign_disabled_observability_overhead(benchmark, paper_config):
     """Disabled spans + no status bus must not regress ``run_campaign``.
 
     The observability plane threads span tracers, heartbeats, and
-    progress dispatch through every campaign path; this guard (the
+    the progress callback through every campaign path; this guard (the
     ``NullTracer`` guard's sibling) pins the disabled-path cost: a
     campaign handed a disabled :class:`SpanTracer` and no
     :class:`StatusBus` must run as fast as one with no observability

@@ -52,7 +52,6 @@ from repro.rng import derive_seed, stream
 from repro.sim.engine import ENGINE_NAMES, is_grid_engine, run_cells
 from repro.sim.fused_engine import GridCell
 from repro.sim.parallel import parallel_map
-from repro.telemetry.progress import ProgressDispatcher
 from repro.telemetry.spans import span_of
 from repro.traces.mixer import build_trace
 
@@ -313,11 +312,9 @@ def run_search(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     workers: Optional[int] = 0,
-    chunk_size: Optional[int] = None,
     metrics=None,
     on_generation: Optional[Callable[[int, List[Candidate]], None]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    on_event=None,
     spans=None,
 ) -> SearchOutcome:
     """Run (or resume) an adversary search against one technique.
@@ -331,10 +328,7 @@ def run_search(
       dominated by engine start-up otherwise).
     * ``on_generation(index, candidates)`` fires after each *newly
       evaluated* generation is checkpointed (not for replayed ones);
-      ``progress(evaluations, budget)`` after every generation, and
-      ``on_event`` receives the same ticks as unified
-      :class:`~repro.telemetry.progress.ProgressEvent` records
-      (``kind="adversary"``, ``unit="evaluations"``).
+      ``progress(evaluations, budget)`` after every generation.
     * ``spans`` -- optional :class:`~repro.telemetry.spans.SpanTracer`:
       the search records a ``search`` root span with one ``generation``
       child per generation (``replayed`` marks checkpoint replays);
@@ -373,9 +367,6 @@ def run_search(
     evaluations = 0
     generation = 0
 
-    dispatcher = ProgressDispatcher("adversary", unit="evaluations")
-    dispatcher.add_legacy(progress)
-    dispatcher.add_listener(on_event)
     root_span = (
         spans.start(
             "search", technique=settings.technique,
@@ -411,8 +402,7 @@ def run_search(
                         for genome in genomes
                     ]
                     measured = parallel_map(
-                        evaluate_genome, jobs, workers=workers,
-                        chunk_size=chunk_size, spans=spans,
+                        evaluate_genome, jobs, workers=workers, spans=spans,
                     )
                     candidates = [
                         Candidate(
@@ -446,10 +436,8 @@ def run_search(
                         len(candidates)
                     )
                     metrics.counter("adversary.generations").add(1)
-            if dispatcher:
-                dispatcher.emit(
-                    evaluations, settings.budget, generation=generation,
-                )
+            if progress is not None:
+                progress(evaluations, settings.budget)
             generation += 1
     finally:
         if root_span is not None:

@@ -9,7 +9,7 @@ Layout of a search checkpoint directory::
 
 The design mirrors :class:`repro.campaign.store.CampaignStore` and
 shares its durability primitive
-(:func:`repro.campaign.store.write_json_atomic`): every write is atomic,
+(:func:`repro.telemetry.statusbus.write_json_atomic`): every write is atomic,
 the *generation* file is the unit of resume, and resuming replays
 stored generations in order before evaluating anything new.  Because
 each generation's proposals are derived from a per-generation RNG
@@ -25,13 +25,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from repro.campaign.store import (
-    CampaignStateError,
-    CheckpointMismatchError,
-    write_json_atomic,
-)
+from repro.campaign.store import CampaignStateError, CheckpointMismatchError
 from repro.config import SimConfig
 from repro.telemetry.manifest import config_as_dict, config_digest
+from repro.telemetry.statusbus import write_json_atomic
 
 #: bump when the search checkpoint layout changes incompatibly; 2:
 #: ``"fast"`` searches evaluate genomes on the fused grid, as

@@ -9,8 +9,9 @@ Public surface:
 
 * :func:`run_durable_campaign` -- checkpointed/resumable wrapper
   around :func:`repro.sim.parallel.run_campaign`;
-* :class:`CampaignStore` / :class:`CampaignSpec` /
-  :class:`ShardRecord` -- the checkpoint persistence layer;
+* :class:`CampaignStore` / :class:`CampaignSpec` -- the checkpoint
+  persistence layer, which stores one
+  :class:`~repro.sim.executors.ShardRecord` per completed shard;
 * :class:`FaultInjector` -- deterministic crash/hang/error injection
   for fault-tolerance tests (never active unless explicitly supplied
   or set through ``REPRO_FAULT_INJECT``);
@@ -43,12 +44,10 @@ from repro.campaign.store import (
     CampaignStatus,
     CampaignStore,
     CheckpointMismatchError,
-    ShardRecord,
-    write_json_atomic,
 )
+from repro.sim.executors import ShardRecord
 
 __all__ = [
-    "write_json_atomic",
     "CRASH_EXIT_CODE",
     "FAULT_ENV_VAR",
     "FaultInjector",

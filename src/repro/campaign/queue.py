@@ -19,7 +19,7 @@ shared directory::
         leases/
             <ticket>.json # in flight: renamed from tickets/, mtime = liveness
         results/
-            <shard>.json  # completed ShardOutcome records (atomic writes)
+            <shard>.json  # one completed ShardRecord each (atomic writes)
         failed/
             <ticket>.json # per-attempt failure reports from workers
         traces/
@@ -58,8 +58,9 @@ unresolved ticket that is absent from every stage, which makes the
 queue self-healing against lost files.
 
 Determinism: a shard is a pure function of its ticket (config, seed,
-engine, trace), results are rehydrated through the exact serialisation
-the checkpoint store uses, and the runner returns outcomes in
+engine, trace), results travel as the same
+:class:`~repro.sim.executors.ShardRecord` JSON the checkpoint store
+writes, and the runner returns records in
 canonical input order -- so a queue campaign's aggregates are
 bit-identical to a serial or pool run of the same grid, no matter how
 many workers raced, died, or were SIGKILLed along the way
@@ -95,8 +96,7 @@ from repro.sim.executors import (
     CampaignJob,
     ExecutionContext,
     Executor,
-    JobOutcome,
-    ShardOutcome,
+    ShardRecord,
     ShardTimeout,
     _charge,
     _count,
@@ -639,8 +639,8 @@ class _Unit:
     index: int
     attempts: int = 0
     resolved: bool = False
-    #: member outcomes ingested so far, by shard id
-    landed: Dict[str, JobOutcome] = field(default_factory=dict)
+    #: member records ingested so far, by shard id
+    landed: Dict[str, ShardRecord] = field(default_factory=dict)
 
     def describe(self) -> str:
         return _describe(self.ticket.techniques, self.ticket.seed)
@@ -757,9 +757,9 @@ class QueueExecutor(Executor):
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
+    ) -> List[Optional[List[ShardRecord]]]:
         """Publish every unit's ticket, then poll until each unit has
-        delivered its member outcomes or been exhausted."""
+        delivered its member records or been exhausted."""
         wq, trace_names = self._open(
             jobs[0].engine if jobs else None, _shards(jobs),
             [job.trace_path for job in jobs],
@@ -770,7 +770,7 @@ class QueueExecutor(Executor):
             ), index)
             for index, job in enumerate(jobs)
         ]
-        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
+        slots: List[Optional[List[ShardRecord]]] = [None] * len(jobs)
         policy = ctx.policy
         total = sum(len(unit.ticket.shards) for unit in units)
         by_ticket = {unit.ticket.shard: unit for unit in units}
@@ -836,18 +836,17 @@ class QueueExecutor(Executor):
                     if unit is None or unit.resolved:
                         continue
                     try:
-                        outcome = ShardOutcome.from_dict(record).as_tuple()
+                        unit.landed[shard] = ShardRecord.from_dict(record)
                     except (KeyError, TypeError, ValueError):
                         torn.append(wq.result_path(shard))
                         continue
                     ingested.add(shard)
-                    unit.landed[shard] = outcome
                     members = unit.ticket.shards
                     if len(unit.landed) == len(members):
                         done += len(members)
                         landed = [unit.landed[m] for m in members]
-                        outcomes[unit.index] = landed
-                        _land(ctx, landed, unit.attempts + 1)
+                        slots[unit.index] = landed
+                        _land(ctx, landed)
                         resolve(unit)
                         progressed = True
                 swept = wq.sweep(torn)
@@ -928,7 +927,7 @@ class QueueExecutor(Executor):
             if self.stop_workers:
                 wq.request_stop()
             self._reap_workers(procs)
-        return outcomes
+        return slots
 
 
 def run_worker(
@@ -996,7 +995,7 @@ def run_worker(
         )
         try:
             with beater:
-                outcomes = _run_job(ticket.to_job(wq.root))
+                records = _run_job(ticket.to_job(wq.root))
         except Exception as exc:
             kind = getattr(exc, "shard_fault_kind", "error")
             wq.write_failure(
@@ -1010,23 +1009,20 @@ def run_worker(
                 )
             emit(f"campaign-worker: {ticket.shard} failed ({kind}): {exc}")
         else:
-            for outcome in outcomes:
-                record = ShardOutcome.from_outcome(
-                    outcome, attempts=ticket.attempt + 1
-                ).as_dict()
-                record.update({
+            for record in records:
+                wq.write_result({
+                    **record.as_dict(),
                     "schema_version": QUEUE_SCHEMA_VERSION,
-                    "shard": _shard_id(outcome[0], outcome[1]),
+                    "shard": _shard_id(record.technique, record.seed),
                     "worker": {"pid": os.getpid(), "host": host},
                 })
-                wq.write_result(record)
             wq.release(lease)
             for shard in shards:
                 bus.beat(
                     shard, 1, 1, retries=ticket.attempt, phase="done",
                     host=host,
                 )
-            completed += len(outcomes)
+            completed += len(records)
             emit(f"campaign-worker: {ticket.shard} done")
             if max_shards is not None and completed >= max_shards:
                 emit(f"campaign-worker: {completed} shards done; exiting")

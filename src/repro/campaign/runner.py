@@ -26,16 +26,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.config import SimConfig
 from repro.mitigations.registry import technique_names
 from repro.sim.parallel import (
-    CAMPAIGN_PHASES,
     CampaignResult,
-    JobOutcome,
     ProgressCallback,
     RetryPolicy,
     ShardFailure,
     run_campaign,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.progress import ProgressListener
 from repro.telemetry.spans import SpanTracer
 from repro.telemetry.statusbus import (
     DEFAULT_STALE_AFTER_S,
@@ -43,12 +40,7 @@ from repro.telemetry.statusbus import (
     StatusBus,
 )
 
-from repro.campaign.store import (
-    CampaignSpec,
-    CampaignStateError,
-    CampaignStore,
-    ShardRecord,
-)
+from repro.campaign.store import CampaignSpec, CampaignStateError, CampaignStore
 
 #: orchestration counters recomputed store-wide after every run, so a
 #: resumed campaign reports whole-campaign totals, not this process's
@@ -65,9 +57,7 @@ def run_durable_campaign(
     include_unmitigated: bool = False,
     workers: Optional[int] = None,
     engine: str = "reference",
-    chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics: Optional[MetricsRegistry] = None,
     spans: Optional[SpanTracer] = None,
@@ -111,10 +101,10 @@ def run_durable_campaign(
     ``stale_after`` tunes hung-shard detection (defaults to just under
     ``retry.shard_timeout`` when one is set, so staleness surfaces
     before the kill).  ``spans`` receives the campaign span tree: this
-    invocation's ``campaign`` span with its ``traces`` and ``dispatch``
-    phases (once each, empty when nothing is pending) and the shard
-    spans, which are checkpointed with each shard and re-adopted from
-    the store in canonical order -- so a resumed campaign's span
+    invocation's ``campaign`` span with its ``dispatch`` phase (empty
+    when nothing is pending) and the shard spans, which are
+    checkpointed with each shard and re-adopted from the store in
+    canonical order -- so a resumed campaign's span
     *summary* is bit-identical to an uninterrupted one's.  Neither the
     status directory nor any span/heartbeat state enters the campaign
     spec or its config hash -- toggling observability can never
@@ -197,32 +187,13 @@ def run_durable_campaign(
         # summary still covers pre-interruption shards.  The id seed is
         # the config hash: span ids are stable across runs and resumes.
         scratch_spans = SpanTracer(id_seed=spec.config_hash)
-
-        def persist(outcome: JobOutcome, attempts: int) -> None:
-            name, seed, result, job_metrics, job_spans = outcome
-            store.write_shard(
-                ShardRecord(
-                    technique=name,
-                    seed=seed,
-                    result=result,
-                    attempts=attempts,
-                    metrics=(
-                        job_metrics.as_dict()
-                        if job_metrics is not None else None
-                    ),
-                    spans=job_spans,
-                )
-            )
-
         result = run_campaign(
             config,
             total_intervals,
             seeds=seeds,
             workers=workers,
             engine=engine,
-            chunk_size=chunk_size,
             progress=progress,
-            on_event=on_event,
             tracer=tracer,
             metrics=scratch,
             spans=scratch_spans,
@@ -233,7 +204,7 @@ def run_durable_campaign(
             pairs=pending,
             retry=retry,
             fault_injector=fault_injector,
-            shard_callback=persist,
+            shard_callback=store.write_shard,
             sleep=sleep,
             trace_path=trace_path,
             executor=executor,
@@ -278,15 +249,14 @@ def run_durable_campaign(
         ran = {(name or "none", seed) for name, seed in pending}
         mark = len(spans)
         if pending:
-            own = {"campaign", *(f"campaign/{phase}" for phase in CAMPAIGN_PHASES)}
+            own = {"campaign", "campaign/dispatch"}
             spans.adopt({"spans": [
                 span.as_dict() for span in scratch_spans.spans if span.path in own
             ]})
         else:
             with spans.span("campaign", engine=engine, shards=len(spec.shard_keys())):
-                for phase in CAMPAIGN_PHASES:
-                    with spans.span(phase):
-                        pass
+                with spans.span("dispatch"):
+                    pass
         for key in spec.shard_keys():
             record = shards.get(key)
             if record is not None and record.spans:

@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
-from repro.sim.metrics import SimResult
-from repro.sim.parallel import ShardFailure
+from repro.sim.executors import ShardFailure, ShardRecord
 from repro.telemetry.manifest import config_as_dict, config_digest
 from repro.telemetry.statusbus import write_json_atomic
 
@@ -60,14 +59,6 @@ class CheckpointMismatchError(CampaignStateError):
             "checkpoint belongs to a different campaign -- refusing to "
             f"resume ({details}); use a fresh --checkpoint-dir"
         )
-
-
-# The atomic-write primitive now lives in repro.telemetry.statusbus
-# (the status bus shares the same durability discipline); re-exported
-# here because campaign and adversary checkpoint code has always
-# imported it from this module.
-#: backwards-compatible alias (pre-adversary name)
-_write_json_atomic = write_json_atomic
 
 
 @dataclass
@@ -129,41 +120,6 @@ class CampaignSpec:
 
 
 @dataclass
-class ShardRecord:
-    """One persisted (technique, seed) result."""
-
-    technique: str
-    seed: int
-    result: SimResult
-    attempts: int = 1
-    metrics: Optional[Dict[str, Any]] = None
-    #: serialised worker span tree (:meth:`SpanTracer.as_dict`); resume
-    #: re-adopts these so span summaries match uninterrupted runs
-    spans: Optional[Dict[str, Any]] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "technique": self.technique,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "result": self.result.as_dict(include_wall=True),
-            "metrics": self.metrics,
-            "spans": self.spans,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardRecord":
-        return cls(
-            technique=data["technique"],
-            seed=int(data["seed"]),
-            result=SimResult.from_dict(data["result"]),
-            attempts=int(data.get("attempts", 1)),
-            metrics=data.get("metrics"),
-            spans=data.get("spans"),
-        )
-
-
-@dataclass
 class CampaignStatus:
     """Snapshot of a checkpoint directory for reporting."""
 
@@ -199,7 +155,7 @@ class CampaignStore:
     def initialize(self, spec: CampaignSpec) -> None:
         """Create the checkpoint layout and persist *spec*."""
         self.shard_dir.mkdir(parents=True, exist_ok=True)
-        _write_json_atomic(self.spec_path, spec.as_dict())
+        write_json_atomic(self.spec_path, spec.as_dict())
 
     def read_spec(self) -> CampaignSpec:
         if not self.exists:
@@ -223,7 +179,7 @@ class CampaignStore:
 
     def write_shard(self, record: ShardRecord) -> Path:
         path = self.shard_path(record.technique, record.seed)
-        _write_json_atomic(path, record.as_dict())
+        write_json_atomic(path, record.as_dict())
         return path
 
     def load_shards(self) -> Dict[Tuple[str, int], ShardRecord]:
@@ -290,7 +246,7 @@ class CampaignStore:
         return self.root / FAILURES_FILENAME
 
     def write_failures(self, failures: Sequence[ShardFailure]) -> None:
-        _write_json_atomic(
+        write_json_atomic(
             self.failures_path,
             [failure.as_dict() for failure in failures],
         )

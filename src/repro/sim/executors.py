@@ -6,16 +6,17 @@ the techniques that share its trace -- and an :class:`Executor` is
 leased from a shared filesystem work queue by workers on other hosts
 (see :class:`repro.campaign.queue.QueueExecutor`).  Every lane runs a
 unit with the same :func:`_run_job`, and every technique of a unit is a
-*member* shard with an outcome of its own.  The contract every
+*member* shard with a record of its own.  The contract every
 implementation owes its caller:
 
 * **Ordering** -- :meth:`Executor.execute` returns one slot per input
   unit, in input order, regardless of completion order.  A slot is the
-  list of the unit's member :data:`JobOutcome` records, or ``None`` for
-  a unit degraded under ``on_failure="skip"``.
-* **Streaming** -- ``ctx.shard_callback(outcome, attempts)`` fires for
-  each member as its unit lands (the durable runner checkpoints from
-  it) and ``ctx.progress(done, total)``, counting shards, after every
+  list of the unit's member :class:`ShardRecord` records, or ``None``
+  for a unit degraded under ``on_failure="skip"``.
+* **Streaming** -- ``ctx.shard_callback(record)`` fires for each member
+  as its unit lands, with the attempts it took in ``record.attempts``
+  (the durable runner checkpoints from it), and
+  ``ctx.progress(done, total)``, counting shards, after every
   resolved unit, so completion order is observable even though the
   return value is canonical.
 * **Retry / timeout / degradation** -- ``ctx.retry`` (a
@@ -180,7 +181,7 @@ class CampaignJob:
     so a unit is one seed and a list of techniques that share its trace:
     a single (technique, seed) shard, or a whole seed when the engine has
     a grid form (:func:`repro.sim.parallel.run_campaign` decides).  Each
-    technique of the list is a *member* shard with an outcome of its own.
+    technique of the list is a *member* shard with a record of its own.
     """
 
     config: SimConfig
@@ -211,58 +212,32 @@ class CampaignJob:
     status_dir: Optional[str] = None
 
 
-#: (technique, seed, result, per-unit metrics or None, serialised spans or None)
-JobOutcome = Tuple[
-    str, int, SimResult, Optional[MetricsRegistry], Optional[Dict[str, Any]]
-]
-
-#: called with each completed shard outcome and its attempt count; the
-#: durable campaign runner uses this to checkpoint shards as they land
-ShardCallback = Callable[[JobOutcome, int], None]
-
-
 @dataclass
-class ShardOutcome:
-    """One completed shard, as a named record instead of a bare tuple.
+class ShardRecord:
+    """One completed (technique, seed) shard.
 
-    The typed face of :data:`JobOutcome`: executors that transport
-    results out of process (the filesystem queue) serialise and
-    rehydrate shards through :meth:`as_dict`/:meth:`from_dict`, and
-    the round trip reuses the exact serialisation the checkpoint store
-    uses (``SimResult.as_dict(include_wall=True)``), so a shard that
-    travelled through a queue directory is byte-identical to one that
-    never left the process.
+    The one shard result every layer passes around: :func:`_run_job`
+    returns one per member, executors stream them to the shard
+    callback, the queue ships them through ``results/`` and the
+    checkpoint store persists them, all through :meth:`as_dict` /
+    :meth:`from_dict` (``SimResult.as_dict(include_wall=True)``), so a
+    shard that crossed a process, a queue directory or a resume is
+    byte-identical to one that never left the process.  ``metrics``
+    and ``spans`` are serialised already, which keeps a record
+    JSON-ready wherever it travels.
     """
 
     #: technique name; ``"none"`` stands for the unmitigated baseline
     technique: str
     seed: int
     result: SimResult
-    metrics: Optional[MetricsRegistry] = None
-    #: serialised worker span tree (:meth:`SpanTracer.as_dict`)
-    spans: Optional[Dict[str, Any]] = None
     #: attempts consumed to produce this result (1 = first try worked)
     attempts: int = 1
-
-    @classmethod
-    def from_outcome(
-        cls, outcome: JobOutcome, attempts: int = 1
-    ) -> "ShardOutcome":
-        technique, seed, result, metrics, spans = outcome
-        return cls(
-            technique=technique,
-            seed=seed,
-            result=result,
-            metrics=metrics,
-            spans=spans,
-            attempts=attempts,
-        )
-
-    def as_tuple(self) -> JobOutcome:
-        """The legacy positional view dispatch paths consume."""
-        return (
-            self.technique, self.seed, self.result, self.metrics, self.spans,
-        )
+    #: the unit's :meth:`MetricsRegistry.as_dict` (on its first member)
+    metrics: Optional[Dict[str, Any]] = None
+    #: serialised worker span tree (:meth:`SpanTracer.as_dict`); resume
+    #: re-adopts these so span summaries match uninterrupted runs
+    spans: Optional[Dict[str, Any]] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -270,26 +245,25 @@ class ShardOutcome:
             "seed": self.seed,
             "attempts": self.attempts,
             "result": self.result.as_dict(include_wall=True),
-            "metrics": (
-                self.metrics.as_dict() if self.metrics is not None else None
-            ),
+            "metrics": self.metrics,
             "spans": self.spans,
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardOutcome":
-        metrics = data.get("metrics")
+    def from_dict(cls, data: Dict[str, Any]) -> "ShardRecord":
         return cls(
             technique=data["technique"],
             seed=int(data["seed"]),
             result=SimResult.from_dict(data["result"]),
-            metrics=(
-                MetricsRegistry.from_dict(metrics)
-                if metrics is not None else None
-            ),
-            spans=data.get("spans"),
             attempts=int(data.get("attempts", 1)),
+            metrics=data.get("metrics"),
+            spans=data.get("spans"),
         )
+
+
+#: called with each completed shard's record as it lands; the durable
+#: campaign runner checkpoints shards through it
+ShardCallback = Callable[[ShardRecord], None]
 
 
 def _shard_id(technique: Optional[str], seed: int) -> str:
@@ -324,10 +298,10 @@ def _each(tracers: Sequence[Optional[SpanTracer]], name: str) -> ExitStack:
 
 def _run_job(
     job: CampaignJob, tracer=None, in_worker: bool = True
-) -> List[JobOutcome]:
+) -> List[ShardRecord]:
     """Run one unit: evaluate every member on the seed's trace with
     :func:`~repro.sim.engine.run_cells`, and return the members'
-    outcomes in technique order.
+    records in technique order, stamped with the job's attempt.
 
     The trace is the job's ``trace_path`` file when it has one, else
     the lazy paper workload regenerated from the seed and streamed into
@@ -337,7 +311,7 @@ def _run_job(
     own ``shard -> trace/simulate`` span tree spanning the shared
     window, so a span summary is the same however members are grouped
     into units (the grouping changes on ``--resume``).  The unit's
-    metrics registry ships on the first outcome only, so it merges once.
+    metrics registry ships on the first record only, so it merges once.
     """
     names = [name or "none" for name in job.techniques]
     if job.fault_injector is not None:
@@ -381,18 +355,16 @@ def _run_job(
     if bus is not None:
         for shard in shards:
             bus.beat(shard, 1, 1, retries=job.attempt, phase="done")
-    outcomes: List[JobOutcome] = []
+    records = []
     for name, result, spans in zip(names, results, tracers):
-        outcomes.append((
-            name, job.seed, result, metrics,
-            spans.as_dict() if spans is not None else None,
+        records.append(ShardRecord(
+            technique=name, seed=job.seed, result=result,
+            attempts=job.attempt + 1,
+            metrics=metrics.as_dict() if metrics is not None else None,
+            spans=spans.as_dict() if spans is not None else None,
         ))
         metrics = None
-    return outcomes
-
-
-def _run_chunk(chunk: List[CampaignJob]) -> List[List[JobOutcome]]:
-    return [_run_job(job) for job in chunk]
+    return records
 
 
 def _count(metrics: Optional[MetricsRegistry], name: str, amount: int = 1) -> None:
@@ -475,15 +447,13 @@ def _charge(
     return False
 
 
-def _land(
-    ctx: "ExecutionContext", outcomes: List[JobOutcome], attempts: int
-) -> int:
-    """Stream a finished unit's member outcomes to the shard callback;
+def _land(ctx: "ExecutionContext", records: List[ShardRecord]) -> int:
+    """Stream a finished unit's member records to the shard callback;
     return how many shards landed."""
     if ctx.shard_callback is not None:
-        for outcome in outcomes:
-            ctx.shard_callback(outcome, attempts)
-    return len(outcomes)
+        for record in records:
+            ctx.shard_callback(record)
+    return len(records)
 
 
 def _shards(jobs: Sequence[CampaignJob]) -> int:
@@ -495,8 +465,8 @@ class ExecutionContext:
     """Everything an :class:`Executor` needs besides the jobs.
 
     Built by :func:`repro.sim.parallel.run_campaign` once per dispatch:
-    the retry policy, the caller's metrics registry, the merged
-    progress callback, the per-shard checkpoint hook, the shared
+    the retry policy, the caller's metrics registry, the progress
+    callback, the per-shard checkpoint hook, the shared
     failure list, the injectable backoff clock, the inline tracer (only
     honoured by executors advertising ``supports_tracer``), and the
     campaign's status bus (executors with remote workers relay their
@@ -536,11 +506,11 @@ class Executor(ABC):
     @abstractmethod
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
-        """Run every unit; return each unit's member outcomes, in input
+    ) -> List[Optional[List[ShardRecord]]]:
+        """Run every unit; return each unit's member records, in input
         order.
 
-        Slot *i* holds job *i*'s outcomes (one per technique, in
+        Slot *i* holds job *i*'s records (one per technique, in
         technique order), or ``None`` if the unit exhausted its attempts
         under ``on_failure="skip"`` (one :class:`ShardFailure` per
         member is then in ``ctx.failures``).
@@ -563,15 +533,15 @@ class SerialExecutor(Executor):
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
+    ) -> List[Optional[List[ShardRecord]]]:
         total = _shards(jobs)
-        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
+        slots: List[Optional[List[ShardRecord]]] = [None] * len(jobs)
         done = 0
         for index, job in enumerate(jobs):
             attempt = 0
             while True:
                 try:
-                    outcome = _run_job(
+                    records = _run_job(
                         replace(job, attempt=attempt), tracer=ctx.tracer,
                         in_worker=False,
                     )
@@ -583,84 +553,48 @@ class SerialExecutor(Executor):
                     if delay > 0:
                         ctx.sleep(delay)
                 else:
-                    outcomes[index] = outcome
-                    _land(ctx, outcome, attempt + 1)
+                    slots[index] = records
+                    _land(ctx, records)
                     break
             done += len(job.techniques)
             if ctx.progress is not None:
                 ctx.progress(done, total)
-        return outcomes
+        return slots
 
 
 class PoolExecutor(Executor):
     """Local process-pool execution (the historical default).
 
-    Without a retry policy, units are dispatched in chunks (one pool
-    task runs a whole chunk) to amortise pickling.  With one, dispatch
-    switches to one unit per pool task in retry *rounds*: every pending
-    unit is submitted to a fresh pool, failures are retried next round
-    after the policy's backoff (one sleep per round, the largest delay
-    owed), and a round past ``shard_timeout * ceil(pending / width)``
-    declares its unfinished units hung and kills the pool under them.
-    A worker *crash* breaks the whole pool, so crashes and timeouts
-    also fail every unit in flight -- innocents are retried alongside
-    the guilty and each such event consumes one attempt from all of
-    them; size ``max_retries`` accordingly when crashes repeat.
+    Units are dispatched one per pool task in retry *rounds*: every
+    pending unit is submitted to a fresh pool, failures are retried
+    next round after the policy's backoff (one sleep per round, the
+    largest delay owed), and a round past ``shard_timeout * ceil(pending
+    / width)`` declares its unfinished units hung and kills the pool
+    under them.  Without a retry policy the default
+    :class:`RetryPolicy` applies: no retries, and the first failure is
+    re-raised once its round has landed every other unit.  A worker
+    *crash* breaks the whole pool, so crashes and timeouts also fail
+    every unit in flight -- innocents are retried alongside the guilty
+    and each such event consumes one attempt from all of them; size
+    ``max_retries`` accordingly when crashes repeat.
     """
 
     name: ClassVar[str] = "pool"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers <= 0:
             raise ValueError(
                 f"pool executor needs a positive worker count: {workers} "
                 "(use the serial executor for inline execution)"
             )
         self.workers = workers
-        self.chunk_size = chunk_size
 
     def execute(
         self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
-        if ctx.retry is not None:
-            return self._execute_rounds(jobs, ctx)
-        return self._execute_chunked(jobs, ctx)
-
-    def _execute_chunked(
-        self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
-        total = _shards(jobs)
-        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            pool_width = self.workers or os.cpu_count() or 1
-            chunk_size = max(1, math.ceil(len(jobs) / (4 * pool_width)))
-        done = 0
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                _submit(pool, _run_chunk, list(jobs[start : start + chunk_size])): start
-                for start in range(0, len(jobs), chunk_size)
-            }
-            for future in as_completed(futures):
-                start = futures[future]
-                chunk_outcomes = future.result()
-                outcomes[start : start + len(chunk_outcomes)] = chunk_outcomes
-                for outcome in chunk_outcomes:
-                    done += _land(ctx, outcome, 1)
-                if ctx.progress is not None:
-                    ctx.progress(done, total)
-        return outcomes
-
-    def _execute_rounds(
-        self, jobs: Sequence[CampaignJob], ctx: ExecutionContext
-    ) -> List[Optional[List[JobOutcome]]]:
+    ) -> List[Optional[List[ShardRecord]]]:
         policy = ctx.policy
         total = _shards(jobs)
-        outcomes: List[Optional[List[JobOutcome]]] = [None] * len(jobs)
+        slots: List[Optional[List[ShardRecord]]] = [None] * len(jobs)
         attempts = [0] * len(jobs)
         pending = list(range(len(jobs)))
         width = self.workers or os.cpu_count() or 1
@@ -684,17 +618,17 @@ class PoolExecutor(Executor):
                     for future in as_completed(futures, timeout=deadline):
                         index = futures[future]
                         try:
-                            outcome = future.result()
+                            records = future.result()
                         except Exception as exc:
                             failed[index] = exc
                             continue
-                        outcomes[index] = outcome
-                        done += _land(ctx, outcome, attempts[index] + 1)
+                        slots[index] = records
+                        done += _land(ctx, records)
                         if ctx.progress is not None:
                             ctx.progress(done + len(ctx.failures), total)
                 except FuturesTimeout:
                     for future, index in futures.items():
-                        if outcomes[index] is None and index not in failed:
+                        if slots[index] is None and index not in failed:
                             job = jobs[index]
                             failed[index] = ShardTimeout(
                                 f"{_describe(job.techniques, job.seed)} "
@@ -719,14 +653,10 @@ class PoolExecutor(Executor):
                 if delay > 0:
                     ctx.sleep(delay)
             pending = retry_next
-        return outcomes
+        return slots
 
 
-def get_executor(
-    spec: Any = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> Executor:
+def get_executor(spec: Any = None, workers: Optional[int] = None) -> Executor:
     """Resolve an executor spec (name, instance, or None) to an instance.
 
     ``None``/``"auto"`` keep the historical ``workers`` semantics:
@@ -743,11 +673,11 @@ def get_executor(
     if spec is None or spec == "auto":
         if workers == 0:
             return SerialExecutor()
-        return PoolExecutor(workers=workers, chunk_size=chunk_size)
+        return PoolExecutor(workers=workers)
     if spec == "serial":
         return SerialExecutor()
     if spec == "pool":
-        return PoolExecutor(workers=workers, chunk_size=chunk_size)
+        return PoolExecutor(workers=workers)
     if spec == "queue":
         raise ValueError(
             "the queue executor needs a queue directory: construct "

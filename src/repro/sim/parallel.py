@@ -17,9 +17,8 @@ trace deterministically where it runs, streaming it into the replay;
 every unit of a seed, and so every technique, sees the same trace.
 Only a caller's trace file is shared between units, by path.
 
-In pool mode, units are dispatched in chunks (one pool task runs a
-whole chunk) to amortise pickling overhead, and an optional
-``progress`` callback is invoked as chunks complete.
+In pool mode, each unit is one pool task, and an optional
+``progress(done, total)`` callback is invoked as units complete.
 
 Passing a :class:`RetryPolicy` turns on fault tolerance: a crashed or
 hung shard is retried with exponential backoff up to ``max_retries``
@@ -46,22 +45,18 @@ from repro.sim.engine import is_grid_engine
 from repro.sim.executors import (
     CampaignJob,
     ExecutionContext,
-    JobOutcome,
     ProgressCallback,
     RetryPolicy,
     ShardCallback,
     ShardFailure,
+    ShardRecord,
     _count,
     get_executor,
 )
 from repro.sim.experiment import TechniqueAggregate
-from repro.telemetry.progress import ProgressDispatcher, ProgressListener
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, span_of
 from repro.telemetry.statusbus import CampaignSnapshot, StatusBus
-
-
-#: the phase spans :func:`run_campaign` opens under its root, once each
-CAMPAIGN_PHASES = ("traces", "dispatch")
 
 
 class CampaignResult(Dict[str, TechniqueAggregate]):
@@ -79,6 +74,15 @@ class CampaignResult(Dict[str, TechniqueAggregate]):
     @property
     def degraded(self) -> bool:
         return bool(self.failures)
+
+
+def _retries(metrics: Optional[MetricsRegistry]) -> int:
+    """The ``campaign.shard_retries`` count so far (0 without metrics)."""
+    counter = (
+        metrics.counters.get("campaign.shard_retries")
+        if metrics is not None else None
+    )
+    return counter.value if counter else 0
 
 
 def _map_chunk(
@@ -103,9 +107,6 @@ def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    on_event: Optional[ProgressListener] = None,
     spans: Optional[SpanTracer] = None,
 ) -> List[Any]:
     """Order-preserving map over a process pool.
@@ -115,56 +116,43 @@ def parallel_map(
     that only depends on ``fn`` being pure is bit-identical across
     ``workers`` settings.  ``workers=0`` maps inline (debuggers,
     coverage, tracers); otherwise *fn* and every item must be picklable
-    and items are dispatched in chunks like :func:`run_campaign`.
+    and items are dispatched in chunks, about four per worker, to
+    amortise pickling.
 
-    Progress is reported both ways: the legacy ``progress(done,
-    total)`` callable and an ``on_event`` listener receiving
-    :class:`~repro.telemetry.progress.ProgressEvent` records
-    (``kind="parallel_map"``, ``unit="items"``) fire together as
-    chunks complete.  ``spans`` records a ``parallel_map`` span with
-    ``chunk``/``item`` children; pool workers record their chunk's
-    spans locally and the tree is re-parented on merge.
+    ``spans`` records a ``parallel_map`` span with ``chunk``/``item``
+    children; pool workers record their chunk's spans locally and the
+    tree is re-parented on merge.
     """
     items = list(items)
     total = len(items)
-    dispatcher = ProgressDispatcher("parallel_map", unit="items")
-    dispatcher.add_legacy(progress)
-    dispatcher.add_listener(on_event)
     collect_spans = spans is not None and spans.enabled
     with span_of(spans, "parallel_map", items=total):
         if workers == 0 or total == 0:
             results: List[Any] = []
             # one logical chunk, so inline and pool runs share paths
             with span_of(spans, "chunk", items=total):
-                for index, item in enumerate(items):
+                for item in items:
                     with span_of(spans, "item"):
                         results.append(fn(item))
-                    if dispatcher:
-                        dispatcher.emit(index + 1, total)
             return results
-        if chunk_size is None:
-            pool_width = workers or os.cpu_count() or 1
-            chunk_size = max(1, math.ceil(total / (4 * pool_width)))
+        pool_width = workers or os.cpu_count() or 1
+        per_chunk = max(1, math.ceil(total / (4 * pool_width)))
         results = [None] * total
-        done = 0
         span_seed = spans.id_seed if collect_spans else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
-                    _map_chunk, fn, items[start : start + chunk_size],
+                    _map_chunk, fn, items[start : start + per_chunk],
                     span_seed, start,
                 ): start
-                for start in range(0, total, chunk_size)
+                for start in range(0, total, per_chunk)
             }
             for future in as_completed(futures):
                 start = futures[future]
                 chunk_results, chunk_spans = future.result()
                 results[start : start + len(chunk_results)] = chunk_results
-                done += len(chunk_results)
                 if collect_spans:
                     spans.adopt(chunk_spans)
-                if dispatcher:
-                    dispatcher.emit(done, total)
     return results
 
 
@@ -176,9 +164,7 @@ def run_campaign(
     include_unmitigated: bool = False,
     workers: Optional[int] = None,
     engine: str = "reference",
-    chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    on_event: Optional[ProgressListener] = None,
     tracer=None,
     metrics=None,
     spans: Optional[SpanTracer] = None,
@@ -209,9 +195,9 @@ def run_campaign(
     A seed's trace is generated where its unit runs and streamed into
     the replay, once per unit: a seed split into per-shard units is
     generated once per shard.  ``engine`` selects the simulation engine (see
-    :data:`repro.sim.engine.ENGINE_NAMES`); ``chunk_size`` units are
-    grouped into one pool task (default: about four chunks per worker);
-    ``progress(done, total)`` is called after each completed chunk.
+    :data:`repro.sim.engine.ENGINE_NAMES`); ``progress(done, total)``,
+    counting shards, is called after each completed unit, and an
+    exception it raises is swallowed: observing never stops the work.
 
     ``metrics`` works in every mode: pool workers collect their own
     registry and the shards are merged into the caller's on return.
@@ -219,8 +205,7 @@ def run_campaign(
     tracer requires ``workers=0``.
 
     ``spans`` works in every mode like ``metrics``: the campaign root
-    span holds one ``traces`` span (empty: units generate their own
-    traces) and one ``dispatch`` span (the executor run), and each
+    span holds one ``dispatch`` span (the executor run), and each
     shard records a local ``shard -> trace/simulate`` span tree
     (in a whole-seed unit, every member's records span the shared
     replay window) and ships it back for re-parenting under the
@@ -235,9 +220,7 @@ def run_campaign(
     ``shard_timeout`` kill fires.  ``status_done_base`` offsets every
     published snapshot by shards completed *before* this invocation,
     so a resumed durable campaign reports whole-campaign totals
-    instead of remainder-only ones.  ``on_event`` receives unified
-    :class:`~repro.telemetry.progress.ProgressEvent` records
-    alongside the legacy ``progress`` callable.  All three are pure
+    instead of remainder-only ones.  All of these are pure
     observation: results are bit-identical with them on or off.
 
     ``trace_path`` replays one pre-serialised ``.npz`` trace (e.g. an
@@ -250,10 +233,10 @@ def run_campaign(
     (technique, seed) work list -- the durable campaign runner passes
     the not-yet-completed remainder here on resume.  ``retry`` enables
     worker-level fault tolerance (see :class:`RetryPolicy`): units become
-    single shards, and in pool mode dispatch switches from chunks to
-    one unit per pool task, so failures are attributed to single
-    shards.  ``shard_callback(outcome, attempts)`` fires as each shard
-    completes (checkpointing hook), and ``fault_injector`` plants
+    single shards, so failures are attributed to single shards.
+    ``shard_callback(record)`` fires with each shard's
+    :class:`~repro.sim.executors.ShardRecord` as it completes
+    (checkpointing hook), and ``fault_injector`` plants
     deterministic test faults in the workers.
     ``sleep`` is the backoff clock (injectable for tests).
 
@@ -263,7 +246,7 @@ def run_campaign(
     """
     # validates the name before spawning anything
     grid_engine = is_grid_engine(engine)
-    runner = get_executor(executor, workers=workers, chunk_size=chunk_size)
+    runner = get_executor(executor, workers=workers)
     tracer_enabled = tracer is not None and getattr(tracer, "enabled", True)
     if tracer_enabled and not runner.supports_tracer:
         raise ValueError(
@@ -285,43 +268,45 @@ def run_campaign(
     collect_spans = spans is not None and spans.enabled
     span_seed = spans.id_seed if collect_spans else ""
     status_dir = str(status.root) if status is not None else None
-    dispatcher = ProgressDispatcher("campaign", unit="shards")
-    dispatcher.add_legacy(progress)
-    dispatcher.add_listener(on_event)
     started_mono = time.monotonic()
-    if status is not None:
-        stale_seen: set = set()
+    stale_seen: set = set()
 
-        def _publish_status(event) -> None:
+    def observe(done: int, total: int) -> None:
+        """Report a tick to the caller's ``progress``, then publish the
+        status-bus snapshot; an observer's failure never stops the
+        campaign."""
+        if progress is not None:
+            try:
+                progress(done, total)
+            except Exception:  # noqa: BLE001 - observers must not kill work
+                pass
+        if status is None:
+            return
+        try:
             stale = status.stale_workers()
             for heartbeat in stale:
                 if heartbeat.worker not in stale_seen:
                     stale_seen.add(heartbeat.worker)
                     _count(metrics, "campaign.workers_stale")
-            retries = 0
-            if metrics is not None:
-                retry_counter = metrics.counters.get("campaign.shard_retries")
-                retries = retry_counter.value if retry_counter else 0
             status.publish_snapshot(CampaignSnapshot(
-                done=status_done_base + event.done,
-                total=status_done_base + event.total,
+                done=status_done_base + done,
+                total=status_done_base + total,
                 degraded=len(failures),
-                retries=retries,
+                retries=_retries(metrics),
                 stale=len(stale),
                 started_mono=started_mono,
                 mono=time.monotonic(),
-                complete=event.done >= event.total,
+                complete=done >= total,
             ))
+        except OSError:
+            pass  # a missed snapshot is superseded by the next tick's
 
-        dispatcher.add_listener(_publish_status)
+    if status is not None:
         status.publish_snapshot(CampaignSnapshot(
             done=status_done_base,
             total=status_done_base + len(pair_list),
             started_mono=started_mono, mono=started_mono,
         ))
-    progress_cb: Optional[ProgressCallback] = (
-        dispatcher.emit if dispatcher else None
-    )
     root_span = (
         spans.start("campaign", engine=engine, shards=len(pair_list))
         if collect_spans else None
@@ -342,10 +327,7 @@ def run_campaign(
     try:
         # Every unit generates its seed's trace where it runs (the
         # generator is deterministic in the seed, so all units of a seed
-        # read the same trace).  The traces phase is therefore empty; it
-        # stays so that a campaign's span tree keeps its two phases.
-        with span_of(spans, "traces"):
-            pass
+        # read the same trace).
         jobs = [
             CampaignJob(
                 config=config,
@@ -366,7 +348,10 @@ def run_campaign(
         ctx = ExecutionContext(
             retry=retry,
             metrics=metrics,
-            progress=progress_cb,
+            progress=(
+                observe if progress is not None or status is not None
+                else None
+            ),
             shard_callback=shard_callback,
             failures=failures,
             sleep=sleep,
@@ -374,47 +359,42 @@ def run_campaign(
             status=status,
         )
         with span_of(spans, "dispatch"):
-            unit_outcomes = runner.execute(jobs, ctx)
+            slots = runner.execute(jobs, ctx)
         index_of = {
             (name or "none", seed): index
             for index, (name, seed) in enumerate(pair_list)
         }
-        outcomes: List[Optional[JobOutcome]] = [None] * len(pair_list)
-        for members in unit_outcomes:
-            for outcome in members or ():
-                outcomes[index_of[(outcome[0], outcome[1])]] = outcome
+        records: List[Optional[ShardRecord]] = [None] * len(pair_list)
+        for members in slots:
+            for record in members or ():
+                records[index_of[(record.technique, record.seed)]] = record
     finally:
         if collect_spans:
             spans.finish()  # close the campaign root span
-    # outcomes is ordered by job index (technique-major, seed-minor)
+    # records is ordered by job index (technique-major, seed-minor)
     # regardless of completion order; degraded shards stay None
     aggregates = CampaignResult(failures=failures)
     for name in ordered_names:
         aggregates[name] = TechniqueAggregate(technique=name)
     completed = 0
-    for outcome in outcomes:
-        if outcome is None:
+    for record in records:
+        if record is None:
             continue
-        name, _seed, result, job_metrics, job_spans = outcome
-        aggregates[name].results.append(result)
+        aggregates[record.technique].results.append(record.result)
         completed += 1
-        if metrics is not None and job_metrics is not None:
-            metrics.merge(job_metrics)
-        if collect_spans and job_spans is not None:
-            spans.adopt(job_spans, parent=root_span)
+        if metrics is not None and record.metrics is not None:
+            metrics.merge(MetricsRegistry.from_dict(record.metrics))
+        if collect_spans and record.spans is not None:
+            spans.adopt(record.spans, parent=root_span)
     for failure in failures:
         aggregates[failure.technique].degraded_seeds.append(failure.seed)
     _count(metrics, "campaign.shards_completed", completed)
     if status is not None:
-        final_retries = 0
-        if metrics is not None:
-            retry_counter = metrics.counters.get("campaign.shard_retries")
-            final_retries = retry_counter.value if retry_counter else 0
         status.publish_snapshot(CampaignSnapshot(
             done=status_done_base + completed,
             total=status_done_base + len(pair_list),
             degraded=len(failures),
-            retries=final_retries,
+            retries=_retries(metrics),
             started_mono=started_mono,
             mono=time.monotonic(),
             complete=completed + len(failures) >= len(pair_list),

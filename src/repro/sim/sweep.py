@@ -181,30 +181,27 @@ def refresh_mapping_ablation(
     device) and once with the policy's exact inverse mapping
     (:meth:`~repro.dram.refresh.RefreshPolicy.refresh_slot_of`), and
     returns both aggregates so the cost of the assumption can be read
-    off directly.  Returns ``(assumed, exact)``.
+    off directly.  Each seed's trace is built once and replayed by both
+    cells on the reference engine.  Returns ``(assumed, exact)``.
     """
-    from repro.mitigations.registry import make_mitigation
     from repro.rng import derive_seed
-    from repro.sim.engine import run_simulation
+    from repro.sim.engine import run_cells
 
     assumed = TechniqueAggregate(technique=f"{technique} (assumed f_r)")
     exact = TechniqueAggregate(technique=f"{technique} (exact f_r)")
     for seed in seeds:
         policy = policy_factory(seed)
-        for aggregate, slot_fn in (
-            (assumed, None),
-            (exact, policy.refresh_slot_of),
-        ):
-            kwargs = {"refresh_slot_fn": slot_fn} if slot_fn else {}
-
-            def factory(cfg, bank, factory_seed, _kwargs=kwargs):
-                return make_mitigation(
-                    technique, cfg, bank=bank, seed=factory_seed, **_kwargs
-                )
-
-            trace = trace_factory(derive_seed(seed, "trace"))
-            result = run_simulation(
-                config, trace, factory, seed=seed, refresh_policy=policy
-            )
+        cells = [
+            GridCell(technique=technique, seed=seed),
+            GridCell(
+                technique=technique, seed=seed,
+                kwargs=(("refresh_slot_fn", policy.refresh_slot_of),),
+            ),
+        ]
+        results = run_cells(
+            config, trace_factory(derive_seed(seed, "trace")), cells,
+            "reference", refresh_policy=policy,
+        )
+        for aggregate, result in zip((assumed, exact), results):
             aggregate.results.append(result)
     return assumed, exact

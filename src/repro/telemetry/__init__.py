@@ -31,11 +31,6 @@ from repro.telemetry.manifest import (
     diff_manifests,
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
-from repro.telemetry.progress import (
-    ProgressDispatcher,
-    ProgressEvent,
-    adapt_legacy,
-)
 from repro.telemetry.spans import Span, SpanTracer, span_id_for, span_of
 from repro.telemetry.statusbus import (
     CampaignSnapshot,
@@ -71,9 +66,6 @@ __all__ = [
     "StatusBus",
     "WorkerHeartbeat",
     "write_json_atomic",
-    "ProgressDispatcher",
-    "ProgressEvent",
-    "adapt_legacy",
     "registry_from_prometheus",
     "to_jsonl",
     "to_prometheus",

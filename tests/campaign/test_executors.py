@@ -15,6 +15,7 @@ import pytest
 from repro.campaign import (
     CampaignStore,
     FaultInjector,
+    InjectedFault,
     QueueExecutor,
     run_durable_campaign,
 )
@@ -104,8 +105,8 @@ class TestExecutorContract:
         frames = []
         campaign(
             config, lane, tmp_path,
-            shard_callback=lambda outcome, attempts: landed.append(
-                (outcome[0], outcome[1], attempts)
+            shard_callback=lambda record: landed.append(
+                (record.technique, record.seed, record.attempts)
             ),
             progress=lambda done, total: frames.append((done, total)),
             **dispatch_kwargs(dispatch),
@@ -137,6 +138,25 @@ class TestExecutorContract:
         counters = metrics.as_dict()["counters"]
         assert counters["campaign.shard_errors"]["value"] == 1
         assert counters["campaign.shard_retries"]["value"] == 1
+
+    @pytest.mark.parametrize("lane", ("serial", "pool"))
+    def test_error_without_retry_policy_is_counted_and_reraised(
+        self, lane, tmp_path
+    ):
+        """No retry policy means the default one: the failed attempt is
+        counted and its exception re-raised, with no retry."""
+        injector = FaultInjector.from_rules([
+            {"mode": "error", "technique": "PARA", "seed": 1}
+        ])
+        metrics = MetricsRegistry()
+        with pytest.raises(InjectedFault):
+            campaign(
+                small_test_config(num_banks=2), lane, tmp_path,
+                fault_injector=injector, metrics=metrics,
+            )
+        counters = metrics.as_dict()["counters"]
+        assert counters["campaign.shard_errors"]["value"] == 1
+        assert "campaign.shard_retries" not in counters
 
     @pytest.mark.parametrize("lane", LANES)
     def test_degraded_accounting_parity(self, lane, tmp_path):

@@ -33,19 +33,14 @@ from repro.campaign import (
     WorkQueue,
     run_durable_campaign,
     run_worker,
-    write_json_atomic,
 )
 from repro.campaign.faults import FAULT_ENV_VAR
 from repro.campaign.queue import QUEUE_SCHEMA_VERSION, TicketSchemaError
 from repro.config import small_test_config
-from repro.sim.executors import (
-    CampaignJob,
-    ShardOutcome,
-    ShardTimeout,
-    _run_job,
-)
+from repro.sim.executors import CampaignJob, ShardTimeout, _run_job
 from repro.sim.parallel import RetryPolicy, run_campaign
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.statusbus import write_json_atomic
 
 TECHNIQUES = ("PARA", "TWiCe")
 SEEDS = (0, 1)
@@ -321,8 +316,7 @@ class TestQueueProtocol:
         results = wq.read_results()
         assert set(results) == {"PARA__s0", "TWiCe__s0"}
         expected = {
-            outcome[0]: ShardOutcome.from_outcome(outcome).as_dict()
-            for outcome in _run_job(block)
+            record.technique: record.as_dict() for record in _run_job(block)
         }
         for shard, record in results.items():
             technique = shard.split("__")[0]

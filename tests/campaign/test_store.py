@@ -1,9 +1,12 @@
 """Tests for the campaign checkpoint store."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.campaign import run_durable_campaign
 from repro.campaign.store import (
     CampaignSpec,
     CampaignStateError,
@@ -14,6 +17,11 @@ from repro.campaign.store import (
 from repro.config import small_test_config
 from repro.sim.metrics import SimResult
 from repro.sim.parallel import ShardFailure
+
+
+#: a checkpoint holding one of two shards, plus the other shard's queue
+#: result, both written by an earlier release of the campaign runner
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "checkpoint"
 
 
 def make_spec(config=None, **overrides):
@@ -137,3 +145,55 @@ class TestStore:
         assert payload["attempts"] == 5
         # no temp litter left behind
         assert list(store.shard_dir.glob("*.tmp")) == []
+
+
+class TestStoredLayout:
+    """Shard files and queue results keep their JSON layout: ones an
+    earlier release wrote load as :class:`ShardRecord` and resume."""
+
+    KWARGS = dict(
+        techniques=("PARA", "TWiCe"), seeds=(0,), workers=0,
+        engine="fused", publish_status=False,
+    )
+
+    @staticmethod
+    def read(name):
+        return json.loads((FIXTURE / name).read_text(encoding="utf-8"))
+
+    def test_stored_files_load_as_shard_records(self):
+        shard = self.read("shards/PARA__s0.json")
+        assert ShardRecord.from_dict(shard).as_dict() == shard
+        result = self.read("queue-result-TWiCe__s0.json")
+        record = ShardRecord.from_dict(result)
+        assert (record.technique, record.seed, record.attempts) == (
+            "TWiCe", 0, 1,
+        )
+        assert record.as_dict() == {
+            key: result[key] for key in record.as_dict()
+        }
+
+    def test_stored_checkpoint_resumes_bit_identically(self, tmp_path):
+        config = small_test_config(num_banks=2)
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(
+            FIXTURE, ckpt, ignore=shutil.ignore_patterns("queue-*"),
+        )
+        resumed = run_durable_campaign(
+            config, 8, ckpt, resume=True, **self.KWARGS
+        )
+        fresh = run_durable_campaign(
+            config, 8, tmp_path / "fresh", **self.KWARGS
+        )
+        canonical = lambda aggregates: {
+            name: [result.as_dict() for result in aggregate.results]
+            for name, aggregate in aggregates.items()
+        }
+        assert canonical(resumed) == canonical(fresh)
+        # the stored shard was folded in as written, not recomputed
+        shard = self.read("shards/PARA__s0.json")
+        assert resumed["PARA"].results[0].as_dict(include_wall=True) == (
+            shard["result"]
+        )
+        # the stored queue result is the shard this release computes
+        queued = ShardRecord.from_dict(self.read("queue-result-TWiCe__s0.json"))
+        assert queued.result.as_dict() == resumed["TWiCe"].results[0].as_dict()

@@ -401,7 +401,7 @@ class TestProfileCli:
             "--engine", "fused", "--checkpoint-dir", str(tmp_path / "ckpt"),
         ])
         assert [row[1] for row in rows if row[0] == 0] == ["campaign"]
-        assert {"traces", "dispatch", "shard[PARA]", "shard[TWiCe]"} <= names
+        assert {"dispatch", "shard[PARA]", "shard[TWiCe]"} <= names
         depth = {(row[0], row[1]) for row in rows}
         assert (2, "trace") in depth and (2, "simulate") in depth
 
@@ -420,7 +420,7 @@ class TestProfileCli:
         names, rows = self.profile(
             capsys, argv + ["--resume", "--metrics-out", str(export)]
         )
-        assert names == {"campaign", "traces", "dispatch"}
+        assert names == {"campaign", "dispatch"}
         paths = parse_jsonl(export.read_text(encoding="utf-8"))["span_paths"]
         assert paths["campaign/shard"] == 2
 

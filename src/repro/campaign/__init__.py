@@ -37,7 +37,7 @@ from repro.campaign.queue import (
     WorkQueue,
     run_worker,
 )
-from repro.campaign.runner import campaign_status, run_durable_campaign
+from repro.campaign.runner import run_durable_campaign
 from repro.campaign.store import (
     CampaignSpec,
     CampaignStateError,
@@ -54,7 +54,6 @@ __all__ = [
     "FaultRule",
     "InjectedFault",
     "SimulatedCrash",
-    "campaign_status",
     "run_durable_campaign",
     "CampaignSpec",
     "CampaignStateError",

@@ -677,8 +677,6 @@ class QueueExecutor(Executor):
         workers: int = 0,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
         poll_interval: float = 0.2,
-        stop_workers: bool = True,
-        max_respawns: Optional[int] = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0: {workers}")
@@ -690,8 +688,6 @@ class QueueExecutor(Executor):
         self.workers = workers
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
-        self.stop_workers = stop_workers
-        self.max_respawns = max_respawns
 
     # -- worker subprocess management ---------------------------------
 
@@ -814,11 +810,7 @@ class QueueExecutor(Executor):
             publish(unit)
         procs = [self._spawn_worker() for _ in range(self.workers)]
         respawns = 0
-        respawn_budget = (
-            self.max_respawns
-            if self.max_respawns is not None
-            else max(4, 2 * total)
-        )
+        respawn_budget = max(4, 2 * total)
         try:
             while open_units:
                 progressed = False
@@ -924,8 +916,7 @@ class QueueExecutor(Executor):
                 if not progressed and open_units:
                     time.sleep(self.poll_interval)
         finally:
-            if self.stop_workers:
-                wq.request_stop()
+            wq.request_stop()
             self._reap_workers(procs)
         return slots
 

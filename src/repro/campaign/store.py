@@ -11,10 +11,11 @@ Layout of a checkpoint directory::
 Every write is atomic (temp file + ``os.replace`` in the same
 directory), so a campaign killed mid-write leaves at worst an ignored
 ``*.tmp`` file -- never a torn shard.  A shard file is the unit of
-resume: :func:`repro.campaign.runner.run_durable_campaign` re-runs
-exactly the (technique, seed) pairs that have no shard file, then
-rebuilds the aggregates from the store in canonical order, which makes
-a killed-and-resumed campaign bit-identical to an uninterrupted one.
+resume: :func:`repro.campaign.runner.run_durable_campaign` reads the
+shard files once and re-runs exactly the (technique, seed) pairs that
+have none; ``run_campaign`` then folds stored and fresh shards together
+in canonical order, which makes a killed-and-resumed campaign
+bit-identical to an uninterrupted one.
 
 The spec reuses :func:`repro.telemetry.manifest.config_digest` (the run
 manifest's config hashing), so "is this checkpoint the same
@@ -31,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.sim.executors import ShardFailure, ShardRecord
+from repro.sim.parallel import fold_shards
 from repro.telemetry.manifest import config_as_dict, config_digest
 from repro.telemetry.statusbus import write_json_atomic
 
@@ -206,9 +208,9 @@ class CampaignStore:
         """Aggregate whatever shards exist right now, in canonical order.
 
         The incremental-aggregation primitive behind live campaign
-        views and every executor's final rebuild: results are folded
-        technique-major, seed-minor -- the campaign's canonical shard
-        order -- so the returned
+        views: the stored shards go through
+        :func:`repro.sim.parallel.fold_shards`, the same fold
+        ``run_campaign`` applies to a finished campaign, so the returned
         :class:`~repro.sim.parallel.CampaignResult` is a pure function
         of the *set* of stored shards.  Two stores holding the same
         shards produce bit-identical aggregates no matter which
@@ -222,22 +224,11 @@ class CampaignStore:
         ``failures`` carries the store's persisted degraded-shard
         records.
         """
-        from repro.sim.experiment import TechniqueAggregate
-        from repro.sim.parallel import CampaignResult
-
         spec = self.read_spec()
-        shards = self.load_shards()
-        aggregates = CampaignResult(failures=self.read_failures())
-        for name in spec.techniques:
-            aggregate = TechniqueAggregate(technique=name)
-            for seed in spec.seeds:
-                record = shards.get((name, seed))
-                if record is not None:
-                    aggregate.results.append(record.result)
-                elif degrade_missing:
-                    aggregate.degraded_seeds.append(seed)
-            aggregates[name] = aggregate
-        return aggregates
+        return fold_shards(
+            spec.techniques, spec.seeds, self.load_shards(),
+            failures=self.read_failures(), degrade_missing=degrade_missing,
+        )
 
     # -- failures ------------------------------------------------------
 

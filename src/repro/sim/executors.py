@@ -235,8 +235,9 @@ class ShardRecord:
     attempts: int = 1
     #: the unit's :meth:`MetricsRegistry.as_dict` (on its first member)
     metrics: Optional[Dict[str, Any]] = None
-    #: serialised worker span tree (:meth:`SpanTracer.as_dict`); resume
-    #: re-adopts these so span summaries match uninterrupted runs
+    #: serialised worker span tree (:meth:`SpanTracer.as_dict`); the
+    #: campaign fold adopts checkpointed ones too, so span summaries of
+    #: resumed runs match uninterrupted ones
     spans: Optional[Dict[str, Any]] = None
 
     def as_dict(self) -> Dict[str, Any]:

@@ -37,7 +37,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.mitigations.registry import technique_names
@@ -55,7 +56,7 @@ from repro.sim.executors import (
 )
 from repro.sim.experiment import TechniqueAggregate
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanTracer, span_of
+from repro.telemetry.spans import Span, SpanTracer, span_of
 from repro.telemetry.statusbus import CampaignSnapshot, StatusBus
 
 
@@ -74,15 +75,6 @@ class CampaignResult(Dict[str, TechniqueAggregate]):
     @property
     def degraded(self) -> bool:
         return bool(self.failures)
-
-
-def _retries(metrics: Optional[MetricsRegistry]) -> int:
-    """The ``campaign.shard_retries`` count so far (0 without metrics)."""
-    counter = (
-        metrics.counters.get("campaign.shard_retries")
-        if metrics is not None else None
-    )
-    return counter.value if counter else 0
 
 
 def _map_chunk(
@@ -156,6 +148,55 @@ def parallel_map(
     return results
 
 
+def _untimed(record: ShardRecord) -> ShardRecord:
+    """*record* with its span tree's clock readings dropped: they timed
+    the invocation that ran the shard, not the one folding it now."""
+    if record.spans is None:
+        return record
+    return replace(record, spans={"spans": [
+        dict(entry, started_mono=None, ended_mono=None, cpu_seconds=None)
+        for entry in record.spans["spans"]
+    ]})
+
+
+def fold_shards(
+    techniques: Sequence[str],
+    seeds: Sequence[int],
+    records: Mapping[Tuple[str, int], ShardRecord],
+    failures: Sequence[ShardFailure] = (),
+    degrade_missing: bool = True,
+    metrics: Optional[MetricsRegistry] = None,
+    spans: Optional[SpanTracer] = None,
+    parent: Optional[Span] = None,
+) -> CampaignResult:
+    """The campaign fold: every (technique, seed) key of the grid once,
+    technique-major and seed-minor.
+
+    A key's record adds its result to the technique's aggregate, merges
+    its metrics into ``metrics`` and has its span tree adopted under
+    ``parent``; a key without one becomes a degraded seed if
+    ``degrade_missing`` (a finished campaign's view) and is left out
+    otherwise (a mid-run view).  The fixed order makes the result --
+    histogram float sums included -- a pure function of the *set* of
+    records, whatever executor, arrival order or resumes produced it.
+    """
+    aggregates = CampaignResult(failures=failures)
+    for name in techniques:
+        aggregate = aggregates[name] = TechniqueAggregate(technique=name)
+        for seed in seeds:
+            record = records.get((name, seed))
+            if record is None:
+                if degrade_missing:
+                    aggregate.degraded_seeds.append(seed)
+                continue
+            aggregate.results.append(record.result)
+            if metrics is not None and record.metrics is not None:
+                metrics.merge(MetricsRegistry.from_dict(record.metrics))
+            if spans is not None and record.spans is not None:
+                spans.adopt(record.spans, parent=parent)
+    return aggregates
+
+
 def run_campaign(
     config: SimConfig,
     total_intervals: int,
@@ -169,8 +210,7 @@ def run_campaign(
     metrics=None,
     spans: Optional[SpanTracer] = None,
     status: Optional[StatusBus] = None,
-    status_done_base: int = 0,
-    pairs: Optional[Sequence[Tuple[Optional[str], int]]] = None,
+    completed: Optional[Mapping[Tuple[str, int], ShardRecord]] = None,
     retry: Optional[RetryPolicy] = None,
     fault_injector=None,
     shard_callback: Optional[ShardCallback] = None,
@@ -193,35 +233,39 @@ def run_campaign(
     suite pin this.
 
     A seed's trace is generated where its unit runs and streamed into
-    the replay, once per unit: a seed split into per-shard units is
-    generated once per shard.  ``engine`` selects the simulation engine (see
-    :data:`repro.sim.engine.ENGINE_NAMES`); ``progress(done, total)``,
-    counting shards, is called after each completed unit, and an
-    exception it raises is swallowed: observing never stops the work.
+    the replay, once per unit.  ``engine`` selects the simulation
+    engine (see :data:`repro.sim.engine.ENGINE_NAMES`);
+    ``progress(done, total)``, counting this invocation's shards, is
+    called after each completed unit, and an exception it raises is
+    swallowed: observing never stops the work.
 
-    ``metrics`` works in every mode: pool workers collect their own
-    registry and the shards are merged into the caller's on return.
-    ``tracer`` streams cannot cross a process boundary, so an *enabled*
-    tracer requires ``workers=0``.
+    ``completed`` maps (technique, seed) keys (``"none"`` for the
+    unmitigated baseline) to the :class:`~repro.sim.executors.
+    ShardRecord` of shards already checkpointed -- the durable runner
+    passes its store's shards.  Only the other keys are dispatched (with
+    none left, no executor runs), then :func:`fold_shards` folds every
+    key of the grid once, in canonical order, into the aggregates,
+    ``metrics`` and ``spans`` -- the same bytes whichever invocation ran
+    a shard.  A completed shard's span tree keeps its structure but not
+    its clock readings, which timed an earlier invocation.
 
-    ``spans`` works in every mode like ``metrics``: the campaign root
-    span holds one ``dispatch`` span (the executor run), and each
-    shard records a local ``shard -> trace/simulate`` span tree
-    (in a whole-seed unit, every member's records span the shared
-    replay window) and ships it back for re-parenting under the
-    campaign root span.
+    ``metrics`` and ``spans`` work in every mode: workers collect a
+    registry and a ``shard -> trace/simulate`` span tree per shard (in
+    a whole-seed unit, every member's records span the shared replay
+    window), folded under the campaign root span, which holds one
+    ``dispatch`` span (the executor run).  ``tracer`` streams cannot
+    cross a process boundary, so an *enabled* tracer requires
+    ``workers=0``.
 
-    ``status`` turns on the live status bus: workers publish
-    per-shard heartbeats into its directory, the runner publishes a
-    rolling :class:`~repro.telemetry.statusbus.CampaignSnapshot` at
-    every progress tick, and shards whose heartbeat goes quiet for
-    longer than the bus's ``stale_after`` surface through the
-    ``campaign.workers_stale`` metric -- *before* any
-    ``shard_timeout`` kill fires.  ``status_done_base`` offsets every
-    published snapshot by shards completed *before* this invocation,
-    so a resumed durable campaign reports whole-campaign totals
-    instead of remainder-only ones.  All of these are pure
-    observation: results are bit-identical with them on or off.
+    ``status`` turns on the live status bus: workers publish per-shard
+    heartbeats into its directory, the runner publishes a rolling
+    :class:`~repro.telemetry.statusbus.CampaignSnapshot` of the whole
+    grid (``completed`` shards included) at every progress tick, and
+    shards whose heartbeat goes quiet for longer than the bus's
+    ``stale_after`` surface through the ``campaign.workers_stale``
+    metric -- *before* any ``shard_timeout`` kill fires.  All of these
+    are pure observation: results are bit-identical with them on or
+    off.
 
     ``trace_path`` replays one pre-serialised ``.npz`` trace (e.g. an
     ingested external capture, see :mod:`repro.traces.ingest`) for
@@ -229,16 +273,13 @@ def run_campaign(
     workload -- seeds then only vary the mitigations' RNG, which is the
     right comparison for a fixed captured access stream.
 
-    ``pairs`` overrides the ``techniques x seeds`` grid with an explicit
-    (technique, seed) work list -- the durable campaign runner passes
-    the not-yet-completed remainder here on resume.  ``retry`` enables
-    worker-level fault tolerance (see :class:`RetryPolicy`): units become
-    single shards, so failures are attributed to single shards.
-    ``shard_callback(record)`` fires with each shard's
-    :class:`~repro.sim.executors.ShardRecord` as it completes
-    (checkpointing hook), and ``fault_injector`` plants
-    deterministic test faults in the workers.
-    ``sleep`` is the backoff clock (injectable for tests).
+    ``retry`` enables worker-level fault tolerance (see
+    :class:`RetryPolicy`): units become single shards, so failures are
+    attributed to single shards.  ``shard_callback(record)`` fires with
+    each shard's :class:`~repro.sim.executors.ShardRecord` as it
+    completes (checkpointing hook), ``fault_injector`` plants
+    deterministic test faults in the workers, and ``sleep`` is the
+    backoff clock (injectable for tests).
 
     Returns a :class:`CampaignResult` -- a ``{technique:
     TechniqueAggregate}`` dict whose ``failures`` attribute lists any
@@ -253,16 +294,20 @@ def run_campaign(
             "event tracing requires workers=0: tracer streams cannot "
             "cross a process-pool boundary"
         )
-    if pairs is not None:
-        pair_list: List[Tuple[Optional[str], int]] = list(pairs)
-    else:
-        names: List[Optional[str]] = (
-            list(techniques) if techniques is not None else technique_names()
-        )
-        if include_unmitigated:
-            names = [None] + names
-        pair_list = [(name, seed) for name in names for seed in seeds]
-    ordered_names = list(dict.fromkeys(name or "none" for name, _ in pair_list))
+    names: List[Optional[str]] = (
+        list(techniques) if techniques is not None else technique_names()
+    )
+    if include_unmitigated:
+        names = [None] + names
+    completed = completed or {}
+    pending = [
+        (name, seed) for name in names for seed in seeds
+        if (name or "none", seed) not in completed
+    ]
+    grid_size = len(names) * len(seeds)
+    # shards checkpointed before this invocation count toward the live
+    # view: a resumed campaign reports whole-campaign progress
+    done_before = grid_size - len(pending)
     frozen_kwargs = tuple(sorted(workload_kwargs.items()))
     failures: List[ShardFailure] = []
     collect_spans = spans is not None and spans.enabled
@@ -270,6 +315,19 @@ def run_campaign(
     status_dir = str(status.root) if status is not None else None
     started_mono = time.monotonic()
     stale_seen: set = set()
+
+    def snapshot(done: int, complete: bool = False, stale: int = 0) -> None:
+        """Publish the whole-campaign snapshot: *done* of the grid."""
+        retries = (
+            metrics.counters.get("campaign.shard_retries")
+            if metrics is not None else None
+        )
+        status.publish_snapshot(CampaignSnapshot(
+            done=done, total=grid_size, degraded=len(failures),
+            retries=retries.value if retries else 0, stale=stale,
+            started_mono=started_mono, mono=time.monotonic(),
+            complete=complete,
+        ))
 
     def observe(done: int, total: int) -> None:
         """Report a tick to the caller's ``progress``, then publish the
@@ -288,27 +346,14 @@ def run_campaign(
                 if heartbeat.worker not in stale_seen:
                     stale_seen.add(heartbeat.worker)
                     _count(metrics, "campaign.workers_stale")
-            status.publish_snapshot(CampaignSnapshot(
-                done=status_done_base + done,
-                total=status_done_base + total,
-                degraded=len(failures),
-                retries=_retries(metrics),
-                stale=len(stale),
-                started_mono=started_mono,
-                mono=time.monotonic(),
-                complete=done >= total,
-            ))
+            snapshot(done_before + done, done >= total, len(stale))
         except OSError:
             pass  # a missed snapshot is superseded by the next tick's
 
     if status is not None:
-        status.publish_snapshot(CampaignSnapshot(
-            done=status_done_base,
-            total=status_done_base + len(pair_list),
-            started_mono=started_mono, mono=started_mono,
-        ))
+        snapshot(done_before)
     root_span = (
-        spans.start("campaign", engine=engine, shards=len(pair_list))
+        spans.start("campaign", engine=engine, shards=len(pending))
         if collect_spans else None
     )
     # The unit composition rule: one unit per seed on the grid engine,
@@ -319,11 +364,11 @@ def run_campaign(
     if grid_engine and retry is None and fault_injector is None \
             and not tracer_enabled:
         seed_names: Dict[int, List[Optional[str]]] = {}
-        for name, seed in pair_list:
+        for name, seed in pending:
             seed_names.setdefault(seed, []).append(name)
-        units = [(tuple(names), seed) for seed, names in seed_names.items()]
+        units = [(tuple(members), seed) for seed, members in seed_names.items()]
     else:
-        units = [((name,), seed) for name, seed in pair_list]
+        units = [((name,), seed) for name, seed in pending]
     try:
         # Every unit generates its seed's trace where it runs (the
         # generator is deterministic in the seed, so all units of a seed
@@ -348,10 +393,7 @@ def run_campaign(
         ctx = ExecutionContext(
             retry=retry,
             metrics=metrics,
-            progress=(
-                observe if progress is not None or status is not None
-                else None
-            ),
+            progress=observe,
             shard_callback=shard_callback,
             failures=failures,
             sleep=sleep,
@@ -359,44 +401,26 @@ def run_campaign(
             status=status,
         )
         with span_of(spans, "dispatch"):
-            slots = runner.execute(jobs, ctx)
-        index_of = {
-            (name or "none", seed): index
-            for index, (name, seed) in enumerate(pair_list)
-        }
-        records: List[Optional[ShardRecord]] = [None] * len(pair_list)
-        for members in slots:
-            for record in members or ():
-                records[index_of[(record.technique, record.seed)]] = record
+            # nothing pending (a finished campaign's resume): no
+            # executor runs, so no pool or queue worker is started
+            slots = runner.execute(jobs, ctx) if jobs else []
     finally:
         if collect_spans:
             spans.finish()  # close the campaign root span
-    # records is ordered by job index (technique-major, seed-minor)
-    # regardless of completion order; degraded shards stay None
-    aggregates = CampaignResult(failures=failures)
-    for name in ordered_names:
-        aggregates[name] = TechniqueAggregate(technique=name)
-    completed = 0
-    for record in records:
-        if record is None:
-            continue
-        aggregates[record.technique].results.append(record.result)
-        completed += 1
-        if metrics is not None and record.metrics is not None:
-            metrics.merge(MetricsRegistry.from_dict(record.metrics))
-        if collect_spans and record.spans is not None:
-            spans.adopt(record.spans, parent=root_span)
-    for failure in failures:
-        aggregates[failure.technique].degraded_seeds.append(failure.seed)
-    _count(metrics, "campaign.shards_completed", completed)
+    records = {
+        key: _untimed(record) if collect_spans else record
+        for key, record in completed.items()
+    }
+    for members in slots:
+        for record in members or ():
+            records[(record.technique, record.seed)] = record
+    aggregates = fold_shards(
+        [name or "none" for name in names], seeds, records,
+        failures=failures, metrics=metrics,
+        spans=spans if collect_spans else None, parent=root_span,
+    )
+    landed = sum(len(aggregate.results) for aggregate in aggregates.values())
+    _count(metrics, "campaign.shards_completed", landed)
     if status is not None:
-        status.publish_snapshot(CampaignSnapshot(
-            done=status_done_base + completed,
-            total=status_done_base + len(pair_list),
-            degraded=len(failures),
-            retries=_retries(metrics),
-            started_mono=started_mono,
-            mono=time.monotonic(),
-            complete=completed + len(failures) >= len(pair_list),
-        ))
+        snapshot(landed, landed + len(failures) >= grid_size)
     return aggregates

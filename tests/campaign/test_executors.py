@@ -288,7 +288,7 @@ class TestPoolSubmitRace:
         config = small_test_config(num_banks=2)
         kwargs = dict(
             techniques=TECHNIQUES, seeds=SEEDS, workers=2, engine="fast",
-            executor="pool", publish_status=False,
+            executor="pool",
         )
         ckpt = tmp_path / "ckpt"
         with monkeypatch.context() as patch:

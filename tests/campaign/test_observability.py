@@ -103,13 +103,14 @@ class TestZeroDrift:
     ):
         spans = SpanTracer(id_seed="cfg")
         enabled = durable(tmp_path / "on", engine="fused", spans=spans)
-        disabled = durable(
-            tmp_path / "off", engine="fused", publish_status=False,
+        # no checkpoint, no status bus, no spans
+        disabled = run_campaign(
+            small_test_config(num_banks=2), total_intervals=8,
+            techniques=TECHNIQUES, seeds=SEEDS, workers=0, engine="fused",
         )
         assert canonical(enabled) == canonical(disabled)
         assert "campaign/shard" in spans.summary()["paths"]
         assert (tmp_path / "on" / "status" / "campaign.json").is_file()
-        assert not (tmp_path / "off" / "status").exists()
 
     def test_inline_campaign_identical_with_and_without_observability(
         self, tmp_path
@@ -130,7 +131,7 @@ class TestZeroDrift:
 
     def test_observability_toggle_never_invalidates_resume(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        durable(ckpt, publish_status=False)  # no status, no spans
+        durable(ckpt)  # no spans
         # re-running with full observability is a valid resume, not a
         # CheckpointMismatchError: nothing observable enters the spec
         spans = SpanTracer(id_seed="cfg")

@@ -10,8 +10,10 @@ from repro.campaign import (
     run_durable_campaign,
 )
 from repro.config import small_test_config
+from repro.sim.executors import SerialExecutor
 from repro.sim.parallel import RetryPolicy, run_campaign
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.statusbus import StatusBus
 
 TECHNIQUES = ("PARA", "TWiCe")
 SEEDS = (0, 1)
@@ -23,6 +25,17 @@ def canonical(aggregates):
         name: [result.as_dict() for result in aggregate.results]
         for name, aggregate in aggregates.items()
     }
+
+
+class RecordingExecutor(SerialExecutor):
+    """The serial lane, recording every batch of units it is handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def execute(self, jobs, ctx):
+        self.calls.append(list(jobs))
+        return super().execute(jobs, ctx)
 
 
 def durable(config, ckpt, **kwargs):
@@ -50,8 +63,33 @@ class TestDurableCampaign:
     def test_resume_of_complete_campaign_is_identical_noop(self, tmp_path):
         config = small_test_config(num_banks=2)
         first = durable(config, tmp_path / "ckpt")
-        resumed = durable(config, tmp_path / "ckpt", resume=True)
+        executor = RecordingExecutor()
+        resumed = durable(
+            config, tmp_path / "ckpt", resume=True, executor=executor,
+        )
         assert canonical(resumed) == canonical(first)
+        assert executor.calls == []  # nothing dispatched
+        snapshot = StatusBus.for_checkpoint(tmp_path / "ckpt").read_snapshot()
+        assert snapshot.complete
+        assert snapshot.done == snapshot.total == len(TECHNIQUES) * len(SEEDS)
+
+    def test_store_is_read_once_per_run(self, tmp_path, monkeypatch):
+        loads = []
+        load_shards = CampaignStore.load_shards
+
+        def counting(store):
+            loads.append(store.root)
+            return load_shards(store)
+
+        monkeypatch.setattr(CampaignStore, "load_shards", counting)
+        config = small_test_config(num_banks=2)
+        durable(config, tmp_path / "ckpt")
+        assert len(loads) == 1
+        CampaignStore(tmp_path / "ckpt").shard_path("PARA", 1).unlink()
+        durable(config, tmp_path / "ckpt", resume=True)
+        assert len(loads) == 2
+        durable(config, tmp_path / "ckpt", resume=True)
+        assert len(loads) == 3
 
     def test_resume_recomputes_only_missing_shards(self, tmp_path):
         config = small_test_config(num_banks=2)

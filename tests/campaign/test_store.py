@@ -153,7 +153,7 @@ class TestStoredLayout:
 
     KWARGS = dict(
         techniques=("PARA", "TWiCe"), seeds=(0,), workers=0,
-        engine="fused", publish_status=False,
+        engine="fused",
     )
 
     @staticmethod

@@ -353,12 +353,6 @@ class WorkQueue:
         payload.update(banner)
         write_json_atomic(self.banner_path, payload)
 
-    def read_banner(self) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(self.banner_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-
     def request_stop(self) -> None:
         """Raise the drain sentinel: workers exit at their next poll."""
         write_json_atomic(self.stop_path, {"stop": True})

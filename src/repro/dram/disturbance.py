@@ -89,10 +89,6 @@ class BankDisturbance:
         """Current disturbance count of *row* (whole units)."""
         return int(self._counters.get(row, 0.0))
 
-    @property
-    def tracked_rows(self) -> int:
-        return len(self._counters)
-
     def _second_neighbors(self, row: int):
         """Rows two physical slots away (Half-Double coupling)."""
         out = []

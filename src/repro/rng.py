@@ -34,57 +34,3 @@ def seed_sequence(root_seed: int, count: int, *labels: object) -> Iterator[int]:
     for index in range(count):
         yield derive_seed(root_seed, *labels, index)
 
-
-class BufferedRandom:
-    """Draw ``random()`` values in blocks while preserving exact order.
-
-    Mersenne-Twister output is a fixed sequence, so the *k*-th
-    ``random()`` value is identical whether drawn eagerly or in a
-    pre-filled block -- which lets the fast simulation engine bulk-draw
-    trigger decisions per chunk and still match the reference engine
-    draw-for-draw.
-
-    Other :class:`random.Random` methods consume the same underlying
-    stream, so before forwarding one the wrapper rewinds the generator
-    to just past the values already handed out (``setstate`` plus a
-    replay of the consumed draws) and discards the rest of the block.
-    That keeps interleavings such as PARA's ``randrange`` on trigger
-    bit-exact with unbuffered use.
-    """
-
-    __slots__ = ("_rng", "_block", "_buf", "_pos", "_state")
-
-    def __init__(self, rng: random.Random, block: int = 1024):
-        if block < 1:
-            raise ValueError(f"block size must be positive: {block}")
-        self._rng = rng
-        self._block = block
-        self._buf: list[float] = []
-        self._pos = 0
-        self._state: object = None
-
-    def random(self) -> float:
-        if self._pos >= len(self._buf):
-            self._state = self._rng.getstate()
-            self._buf = [self._rng.random() for _ in range(self._block)]
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-    def _sync(self) -> None:
-        """Rewind the generator to just after the draws consumed so far."""
-        if self._buf:
-            self._rng.setstate(self._state)
-            for _ in range(self._pos):
-                self._rng.random()
-            self._buf = []
-            self._pos = 0
-
-    def randrange(self, stop: int) -> int:
-        self._sync()
-        return self._rng.randrange(stop)
-
-    def getstate(self):
-        self._sync()
-        return self._rng.getstate()

@@ -34,23 +34,25 @@ A decider without a ceiling steps every run: TWiCe, CRA and CaPRoMi
 with their own arithmetic, any other technique through the reference
 object itself (:func:`_step_chunk`).  ``tests/sim/
 test_fused_properties.py`` pins every ``decide_chunk`` to stepping the
-chunk record by record with the reference mitigation object.  numpy is
-optional: without it every scan falls back to a scalar loop with
-identical results.
+chunk record by record with the reference mitigation object.
+
+The pre-drawn blocks.  A screened decider owns every draw of its
+mitigation's generator and takes them a block at a time with
+:func:`_random_block`: one ``getrandbits`` call and one numpy
+expression yield exactly the floats the same number of ``random()``
+calls would, and leave the generator where those calls would.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, islice
 from operator import mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-try:  # numpy lists a draw block's candidates; the scalar fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as np
 
 from repro.config import DRAMGeometry
 from repro.core.capromi import CaPRoMi
@@ -72,6 +74,8 @@ _BLOCK = 4096
 #: PARA's block: a trigger rewinds and replays the block's consumed
 #: draws, so a modest block keeps that replay cheap
 _PARA_BLOCK = 256
+#: a spent (or not yet drawn) block
+_NO_DRAWS = np.empty(0)
 
 
 class _BankRuns:
@@ -178,11 +182,25 @@ class _GenericDecider:
         pass
 
 
-def _below(buf: List[float], ceiling: float) -> List[int]:
-    """Positions of the draws in *buf* below *ceiling*, ascending."""
-    if _np is not None:
-        return _np.flatnonzero(_np.asarray(buf) < ceiling).tolist()
-    return [index for index, draw in enumerate(buf) if draw < ceiling]
+def _random_block(rng: random.Random, count: int) -> np.ndarray:
+    """The next *count* ``rng.random()`` values, drawn in one call.
+
+    CPython's ``random()`` takes two consecutive 32-bit Mersenne-Twister
+    outputs ``w0, w1`` and returns ``((w0 >> 5) * 2**26 + (w1 >> 6)) *
+    2**-53``.  ``getrandbits(64 * count)`` consumes exactly ``2 * count``
+    outputs and stores the first one in its least significant 32 bits,
+    so its little-endian bytes are those outputs in draw order.  Every
+    step of the float arithmetic is exact (the sum stays below 2**53,
+    and the scale is a power of two), so the block equals the scalar
+    draws bit for bit, and *rng* ends where ``count`` ``random()``
+    calls would leave it.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+    )
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+        1.0 / 9007199254740992.0
+    )
 
 
 class _ScreenMixin:
@@ -192,12 +210,21 @@ class _ScreenMixin:
     decisions can fire on a draw at or above it.  A chunk's draws are
     then consumed without being looked at, except the *candidates*
     below the ceiling, listed once per block; the decider rebuilds its
-    state at a candidate from the records since the previous one.  The
-    decider's ``_refill`` draws a new block into ``_buf`` and resets
-    ``_pos``.
+    state at a candidate from the records since the previous one.
+    :meth:`_refill` draws the next ``block`` draws of ``_rng`` into
+    ``_buf`` and resets ``_pos``.
     """
 
     __slots__ = ()
+
+    #: draws per pre-drawn block
+    block = _BLOCK
+
+    def _refill(self) -> None:
+        self._buf = _random_block(self._rng, self.block)
+        self._pos = 0
+        if self.telemetry is not None:
+            self.telemetry.on_rng_block(self.mitigation.bank, self.block)
 
     def _screen(self, count: int) -> Iterator[Tuple[int, float]]:
         """Consume the next *count* draws, yielding ``(offset, draw)``
@@ -245,10 +272,10 @@ class _ScreenMixin:
         self._pos = end
         return True
 
-    def _candidates(self, buf: List[float]) -> List[int]:
+    def _candidates(self, buf: np.ndarray) -> List[int]:
         """The candidates of block *buf*, listed once per block."""
         if self._cands_src is not buf:
-            self._cands = _below(buf, self.ceiling)
+            self._cands = np.flatnonzero(buf < self.ceiling).tolist()
             self._cands_src = buf
         return self._cands
 
@@ -302,7 +329,7 @@ class _TiVaPRoMiDecider(_ScreenMixin):
 
     __slots__ = (
         "name", "mitigation", "weighting", "pbase", "capacity", "refint",
-        "slot_fn", "_rand", "_buf", "_pos", "table",
+        "slot_fn", "_rng", "_buf", "_pos", "table",
         "_slots", "_slot_p", "_p_interval", "telemetry", "ceiling",
         "_cands", "_cands_src",
     )
@@ -321,8 +348,8 @@ class _TiVaPRoMiDecider(_ScreenMixin):
         # block-buffered random(): the k-th Mersenne-Twister draw is the
         # same value whether taken eagerly or pre-drawn, and this
         # mitigation never interleaves other generator calls
-        self._rand = mitigation._rng.random
-        self._buf: List[float] = []
+        self._rng = mitigation._rng
+        self._buf = _NO_DRAWS
         self._pos = 0
         #: FIFO history-table mirror: dict preserves insertion order,
         #: in-place update keeps position, eviction removes the oldest
@@ -346,13 +373,6 @@ class _TiVaPRoMiDecider(_ScreenMixin):
     @property
     def table_occupancy(self) -> int:
         return len(self.table)
-
-    def _refill(self) -> None:
-        rand = self._rand
-        self._buf = [rand() for _ in range(_BLOCK)]
-        self._pos = 0
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
 
     def _probability(self, row: int, interval: int) -> float:
         """Current trigger probability of *row* (no draw consumed).
@@ -454,12 +474,11 @@ class _TiVaPRoMiDecider(_ScreenMixin):
 class _PARADecider(_ScreenMixin):
     """PARA: buffered draws, cached assumed adjacency.
 
-    Implements the same rewind-on-interleave protocol as
-    :class:`repro.rng.BufferedRandom` with the buffer inlined as plain
-    fields: a trigger's ``randrange`` must consume the generator right
-    after the draws handed out so far, so the generator is restored to
-    the block's start state and the consumed draws are replayed.  Its
-    ceiling is the constant probability itself: every candidate fires.
+    A trigger's ``randrange`` must consume the generator right after
+    the draws handed out so far, so the generator is restored to the
+    block's start state and the consumed draws are replayed (one
+    ``getrandbits`` call: each ``random()`` takes 64 bits).  Its ceiling
+    is the constant probability itself: every candidate fires.
     """
 
     __slots__ = (
@@ -469,6 +488,7 @@ class _PARADecider(_ScreenMixin):
     )
 
     trivial_refresh = True
+    block = _PARA_BLOCK
 
     def __init__(self, mitigation: PARA):
         self.mitigation = mitigation
@@ -476,7 +496,7 @@ class _PARADecider(_ScreenMixin):
         self.name = mitigation.name
         self.probability = mitigation.probability
         self._rng = mitigation._rng
-        self._buf: List[float] = []
+        self._buf = _NO_DRAWS
         self._pos = 0
         self._state: object = None
         self.geometry = mitigation.config.geometry
@@ -497,22 +517,17 @@ class _PARADecider(_ScreenMixin):
         return None  # PARA is stateless
 
     def _refill(self) -> None:
-        rng = self._rng
-        self._state = rng.getstate()
-        rand = rng.random
-        self._buf = [rand() for _ in range(_PARA_BLOCK)]
-        self._pos = 0
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _PARA_BLOCK)
+        self._state = self._rng.getstate()
+        super()._refill()
 
     def _trigger(self, row: int, consumed: int):
         """Rewind to the block start, replay *consumed* draws, then take
         the trigger's ``randrange`` exactly where the reference does."""
         rng = self._rng
         rng.setstate(self._state)
-        for _ in range(consumed):
-            rng.random()
-        self._buf = []
+        if consumed:
+            rng.getrandbits(64 * consumed)
+        self._buf = _NO_DRAWS
         self._pos = 0
         neighbors = self._neighbors.get(row)
         if neighbors is None:
@@ -551,7 +566,7 @@ class _BufferedVictimDecider(_ScreenMixin):
     """
 
     __slots__ = (
-        "mitigation", "telemetry", "name", "_rand", "_buf", "_pos",
+        "mitigation", "telemetry", "name", "_rng", "_buf", "_pos",
         "ceiling", "_cands", "_cands_src",
     )
 
@@ -559,8 +574,8 @@ class _BufferedVictimDecider(_ScreenMixin):
         self.mitigation = mitigation
         self.telemetry = None
         self.name = mitigation.name
-        self._rand = mitigation._rng.random
-        self._buf: List[float] = []
+        self._rng = mitigation._rng
+        self._buf = _NO_DRAWS
         self._pos = 0
         self.ceiling = ceiling
         self._cands: List[int] = []
@@ -577,13 +592,6 @@ class _BufferedVictimDecider(_ScreenMixin):
     @property
     def table_occupancy(self):
         return getattr(self.mitigation, "table_occupancy", None)
-
-    def _refill(self) -> None:
-        rand = self._rand
-        self._buf = [rand() for _ in range(_BLOCK)]
-        self._pos = 0
-        if self.telemetry is not None:
-            self.telemetry.on_rng_block(self.mitigation.bank, _BLOCK)
 
     def clear_window(self) -> None:
         # only reachable for trivial_refresh deciders, whose reference

@@ -73,9 +73,9 @@ Where the speed comes from
   to the requested cells with the ``seed`` field fixed up.
 
 Per-cell RNG streams derive from ``derive_seed(seed, "mitigation",
-bank)`` exactly like the reference.  numpy is optional: without it the
-deciders' draw scans fall back to scalar loops (identical results,
-reduced throughput).
+bank)`` exactly like the reference, and the deciders draw them a block
+at a time with numpy, bit-identical to as many scalar ``random()``
+calls (:func:`repro.sim.deciders._random_block`).
 """
 
 from __future__ import annotations

@@ -32,10 +32,18 @@ from repro.config import SimConfig
 SCHEMA_VERSION = 1
 
 #: fields that legitimately differ between two runs of the same
-#: experiment (timestamps and wall-clock timings); ignored by
-#: :func:`diff_manifests` by default.  Entries match a top-level field,
-#: a dotted-path prefix, or a leaf key anywhere in the tree.
-VOLATILE_FIELDS = ("created_at", "timings", "host", "wall_seconds")
+#: experiment; ignored by :func:`diff_manifests` by default.  Entries
+#: match a top-level field, a dotted-path prefix, or a leaf key
+#: anywhere in the tree.  Besides timestamps and wall-clock timings,
+#: these are the fused engine's work counters: they count how a
+#: campaign's shards were grouped into grid passes (a resumed campaign
+#: replays a seed's records once per unit that ran it), not what the
+#: campaign computed, which its results and result counters pin.
+VOLATILE_FIELDS = (
+    "created_at", "timings", "host", "wall_seconds",
+    "fused.records", "fused.segments",
+    "fused.cells_requested", "fused.cells_computed", "fused.cells_deduped",
+)
 
 
 def config_as_dict(config: SimConfig) -> Dict[str, Any]:

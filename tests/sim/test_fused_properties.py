@@ -18,18 +18,21 @@ bit-exact differential suite cannot name individually:
   the draws below its probability ceiling) fires the same actions at
   the same records, consumes the same random draws and leaves the same
   decision state as stepping the chunk record by record through the
-  reference mitigation object's ``on_activation``, with and without
-  numpy.
+  reference mitigation object's ``on_activation``;
+* draw blocks -- ``_random_block`` returns exactly the ``random()``
+  values of as many scalar calls and leaves the generator where they
+  would, and PARA's rewind replay lands where its draws would.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from contextlib import contextmanager
 from itertools import accumulate
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.config import small_test_config
 from repro.mitigations.registry import (
@@ -223,18 +226,6 @@ def test_fused_cell_slice_equals_solo_reference_run(
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _numpy(enabled):
-    """Run the kernels with numpy, or on the pure-Python fallback."""
-    saved = deciders._np
-    if not enabled:
-        deciders._np = None
-    try:
-        yield
-    finally:
-        deciders._np = saved
-
-
 def _columns(stream):
     """One bank's run columns for *stream*, ``(row, interval step,
     count)`` runs, as the grid builds them from its segment list."""
@@ -325,7 +316,7 @@ def _without_rng(registry):
     return state
 
 
-def _assert_kernel_matches(technique, config, seed, stream, numpy, **kwargs):
+def _assert_kernel_matches(technique, config, seed, stream, **kwargs):
     """``decide_chunk`` per interval == the reference mitigation's
     ``on_activation`` per record, with the same refresh ticks between
     intervals."""
@@ -338,26 +329,25 @@ def _assert_kernel_matches(technique, config, seed, stream, numpy, **kwargs):
     kernel.attach_telemetry(EngineTelemetry.create(None, registries[0]))
     reference.telemetry = EngineTelemetry.create(None, registries[1])
     done = -1
-    with _numpy(numpy):
-        for interval in sorted(runs.chunks):
-            for tick in range(done + 1, interval + 1):
-                assert kernel.on_refresh(tick) == reference.on_refresh(tick)
-            done = interval
-            lo, hi = runs.chunks[interval]
-            expected = [
-                (record, action)
-                for run in range(lo, hi)
-                for record in range(runs.ends[run], runs.ends[run + 1])
-                for action in reference.on_activation(runs.rows[run], interval)
-            ]
-            fired = kernel.decide_chunk(runs, lo, hi, interval)
-            assert [
-                (record, action) for record, actions in fired
-                for action in actions
-            ] == expected
-            assert _kernel_state(kernel) == _state(reference)
-            drawn, reference_drawn = _draws(kernel, reference)
-            assert drawn == reference_drawn
+    for interval in sorted(runs.chunks):
+        for tick in range(done + 1, interval + 1):
+            assert kernel.on_refresh(tick) == reference.on_refresh(tick)
+        done = interval
+        lo, hi = runs.chunks[interval]
+        expected = [
+            (record, action)
+            for run in range(lo, hi)
+            for record in range(runs.ends[run], runs.ends[run + 1])
+            for action in reference.on_activation(runs.rows[run], interval)
+        ]
+        fired = kernel.decide_chunk(runs, lo, hi, interval)
+        assert [
+            (record, action) for record, actions in fired
+            for action in actions
+        ] == expected
+        assert _kernel_state(kernel) == _state(reference)
+        drawn, reference_drawn = _draws(kernel, reference)
+        assert drawn == reference_drawn
     assert _without_rng(registries[0]) == _without_rng(registries[1])
 
 
@@ -386,13 +376,12 @@ pbases = st.sampled_from([CONFIG.pbase, 0.002, 0.02, 0.5])
 @given(
     technique=st.sampled_from(technique_names()),
     seed=st.integers(0, 50), pbase=pbases, stream=mixed_runs,
-    numpy=st.booleans(),
 )
-def test_chunk_kernel_matches_stepping(technique, seed, pbase, stream, numpy):
+def test_chunk_kernel_matches_stepping(technique, seed, pbase, stream):
     """Every paper technique, on mixed runs, at any pbase (ceiling >= 1
     makes every record a candidate)."""
     _assert_kernel_matches(
-        technique, CONFIG.scaled(pbase=pbase), seed, stream, numpy
+        technique, CONFIG.scaled(pbase=pbase), seed, stream
     )
 
 
@@ -406,12 +395,11 @@ def test_chunk_kernel_matches_stepping(technique, seed, pbase, stream, numpy):
         ),
         min_size=1, max_size=12,
     ),
-    numpy=st.booleans(),
 )
-def test_chunk_kernel_matches_stepping_on_flooding(technique, seed, stream, numpy):
+def test_chunk_kernel_matches_stepping_on_flooding(technique, seed, stream):
     """Long flooding runs of a few rows."""
     _assert_kernel_matches(
-        technique, CONFIG.scaled(pbase=0.002), seed, stream, numpy
+        technique, CONFIG.scaled(pbase=0.002), seed, stream
     )
 
 
@@ -423,9 +411,8 @@ def test_chunk_kernel_matches_stepping_on_flooding(technique, seed, stream, nump
         st.tuples(st.integers(1, 200), st.integers(1, 200), st.integers(0, 1)),
         min_size=1, max_size=20,
     ),
-    numpy=st.booleans(),
 )
-def test_mrloc_kernel_on_two_victim_repeats(seed, base, pairs, numpy):
+def test_mrloc_kernel_on_two_victim_repeats(seed, base, pairs):
     """Two aggressors sharing a victim, alternating: the recency queue
     holds three victims for the whole stream."""
     row = ROWS // 2
@@ -433,7 +420,7 @@ def test_mrloc_kernel_on_two_victim_repeats(seed, base, pairs, numpy):
     for first, second, step in pairs:
         stream += [(row, step, first), (row + 2, 0, second)]
     _assert_kernel_matches(
-        "MRLoc", CONFIG, seed, stream, numpy, base_probability=base,
+        "MRLoc", CONFIG, seed, stream, base_probability=base,
     )
 
 
@@ -447,12 +434,11 @@ def test_mrloc_kernel_on_two_victim_repeats(seed, base, pairs, numpy):
         ),
         min_size=1, max_size=60,
     ),
-    numpy=st.booleans(),
 )
-def test_tivapromi_kernel_on_table_hits(technique, seed, stream, numpy):
+def test_tivapromi_kernel_on_table_hits(technique, seed, stream):
     """Three rows at a high pbase: most triggers hit the history table."""
     _assert_kernel_matches(
-        technique, CONFIG.scaled(pbase=0.01), seed, stream, numpy
+        technique, CONFIG.scaled(pbase=0.01), seed, stream
     )
 
 
@@ -464,13 +450,12 @@ def test_tivapromi_kernel_on_table_hits(technique, seed, stream, numpy):
         st.tuples(pooled_rows, st.integers(0, 1), st.integers(200, 320)),
         min_size=1, max_size=12,
     ),
-    numpy=st.booleans(),
 )
-def test_para_kernel_across_draw_blocks(seed, probability, stream, numpy):
+def test_para_kernel_across_draw_blocks(seed, probability, stream):
     """Runs about one 256-draw block long: triggers straddle blocks and
     each rewinds the generator."""
     _assert_kernel_matches(
-        "PARA", CONFIG, seed, stream, numpy, probability=probability
+        "PARA", CONFIG, seed, stream, probability=probability
     )
 
 
@@ -482,11 +467,80 @@ def test_para_kernel_across_draw_blocks(seed, probability, stream, numpy):
         st.tuples(pooled_rows, st.integers(0, 2), st.integers(1, 30)),
         min_size=1, max_size=80,
     ),
-    numpy=st.booleans(),
 )
-def test_prohit_kernel_hits_across_refresh_pops(seed, insert, stream, numpy):
+def test_prohit_kernel_hits_across_refresh_pops(seed, insert, stream):
     """A few rows, so victims hit the tables, with refresh pops between
     intervals."""
     _assert_kernel_matches(
-        "ProHit", CONFIG, seed, stream, numpy, insert_probability=insert
+        "ProHit", CONFIG, seed, stream, insert_probability=insert
     )
+
+
+# ---------------------------------------------------------------------------
+# draw blocks: _random_block and PARA's replay vs scalar random()
+# ---------------------------------------------------------------------------
+
+
+def _advanced(seed, words):
+    """A generator seeded with *seed* that has already handed out
+    *words* 32-bit outputs."""
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    return rng
+
+
+def _assert_block_matches(seed, words, count):
+    block, scalar = _advanced(seed, words), _advanced(seed, words)
+    values = deciders._random_block(block, count)
+    assert values.dtype == np.float64
+    assert values.tolist() == [scalar.random() for _ in range(count)]
+    assert block.getstate() == scalar.getstate()
+
+
+BLOCK_SETTINGS = settings(max_examples=30, deadline=None)
+generator_seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 4096])
+@BLOCK_SETTINGS
+@given(seed=generator_seeds, odd=st.integers(min_value=0, max_value=4))
+def test_random_block_equals_scalar_draws_at_block_sizes(count, seed, odd):
+    """The deciders' block sizes and their neighbours, from a generator
+    an odd number of 32-bit outputs in (each ``random()`` takes two, so
+    the block starts mid-pair of the generator's own words)."""
+    _assert_block_matches(seed, 2 * odd + 1, count)
+
+
+@BLOCK_SETTINGS
+@given(
+    seed=generator_seeds,
+    words=st.integers(min_value=0, max_value=9),
+    count=st.integers(min_value=0, max_value=5000),
+)
+def test_random_block_equals_scalar_draws(seed, words, count):
+    _assert_block_matches(seed, words, count)
+
+
+@BLOCK_SETTINGS
+@given(
+    seed=st.integers(0, 50),
+    consumed=st.integers(min_value=0, max_value=deciders._PARA_BLOCK),
+)
+@example(seed=0, consumed=0)
+def test_para_rewind_replays_consumed_draws(seed, consumed):
+    """A PARA trigger after *consumed* draws of a block (none included)
+    rewinds the generator to where *consumed* ``random()`` calls leave
+    it, so its ``randrange`` picks the reference's victim."""
+    kernel = deciders._make_decider(
+        make_mitigation("PARA", CONFIG, bank=0, seed=seed)
+    )
+    expected = make_mitigation("PARA", CONFIG, bank=0, seed=seed)._rng
+    kernel._refill()
+    row = ROWS // 2
+    (action,) = kernel._trigger(row, consumed)
+    for _ in range(consumed):
+        expected.random()
+    neighbors = CONFIG.geometry.assumed_neighbors(row)
+    assert action.row == neighbors[expected.randrange(len(neighbors))]
+    assert kernel._rng.getstate() == expected.getstate()

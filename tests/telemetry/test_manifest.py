@@ -119,6 +119,54 @@ class TestDiff:
         assert "results.TWiCe" in differences
         assert differences["results.TWiCe"][0] == "<missing>"
 
+    def _metrics_pair(self, counters_a, counters_b):
+        config = small_test_config()
+        manifests = []
+        for counters in (counters_a, counters_b):
+            metrics = MetricsRegistry()
+            for name, value in counters.items():
+                metrics.counter(name).add(value)
+            manifests.append(build_manifest(
+                config, engine="fast", seeds=(0,),
+                comparison={"PARA": _aggregate(seeds=(0,))}, metrics=metrics,
+            ))
+        return manifests
+
+    def test_fused_work_counters_are_volatile(self):
+        """How a campaign's shards were grouped into grid passes (a
+        resume replays a seed once per unit) is not a result."""
+        shared = {"triggers": 5, "extra_activations": 10}
+        a, b = self._metrics_pair(
+            dict(shared, **{
+                "fused.records": 191802, "fused.segments": 191413,
+                "fused.cells_requested": 6, "fused.cells_computed": 6,
+                "fused.cells_deduped": 0,
+            }),
+            dict(shared, **{
+                "fused.records": 127926, "fused.segments": 127660,
+                "fused.cells_requested": 4, "fused.cells_computed": 3,
+                "fused.cells_deduped": 1,
+            }),
+        )
+        assert diff_manifests(a, b) == {}
+
+    def test_result_counter_change_still_fails(self):
+        work = {"fused.records": 100, "fused.segments": 90}
+        for name in ("triggers", "extra_activations"):
+            a, b = self._metrics_pair(
+                dict(work, **{name: 5}), dict(work, **{name: 6}),
+            )
+            assert diff_manifests(a, b) == {
+                f"metrics.counters.{name}.value": (5, 6)
+            }
+
+    def test_result_change_still_fails_beside_work_counters(self):
+        a, b = self._metrics_pair(
+            {"fused.records": 100}, {"fused.records": 200}
+        )
+        b.results["PARA"]["total_flips"] = 7
+        assert diff_manifests(a, b) == {"results.PARA.total_flips": (0, 7)}
+
     def test_custom_ignore_list(self):
         a, b = self._pair(engine="reference")
         assert diff_manifests(a, b, ignore=("engine", "created_at",

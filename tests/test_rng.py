@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.rng import BufferedRandom, derive_seed, seed_sequence, stream
+from repro.rng import derive_seed, seed_sequence, stream
 
 
 class TestDeriveSeed:
@@ -53,49 +53,3 @@ class TestSeedSequence:
         short = list(seed_sequence(3, 4, "banks"))
         assert long[:4] == short
 
-
-class TestBufferedRandom:
-    def test_matches_unbuffered_random_stream(self):
-        import random
-
-        plain = random.Random(123)
-        buffered = BufferedRandom(random.Random(123), block=7)
-        assert [buffered.random() for _ in range(50)] == [
-            plain.random() for _ in range(50)
-        ]
-
-    def test_interleaved_randrange_stays_exact(self):
-        """randrange mid-block must consume the generator exactly where
-        an unbuffered caller would (the fast engine's PARA decider
-        inlines this rewind protocol)."""
-        import random
-
-        plain = random.Random(9)
-        buffered = BufferedRandom(random.Random(9), block=16)
-        expected = []
-        actual = []
-        for step in range(60):
-            expected.append(plain.random())
-            actual.append(buffered.random())
-            if step % 5 == 4:
-                expected.append(plain.randrange(3))
-                actual.append(buffered.randrange(3))
-        assert actual == expected
-
-    def test_getstate_syncs(self):
-        import random
-
-        plain = random.Random(4)
-        buffered = BufferedRandom(random.Random(4), block=8)
-        for _ in range(3):
-            plain.random()
-            buffered.random()
-        assert buffered.getstate() == plain.getstate()
-
-    def test_rejects_non_positive_block(self):
-        import random
-
-        import pytest
-
-        with pytest.raises(ValueError):
-            BufferedRandom(random.Random(0), block=0)
